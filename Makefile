@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-diff lint-sarif test race race-all soak-smoke trace-smoke persist-smoke chaos-smoke bench bench-persist bench-serve bench-smoke bench-compare bench-load load-smoke fuzz fuzz-smoke clean tools report
+.PHONY: all build vet fmt-check lint lint-diff lint-sarif test bench-test race race-all soak-smoke trace-smoke persist-smoke chaos-smoke bench bench-persist bench-serve bench-smoke bench-compare bench-load load-smoke fuzz fuzz-smoke clean tools report
 
 all: build vet lint test race
 
@@ -9,6 +9,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails listing every tracked Go file outside vendor/ that gofmt would
+# rewrite.
+fmt-check:
+	@out=$$(git ls-files '*.go' | grep -v ^vendor/ | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Runs the project's custom go/analysis suite (internal/lint) on top of
 # go vet: the PR 4 syntactic set (detrand, maporder, iodiscipline,
@@ -37,6 +43,13 @@ lint-sarif:
 
 test:
 	$(GO) test ./...
+
+# The benchmark under bench/ is a module of its own, so the root
+# `go test ./...` skips it. Its tests include a 1k-domain smoke run of
+# every workload, which byte-checks the serve answers against the
+# crawl's, and the BENCHMARK.json validation.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # Race-checks the concurrency-heavy packages (metrics hot paths, the
 # crawl machinery, the resumable build, the parallel analysis engine —
@@ -149,6 +162,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/subgraph/
 	$(GO) test -fuzz=FuzzStreamingEqualsOneShot -fuzztime=30s ./internal/keccak/
 	$(GO) test -fuzz=FuzzParseTraceparent -fuzztime=30s ./internal/trace/
+	$(GO) test -fuzz=FuzzDecodeTxList -fuzztime=30s ./internal/etherscan/
 
 # Short fuzz pass for CI: 10s per target is enough to catch shallow
 # regressions in the parsers without stalling the pipeline.
@@ -156,6 +170,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/subgraph/
 	$(GO) test -fuzz=FuzzStreamingEqualsOneShot -fuzztime=10s ./internal/keccak/
 	$(GO) test -fuzz=FuzzParseTraceparent -fuzztime=10s ./internal/trace/
+	$(GO) test -fuzz=FuzzDecodeTxList -fuzztime=10s ./internal/etherscan/
 
 tools:
 	$(GO) build -o bin/ ./cmd/...

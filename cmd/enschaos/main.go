@@ -12,18 +12,21 @@
 // After the drill it:
 //
 //   - asserts every per-phase SLO the scenario declares,
+//
 //   - with -runs N > 1, re-runs the whole drill and requires the phase
 //     reports to be identical — the determinism contract: under
 //     plan.UnitRequests the fault schedule is a pure function of
 //     (scenario, seed, request sequence),
+//
 //   - with -verify-clean, crawls the same world fault-free and requires
 //     the persisted datasets to be byte-identical — faults may cost
 //     time and restarts, never rows,
+//
 //   - emits CHAOS_REPORT as go-bench lines cmd/benchjson can archive:
 //
-//	enschaos -campaign blackout-recovery -domains 250 -runs 2 | benchjson -o CHAOS_REPORT.json
-//	enschaos -scenario drills/my-campaign.json -budget-burst 0
-//	enschaos -list
+//     enschaos -campaign blackout-recovery -domains 250 -runs 2 | benchjson -o CHAOS_REPORT.json
+//     enschaos -scenario drills/my-campaign.json -budget-burst 0
+//     enschaos -list
 //
 // Determinism needs a serial request stream, so -tx-workers defaults to
 // 1 and breakers/hedging default off (both consult wall time: cooldown

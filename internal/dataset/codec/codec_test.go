@@ -199,6 +199,34 @@ func TestWriterErrorsAreSticky(t *testing.T) {
 	}
 }
 
+// TestWriterPrimitivesDoNotAllocate pins the snapshot encoder's hot
+// path: every fixed-width and varint value goes straight into the
+// buffer, and the byte count still covers each one.
+func TestWriterPrimitivesDoNotAllocate(t *testing.T) {
+	var sink bytes.Buffer
+	sink.Grow(1 << 16)
+	w := NewWriter(&sink)
+	allocs := testing.AllocsPerRun(100, func() {
+		w.Uvarint(math.MaxUint64)
+		w.Varint(-1 << 40)
+		w.U8(0xab)
+		w.U16(0xbeef)
+		w.U64(0x1122334455667788)
+		w.F64(3.5)
+		w.Bool(true)
+	})
+	if allocs != 0 {
+		t.Errorf("writer primitives allocate %.0f times per call set, want 0", allocs)
+	}
+	const perRun = 10 + 6 + 1 + 2 + 8 + 8 + 1
+	if got, want := w.Offset(), int64(101*perRun); got != want {
+		t.Errorf("Offset = %d after 101 call sets, want %d", got, want)
+	}
+	if err := w.Flush(); err != nil || int64(sink.Len()) != w.Offset() {
+		t.Errorf("flushed %d bytes (err %v), Offset %d", sink.Len(), err, w.Offset())
+	}
+}
+
 type failWriter struct{}
 
 func (failWriter) Write(p []byte) (int, error) {

@@ -67,22 +67,9 @@ func (c *ChainSource) TxList(ctx context.Context, addr ethtypes.Address) ([]ethe
 		return nil, err
 	}
 	txs := c.Chain.TxsByAddress(addr)
-	out := make([]etherscan.TxRecord, 0, len(txs))
-	for _, tx := range txs {
-		isErr := "0"
-		if tx.Failed {
-			isErr = "1"
-		}
-		out = append(out, etherscan.TxRecord{
-			BlockNumber: fmt.Sprintf("%d", tx.BlockNumber),
-			TimeStamp:   fmt.Sprintf("%d", tx.Timestamp),
-			Hash:        tx.Hash.Hex(),
-			From:        strings.ToLower(tx.From.Hex()),
-			To:          strings.ToLower(tx.To.Hex()),
-			Value:       tx.Value.BigInt().String(),
-			IsError:     isErr,
-			Method:      tx.Method,
-		})
+	out := make([]etherscan.TxRecord, len(txs))
+	for i, tx := range txs {
+		out[i] = etherscan.Record(tx)
 	}
 	return out, nil
 }

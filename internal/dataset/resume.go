@@ -336,7 +336,7 @@ func recoverSpool(path string, startOffset int64, cp *crawler.Checkpoint, absorb
 	}
 	r := bufio.NewReaderSize(f, 1<<20)
 	offset := startOffset // start of the line being read
-	var bad []byte   // first undecodable line seen
+	var bad []byte        // first undecodable line seen
 	badOffset := int64(-1)
 	for {
 		line, err := r.ReadBytes('\n')

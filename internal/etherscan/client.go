@@ -112,9 +112,9 @@ func (c *Client) limiter() *crawler.Limiter {
 	return c.lim
 }
 
-// call performs one API request with pacing and retries, returning the raw
-// result payload.
-func (c *Client) call(ctx context.Context, params url.Values) (json.RawMessage, error) {
+// call performs one txlist request with pacing and retries, returning
+// the page's rows.
+func (c *Client) call(ctx context.Context, params url.Values) ([]TxRecord, error) {
 	params.Set("apikey", c.APIKey)
 	endpoint := strings.TrimSuffix(c.BaseURL, "/") + "/api?" + params.Encode()
 
@@ -138,7 +138,7 @@ func (c *Client) call(ctx context.Context, params url.Values) (json.RawMessage, 
 		Sleep:     c.Sleep,
 		Budget:    c.Budget,
 	}
-	var result json.RawMessage
+	var rows []TxRecord
 	err := crawler.Retry(ctx, cfg, func(ctx context.Context) error {
 		if b := c.Breaker; b != nil {
 			if err := b.Allow(); err != nil {
@@ -164,15 +164,14 @@ func (c *Client) call(ctx context.Context, params url.Values) (json.RawMessage, 
 		// first answer wins. The pair runs under the single Adaptive
 		// slot already acquired — hedge volume is bounded by the retry
 		// budget, not the AIMD window.
-		env, err := crawler.Hedge(ctx, c.Hedger, func(ctx context.Context) (*envelope, error) {
+		ans, err := crawler.Hedge(ctx, c.Hedger, func(ctx context.Context) (answer, error) {
 			return c.doOnce(ctx, endpoint)
 		})
 		// Classify NOTOK envelopes before Observe/Record: an HTTP-200
 		// "Max rate limit reached" is Etherscan's 429, and the adaptive
 		// controller and breaker must see it as a shed, not a success.
-		if err == nil && env.Message == "NOTOK" {
-			var msg string
-			_ = json.Unmarshal(env.Result, &msg)
+		if err == nil && ans.message == "NOTOK" {
+			msg := ans.text
 			if strings.Contains(msg, "rate limit") {
 				m().clientRateLimited.Inc()
 				err = crawler.RetryAfter(fmt.Errorf("%w: %s", ErrRateLimited, msg), 0)
@@ -193,20 +192,28 @@ func (c *Client) call(ctx context.Context, params url.Values) (json.RawMessage, 
 		if err != nil {
 			return err
 		}
-		result = env.Result
+		rows = ans.rows
 		return nil
 	})
 	sp.EndErr(err)
 	if err != nil {
 		return nil, err
 	}
-	return result, nil
+	return rows, nil
 }
 
-func (c *Client) doOnce(ctx context.Context, endpoint string) (*envelope, error) {
+// maxBody caps an answer; a longer one is cut there and fails to decode.
+const maxBody = 64 << 20
+
+// maxPrealloc caps the buffer a Content-Length header reserves up
+// front, so a lying header cannot force a large allocation; a longer
+// body grows the buffer as it arrives.
+const maxPrealloc = 1 << 20
+
+func (c *Client) doOnce(ctx context.Context, endpoint string) (answer, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, endpoint, nil)
 	if err != nil {
-		return nil, err
+		return answer{}, err
 	}
 	overload.SetRequestHeaders(req, c.ClientID)
 	trace.Inject(req)
@@ -216,25 +223,51 @@ func (c *Client) doOnce(ctx context.Context, endpoint string) (*envelope, error)
 	}
 	resp, err := httpClient.Do(req)
 	if err != nil {
-		return nil, err
+		return answer{}, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	body, err := readBody(resp)
 	if err != nil {
-		return nil, err
+		return answer{}, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		err := fmt.Errorf("etherscan: HTTP %d", resp.StatusCode)
 		if d, ok := crawler.ParseRetryAfter(resp.Header.Get("Retry-After")); ok {
-			return nil, crawler.RetryAfter(err, d)
+			return answer{}, crawler.RetryAfter(err, d)
 		}
-		return nil, err
+		return answer{}, err
 	}
-	var env envelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		return nil, fmt.Errorf("etherscan: decode: %w", err)
+	ans, err := decodeAnswer(body)
+	if err != nil {
+		return answer{}, fmt.Errorf("etherscan: decode: %w", err)
 	}
-	return &env, nil
+	return ans, nil
+}
+
+// readBody reads up to maxBody bytes of resp's body into one buffer
+// sized from its Content-Length.
+func readBody(resp *http.Response) ([]byte, error) {
+	size := int64(512)
+	if n := resp.ContentLength; n >= 0 {
+		size = min(n, maxPrealloc)
+	}
+	// One spare byte lets the read that reports EOF land without
+	// growing a buffer the body fills exactly.
+	buf := make([]byte, 0, size+1)
+	r := io.LimitReader(resp.Body, maxBody)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // TxList retrieves the complete transaction list of an address, walking
@@ -260,13 +293,9 @@ func (c *Client) TxList(ctx context.Context, addr ethtypes.Address) ([]TxRecord,
 				"page":       {strconv.Itoa(page)},
 				"offset":     {strconv.Itoa(pageSize)},
 			}
-			raw, err := c.call(ctx, params)
+			rows, err := c.call(ctx, params)
 			if err != nil {
 				return nil, fmt.Errorf("txlist %s from block %d: %w", addr, startBlock, err)
-			}
-			var rows []TxRecord
-			if err := json.Unmarshal(raw, &rows); err != nil {
-				return nil, fmt.Errorf("txlist decode: %w", err)
 			}
 			m().clientPages.Inc()
 			m().clientRows.Add(uint64(len(rows)))

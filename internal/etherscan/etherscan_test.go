@@ -20,7 +20,7 @@ const genesis = 1580515200
 
 func instantSleep(ctx context.Context, d time.Duration) error { return ctx.Err() }
 
-func buildChain(t *testing.T, txsPerAddr int) (*chain.Chain, []ethtypes.Address) {
+func buildChain(t testing.TB, txsPerAddr int) (*chain.Chain, []ethtypes.Address) {
 	t.Helper()
 	c := chain.New(genesis)
 	addrs := []ethtypes.Address{

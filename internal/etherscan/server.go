@@ -8,10 +8,12 @@
 package etherscan
 
 import (
-	"encoding/json"
+	"cmp"
+	"encoding/hex"
 	"log/slog"
 	"net/http"
-	"sort"
+	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -50,25 +52,10 @@ type TxRecord struct {
 	Method      string `json:"functionName,omitempty"`
 }
 
-// envelope is the generic decode target (client side); the server
-// serializes through the typed stringEnvelope/txEnvelope below so the
-// result is marshaled exactly once.
-type envelope struct {
-	Status  string          `json:"status"`
-	Message string          `json:"message"`
-	Result  json.RawMessage `json:"result"`
-}
-
 type stringEnvelope struct {
 	Status  string `json:"status"`
 	Message string `json:"message"`
 	Result  string `json:"result"`
-}
-
-type txEnvelope struct {
-	Status  string     `json:"status"`
-	Message string     `json:"message"`
-	Result  []TxRecord `json:"result"`
 }
 
 // Labels is the custodial label data the /labels endpoint serves.
@@ -182,7 +169,7 @@ func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request) {
 	}
 	switch q.Get("action") {
 	case "txlist":
-		s.serveTxList(w, r)
+		s.serveTxList(w, r, q)
 	case "balance":
 		addr, err := ethtypes.ParseAddress(q.Get("address"))
 		if err != nil {
@@ -195,8 +182,7 @@ func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) serveTxList(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
+func (s *Server) serveTxList(w http.ResponseWriter, r *http.Request, q url.Values) {
 	get := func(k string) string {
 		if v, ok := q[k]; ok && len(v) > 0 {
 			return v[0]
@@ -222,8 +208,11 @@ func (s *Server) serveTxList(w http.ResponseWriter, r *http.Request) {
 	}
 
 	txs := s.chain.TxsByAddress(addr)
-	sort.SliceStable(txs, func(i, j int) bool { return txs[i].BlockNumber < txs[j].BlockNumber })
-	var rows []TxRecord
+	slices.SortStableFunc(txs, func(a, b *chain.Transaction) int { return cmp.Compare(a.BlockNumber, b.BlockNumber) })
+	bp := httpjson.GetSlice()
+	defer httpjson.PutSlice(bp)
+	body := append(*bp, `{"status":"1","message":"OK","result":[`...)
+	rows := 0
 	skip := (page - 1) * offset
 	ctx := r.Context()
 	for i, tx := range txs {
@@ -240,24 +229,33 @@ func (s *Server) serveTxList(w http.ResponseWriter, r *http.Request) {
 			skip--
 			continue
 		}
-		rows = append(rows, toRecord(tx))
-		if len(rows) >= offset {
+		if rows > 0 {
+			body = append(body, ',')
+		}
+		body = appendRow(body, tx)
+		rows++
+		if rows >= offset {
 			break
 		}
 	}
-	if len(rows) == 0 {
-		writeResult(w, "0", "No transactions found", []TxRecord{})
-		return
+	if rows == 0 {
+		body = append(body[:0], `{"status":"0","message":"No transactions found","result":[]}`...)
+	} else {
+		body = append(body, ']', '}')
 	}
-	writeResult(w, "1", "OK", rows)
+	*bp = append(body, '\n')
+	// A failed response write means the client is gone; nothing to repair.
+	_ = httpjson.WriteBody(w, http.StatusOK, *bp)
 }
 
-func toRecord(tx *chain.Transaction) TxRecord {
+// Record renders tx as the txlist row Etherscan serves for it: decimal
+// block, timestamp and value, lowercase 0x hex hash and addresses.
+func Record(tx *chain.Transaction) TxRecord {
 	isErr := "0"
 	if tx.Failed {
 		isErr = "1"
 	}
-	rec := TxRecord{
+	return TxRecord{
 		BlockNumber: strconv.FormatUint(tx.BlockNumber, 10),
 		TimeStamp:   strconv.FormatInt(tx.Timestamp, 10),
 		Hash:        tx.Hash.Hex(),
@@ -267,18 +265,39 @@ func toRecord(tx *chain.Transaction) TxRecord {
 		IsError:     isErr,
 		Method:      tx.Method,
 	}
-	return rec
 }
 
-func hexLower(a ethtypes.Address) string {
-	const digits = "0123456789abcdef"
-	out := make([]byte, 40)
-	for i, b := range a {
-		out[2*i] = digits[b>>4]
-		out[2*i+1] = digits[b&0x0f]
+// appendRow appends Record(tx) as JSON, byte-identical to
+// json.Encoder's encoding of it, without building the strings: every
+// field but functionName is digits or hex, which JSON never escapes.
+func appendRow(dst []byte, tx *chain.Transaction) []byte {
+	dst = append(dst, `{"blockNumber":"`...)
+	dst = strconv.AppendUint(dst, tx.BlockNumber, 10)
+	dst = append(dst, `","timeStamp":"`...)
+	dst = strconv.AppendInt(dst, tx.Timestamp, 10)
+	dst = append(dst, `","hash":"0x`...)
+	dst = hex.AppendEncode(dst, tx.Hash[:])
+	dst = append(dst, `","from":"0x`...)
+	dst = hex.AppendEncode(dst, tx.From[:])
+	dst = append(dst, `","to":"0x`...)
+	dst = hex.AppendEncode(dst, tx.To[:])
+	dst = append(dst, `","value":"`...)
+	dst = tx.Value.AppendDecimal(dst)
+	dst = append(dst, `","isError":"`...)
+	if tx.Failed {
+		dst = append(dst, '1')
+	} else {
+		dst = append(dst, '0')
 	}
-	return string(out)
+	dst = append(dst, '"')
+	if tx.Method != "" {
+		dst = append(dst, `,"functionName":`...)
+		dst = httpjson.AppendString(dst, tx.Method)
+	}
+	return append(dst, '}')
 }
+
+func hexLower(a ethtypes.Address) string { return hex.EncodeToString(a[:]) }
 
 func parseUint(s string, def uint64) uint64 {
 	if s == "" {
@@ -294,9 +313,4 @@ func parseUint(s string, def uint64) uint64 {
 func writeEnvelope(w http.ResponseWriter, status, message, result string) {
 	// A failed response write means the client is gone; nothing to repair.
 	_ = httpjson.Write(w, http.StatusOK, &stringEnvelope{Status: status, Message: message, Result: result})
-}
-
-func writeResult(w http.ResponseWriter, status, message string, rows []TxRecord) {
-	// A failed response write means the client is gone; nothing to repair.
-	_ = httpjson.Write(w, http.StatusOK, &txEnvelope{Status: status, Message: message, Result: rows})
 }

@@ -70,35 +70,64 @@ func DeriveAddress(label string) Address {
 // Mixed-case inputs are accepted without checksum verification; use
 // VerifyChecksum for strict EIP-55 validation.
 func ParseAddress(s string) (Address, error) {
-	b, err := parseHex(s, AddressLength)
-	if err != nil {
+	var a Address
+	if err := decodeHex(a[:], s); err != nil {
 		return Address{}, fmt.Errorf("parse address %q: %w", s, err)
 	}
-	return BytesToAddress(b), nil
+	return a, nil
 }
 
 // ParseHash parses a 0x-prefixed (or bare) 64-digit hex hash.
 func ParseHash(s string) (Hash, error) {
-	b, err := parseHex(s, HashLength)
-	if err != nil {
+	var h Hash
+	if err := decodeHex(h[:], s); err != nil {
 		return Hash{}, fmt.Errorf("parse hash %q: %w", s, err)
 	}
-	return BytesToHash(b), nil
+	return h, nil
 }
 
-func parseHex(s string, want int) ([]byte, error) {
+// decodeHex decodes s, with or without a 0x prefix, into exactly
+// len(dst) bytes without allocating. The errors are those of
+// hex.DecodeString followed by a length check: input of the wrong
+// length goes through hex.DecodeString itself, so an odd length or a
+// bad byte keeps hex.DecodeString's text and precedence.
+func decodeHex(dst []byte, s string) error {
 	if len(s) >= 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X') {
 		s = s[2:]
 	}
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return nil, err
+	if len(s) != 2*len(dst) {
+		b, err := hex.DecodeString(s)
+		if err != nil {
+			return err
+		}
+		return fmt.Errorf("got %d bytes, want %d", len(b), len(dst))
 	}
-	if len(b) != want {
-		return nil, fmt.Errorf("got %d bytes, want %d", len(b), want)
+	for i := range dst {
+		hi, lo := unhex[s[2*i]], unhex[s[2*i+1]]
+		if hi > 0x0f {
+			return hex.InvalidByteError(s[2*i])
+		}
+		if lo > 0x0f {
+			return hex.InvalidByteError(s[2*i+1])
+		}
+		dst[i] = hi<<4 | lo
 	}
-	return b, nil
+	return nil
 }
+
+// unhex maps each byte to its value as a hex digit, 0xff if it is not one.
+var unhex = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xff
+	}
+	for i, c := range "0123456789abcdef" {
+		t[c] = byte(i)
+	}
+	for i, c := range "ABCDEF" {
+		t[c] = byte(10 + i)
+	}
+	return t
+}()
 
 // Hex returns the EIP-55 checksummed 0x-prefixed representation.
 func (a Address) Hex() string {

@@ -68,6 +68,73 @@ func TestParseAddressErrors(t *testing.T) {
 	}
 }
 
+// TestParseHexErrorText pins the accepted inputs and the exact error
+// text of ParseAddress and ParseHash: odd length, a bad byte (reported
+// before an odd length, first bad byte first) and a wrong length.
+func TestParseHexErrorText(t *testing.T) {
+	zeros := func(n int) string { return strings.Repeat("0", n) }
+	cases := []struct {
+		hash bool
+		in   string
+		want string // "" means accepted
+	}{
+		{in: "0x" + zeros(40)},
+		{in: "0X" + strings.Repeat("A", 40)},
+		{in: strings.Repeat("aB", 20)},
+		{in: "", want: `parse address "": got 0 bytes, want 20`},
+		{in: "0x", want: `parse address "0x": got 0 bytes, want 20`},
+		{in: "0x123", want: `parse address "0x123": encoding/hex: odd length hex string`},
+		{in: "0xzz", want: `parse address "0xzz": encoding/hex: invalid byte: U+007A 'z'`},
+		{in: "0x" + zeros(39) + "g", want: `parse address "0x` + zeros(39) + `g": encoding/hex: invalid byte: U+0067 'g'`},
+		{in: "0x" + zeros(38) + "g", want: `parse address "0x` + zeros(38) + `g": encoding/hex: invalid byte: U+0067 'g'`},
+		{in: "0xg0" + zeros(37) + "h", want: `parse address "0xg0` + zeros(37) + `h": encoding/hex: invalid byte: U+0067 'g'`},
+		{in: "x" + zeros(40), want: `parse address "x` + zeros(40) + `": encoding/hex: invalid byte: U+0078 'x'`},
+		{in: "0x" + zeros(38) + "\xff0", want: `parse address "0x` + zeros(38) + `\xff0": encoding/hex: invalid byte: U+00FF 'ÿ'`},
+		{in: strings.Repeat("a", 41), want: `parse address "` + strings.Repeat("a", 41) + `": encoding/hex: odd length hex string`},
+		{in: strings.Repeat("a", 42), want: `parse address "` + strings.Repeat("a", 42) + `": got 21 bytes, want 20`},
+		{hash: true, in: "0x" + strings.Repeat("f", 64)},
+		{hash: true, in: "", want: `parse hash "": got 0 bytes, want 32`},
+		{hash: true, in: "0x" + strings.Repeat("f", 63), want: `parse hash "0x` + strings.Repeat("f", 63) + `": encoding/hex: odd length hex string`},
+		{hash: true, in: "0x" + strings.Repeat("f", 62) + "G0", want: `parse hash "0x` + strings.Repeat("f", 62) + `G0": encoding/hex: invalid byte: U+0047 'G'`},
+		{hash: true, in: "0x" + strings.Repeat("f", 40), want: `parse hash "0x` + strings.Repeat("f", 40) + `": got 20 bytes, want 32`},
+	}
+	for _, c := range cases {
+		var err error
+		if c.hash {
+			_, err = ParseHash(c.in)
+		} else {
+			_, err = ParseAddress(c.in)
+		}
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("parse %q: %v, want success", c.in, err)
+		case c.want != "" && (err == nil || err.Error() != c.want):
+			t.Errorf("parse %q: error %v, want %s", c.in, err, c.want)
+		}
+	}
+	a, err := ParseAddress("0x00112233445566778899aAbBcCdDeEfF00112233")
+	if err != nil || a != (Address{0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff, 0x00, 0x11, 0x22, 0x33}) {
+		t.Errorf("ParseAddress decoded %x, %v", a, err)
+	}
+}
+
+func TestParseDoesNotAllocate(t *testing.T) {
+	addr := DeriveAddress("alloc")
+	addrHex := strings.ToLower(addr.Hex())
+	hash := HashData([]byte("alloc"))
+	hashHex := hash.Hex()
+	allocs := testing.AllocsPerRun(100, func() {
+		a, err := ParseAddress(addrHex)
+		h, err2 := ParseHash(hashHex)
+		if err != nil || err2 != nil || a != addr || h != hash {
+			t.Fatal("parse mismatch")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ParseAddress+ParseHash allocate %.0f times, want 0", allocs)
+	}
+}
+
 func TestDeriveAddressDeterministic(t *testing.T) {
 	a1 := DeriveAddress("owner-001")
 	a2 := DeriveAddress("owner-001")

@@ -3,6 +3,7 @@ package ethtypes
 import (
 	"fmt"
 	"math/big"
+	"strconv"
 )
 
 // WeiPerEther is the number of wei in one ether (10^18).
@@ -119,6 +120,20 @@ func (w Wei) Ether() float64 {
 
 // String renders the amount in wei followed by the unit, e.g. "1500 wei".
 func (w Wei) String() string { return w.big().String() + " wei" }
+
+// AppendDecimal appends the amount as a decimal wei count, String
+// without the unit, to dst. It does not allocate when the amount fits
+// in a uint64.
+func (w Wei) AppendDecimal(dst []byte) []byte {
+	switch {
+	case w.v == nil:
+		return append(dst, '0')
+	case w.v.IsUint64():
+		return strconv.AppendUint(dst, w.v.Uint64(), 10)
+	default:
+		return w.v.Append(dst, 10)
+	}
+}
 
 // MarshalText implements encoding.TextMarshaler as a decimal wei count.
 func (w Wei) MarshalText() ([]byte, error) {

@@ -132,3 +132,17 @@ func TestGweiScale(t *testing.T) {
 		t.Error("1e9 gwei != 1 ether")
 	}
 }
+
+func TestWeiAppendDecimal(t *testing.T) {
+	huge, _ := new(big.Int).SetString("123456789012345678901234567890", 10)
+	for _, w := range []Wei{{}, NewWei(0), NewWei(7), Ether(1), WeiFromBig(new(big.Int).SetUint64(math.MaxUint64)), WeiFromBig(huge)} {
+		if got, want := string(w.AppendDecimal([]byte("x"))), "x"+w.BigInt().String(); got != want {
+			t.Errorf("AppendDecimal = %s, want %s", got, want)
+		}
+	}
+	buf := make([]byte, 0, 32)
+	w := Ether(3)
+	if allocs := testing.AllocsPerRun(100, func() { buf = w.AppendDecimal(buf[:0]) }); allocs != 0 {
+		t.Errorf("AppendDecimal of a uint64 amount allocates %.0f times, want 0", allocs)
+	}
+}

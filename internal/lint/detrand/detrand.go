@@ -40,10 +40,10 @@ var Analyzer = &analysis.Analyzer{
 // not touch the global generator: they build a generator from a caller
 // supplied seed or source.
 var seededConstructors = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true,
-	"NewPCG":    true, // math/rand/v2
+	"New":        true,
+	"NewSource":  true,
+	"NewZipf":    true,
+	"NewPCG":     true, // math/rand/v2
 	"NewChaCha8": true, // math/rand/v2
 }
 
