@@ -163,6 +163,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzStreamingEqualsOneShot -fuzztime=30s ./internal/keccak/
 	$(GO) test -fuzz=FuzzParseTraceparent -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzDecodeTxList -fuzztime=30s ./internal/etherscan/
+	$(GO) test -run '^$$' -fuzz=FuzzLoadSnapshot -fuzztime=30s ./internal/dataset/
 
 # Short fuzz pass for CI: 10s per target is enough to catch shallow
 # regressions in the parsers without stalling the pipeline.
@@ -171,6 +172,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzStreamingEqualsOneShot -fuzztime=10s ./internal/keccak/
 	$(GO) test -fuzz=FuzzParseTraceparent -fuzztime=10s ./internal/trace/
 	$(GO) test -fuzz=FuzzDecodeTxList -fuzztime=10s ./internal/etherscan/
+	$(GO) test -run '^$$' -fuzz=FuzzLoadSnapshot -fuzztime=10s ./internal/dataset/
 
 tools:
 	$(GO) build -o bin/ ./cmd/...

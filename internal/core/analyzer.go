@@ -35,9 +35,6 @@ type Analyzer struct {
 	// GOMAXPROCS. Results are identical for every value.
 	Workers int
 
-	txIndexOnce sync.Once
-	txIndex     map[ethtypes.Hash]*dataset.Tx
-
 	memo struct {
 		mu       sync.Mutex
 		losses   map[LossOptions]*LossReport
@@ -45,22 +42,6 @@ type Analyzer struct {
 		features *Table1
 		survival *SurvivalReport
 	}
-}
-
-// txByHash looks a crawled transaction up by hash, preferring the
-// dataset's Reindex-built index; the lazy local index covers datasets
-// assembled by hand without a Reindex call.
-func (a *Analyzer) txByHash(h ethtypes.Hash) *dataset.Tx {
-	if tx := a.DS.TxByHash(h); tx != nil {
-		return tx
-	}
-	a.txIndexOnce.Do(func() {
-		a.txIndex = make(map[ethtypes.Hash]*dataset.Tx, len(a.DS.Txs))
-		for _, tx := range a.DS.Txs {
-			a.txIndex[tx.Hash] = tx
-		}
-	})
-	return a.txIndex[h]
 }
 
 // NewAnalyzer classifies the dataset's domain population.

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ensdropcatch/internal/ethtypes"
 	"ensdropcatch/internal/world"
@@ -49,27 +50,45 @@ type ResolutionLogReport struct {
 func (a *Analyzer) LossesFromResolutionLog(log []world.ResolutionRecord) *ResolutionLogReport {
 	rep := &ResolutionLogReport{}
 
+	// Each exact spelling of a name gets a dense id and its history (nil
+	// when unknown) on first sight: the log names few domains many times
+	// over. Spellings that ByLabel folds to one domain keep separate ids.
+	type spelling struct {
+		id int32
+		h  *History
+	}
+	spellings := map[string]spelling{}
 	// First pass: each sender's first via-ENS tenure per name.
 	type key struct {
-		name   string
+		name   int32
 		sender ethtypes.Address
 	}
 	firstTenure := map[key]int{}
-	ordered := append([]world.ResolutionRecord(nil), log...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].At < ordered[j].At })
+	byAt := func(x, y world.ResolutionRecord) int { return cmp.Compare(x.At, y.At) }
+	ordered := log
+	if !slices.IsSortedFunc(log, byAt) {
+		ordered = slices.Clone(log)
+		slices.SortStableFunc(ordered, byAt)
+	}
 
 	for _, rec := range ordered {
 		rep.TotalResolutions++
-		d, ok := a.DS.ByLabel(rec.Name)
-		if !ok {
+		sp, seen := spellings[rec.Name]
+		if !seen {
+			sp.id = int32(len(spellings))
+			if d, ok := a.DS.ByLabel(rec.Name); ok {
+				sp.h = a.Pop.Histories[d.LabelHash]
+			}
+			spellings[rec.Name] = sp
+		}
+		if sp.h == nil {
 			continue
 		}
-		h := a.Pop.Histories[d.LabelHash]
-		tenure := tenureAt(h, rec.At)
+		tenure := tenureAt(sp.h, rec.At)
 		if tenure < 0 {
 			continue
 		}
-		k := key{rec.Name, rec.Sender}
+		k := key{sp.id, rec.Sender}
 		if first, seen := firstTenure[k]; seen {
 			if tenure != first {
 				rep.Misdirected = append(rep.Misdirected, ResolutionFinding{
@@ -86,7 +105,7 @@ func (a *Analyzer) LossesFromResolutionLog(log []world.ResolutionRecord) *Resolu
 		} else {
 			firstTenure[k] = tenure
 		}
-		if rec.At > h.Tenures[tenure].Expiry {
+		if rec.At > sp.h.Tenures[tenure].Expiry {
 			rep.StaleResolutions++
 		}
 	}
@@ -107,7 +126,7 @@ func tenureAt(h *History, t int64) int {
 }
 
 func txValueEth(a *Analyzer, hash ethtypes.Hash) float64 {
-	if tx := a.txByHash(hash); tx != nil {
+	if tx := a.DS.TxByHash(hash); tx != nil {
 		return tx.ValueEth()
 	}
 	return 0

@@ -2,6 +2,9 @@ package core
 
 import (
 	"testing"
+
+	"ensdropcatch/internal/pricing"
+	"ensdropcatch/internal/world"
 )
 
 // TestResolutionLogMatchesTruth validates the authoritative measurement:
@@ -99,5 +102,36 @@ func TestSubdomainsCollected(t *testing.T) {
 	perDomain := float64(st.Subdomains) / float64(st.Domains)
 	if perDomain < 0.05 || perDomain > 0.6 {
 		t.Errorf("subdomains per domain %.2f implausible (paper ~0.27)", perDomain)
+	}
+}
+
+// TestResolutionLogReplayBookkeeping pins the replay on a hand fixture:
+// a sender's first tenure is kept per exact spelling, so a case variant
+// that ByLabel folds to the same domain starts its own relationship;
+// unknown names still count as resolutions; a payment after expiry and
+// before the catch is stale; and an out-of-order log replays in time
+// order.
+func TestResolutionLogReplayBookkeeping(t *testing.T) {
+	f := newLossFixture()
+	c, stale := sender("unit-rl-c"), sender("unit-rl-stale")
+	paid := f.tx(c, f.a2, catchAt+1000, 1)
+	f.ds.Reindex()
+	an := NewAnalyzer(f.ds, pricing.NewOracleNoise(0))
+
+	rep := an.LossesFromResolutionLog([]world.ResolutionRecord{
+		{Name: "victim", Sender: c, Resolved: f.a2, At: catchAt + 1000, TxHash: paid},
+		{Name: "Victim", Sender: c, Resolved: f.a2, At: catchAt + 2000},
+		{Name: "victim", Sender: c, Resolved: f.a1, At: regA1 + 1000},
+		{Name: "nobody", Sender: c, At: regA1 + 2000},
+		{Name: "victim", Sender: stale, Resolved: f.a1, At: expiryA1 + 1000},
+	})
+	if rep.TotalResolutions != 5 || rep.StaleResolutions != 1 {
+		t.Errorf("total %d, stale %d; want 5 and 1", rep.TotalResolutions, rep.StaleResolutions)
+	}
+	if len(rep.Misdirected) != 1 {
+		t.Fatalf("misdirected = %+v, want only the payment to a2 under the spelling c first paid a1 by", rep.Misdirected)
+	}
+	if m := rep.Misdirected[0]; m.Name != "victim" || m.TxHash != paid || m.USD <= 0 || rep.MisdirectedUSD != m.USD {
+		t.Errorf("finding = %+v, total USD %v", m, rep.MisdirectedUSD)
 	}
 }

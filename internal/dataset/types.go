@@ -9,8 +9,10 @@ package dataset
 
 import (
 	"bytes"
+	"cmp"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -170,16 +172,20 @@ type Dataset struct {
 	Market map[ethtypes.Hash][]MarketEvent
 
 	// Derived indexes (built by Reindex).
-	byLabel  map[string]ethtypes.Hash
-	txByAddr map[ethtypes.Address][]*Tx
-	// inByAddr holds each address's successful incoming transactions in
+	byLabel map[string]ethtypes.Hash
+	// addrID numbers the endpoints of successful transactions densely,
+	// in address order; an id selects an address's run in in and out.
+	addrID map[ethtypes.Address]int32
+	// in holds each address's successful incoming transactions in
 	// timestamp order, so IncomingOf can binary-search its window.
-	inByAddr map[ethtypes.Address][]*Tx
-	// outByAddr holds each address's successful outgoing transactions
-	// sorted by (recipient, timestamp), so OutgoingTo can binary-search
-	// the contiguous per-recipient run.
-	outByAddr map[ethtypes.Address][]*Tx
-	txByHash  map[ethtypes.Hash]*Tx
+	in addrRuns
+	// out holds each address's successful outgoing transactions sorted
+	// by (recipient, timestamp), so OutgoingTo can binary-search the
+	// contiguous per-recipient run.
+	out addrRuns
+	// txByHash maps a hash to its position in Txs. It holds no
+	// pointers, so the garbage collector never scans it.
+	txByHash map[ethtypes.Hash]int32
 }
 
 // New returns an empty dataset for the given window.
@@ -192,6 +198,44 @@ func New(start, end int64) *Dataset {
 		OtherCustodial: make(map[ethtypes.Address]bool),
 		Market:         make(map[ethtypes.Hash][]MarketEvent),
 	}
+}
+
+// addrRuns packs one transaction list per address id into a single
+// exactly-sized slab: id's run is txs[off[id]:off[id+1]].
+type addrRuns struct {
+	off []int
+	txs []*Tx
+}
+
+// runsByID counting-sorts the positions in order by their id, keys[p]
+// being the id of txs[p], and gathers the transactions into runs. Each
+// run keeps the positions' order; sorted is that order, for a further
+// pass.
+func runsByID(ids int, txs []*Tx, keys, order []int32) (r addrRuns, sorted []int32) {
+	r.off = make([]int, ids+1)
+	for _, p := range order {
+		r.off[keys[p]+1]++
+	}
+	for i := 1; i <= ids; i++ {
+		r.off[i] += r.off[i-1]
+	}
+	next := slices.Clone(r.off[:ids])
+	sorted = make([]int32, len(order))
+	r.txs = make([]*Tx, len(order))
+	for _, p := range order {
+		at := next[keys[p]]
+		next[keys[p]]++
+		sorted[at] = p
+		r.txs[at] = txs[p]
+	}
+	return r, sorted
+}
+
+// run returns id's run with its capacity capped at the run's end, so an
+// append by the caller reallocates instead of overwriting the next run.
+func (r addrRuns) run(id int32) []*Tx {
+	lo, hi := r.off[id], r.off[id+1]
+	return r.txs[lo:hi:hi]
 }
 
 // Reindex rebuilds derived indexes after Domains/Txs mutate. It sorts each
@@ -213,8 +257,7 @@ func (ds *Dataset) Reindex() {
 		}
 	}
 	par.ForEach(pool, len(domains), func(i int) {
-		d := domains[i]
-		sort.SliceStable(d.Events, func(x, y int) bool { return d.Events[x].Timestamp < d.Events[y].Timestamp })
+		slices.SortStableFunc(domains[i].Events, func(x, y Event) int { return cmp.Compare(x.Timestamp, y.Timestamp) })
 	})
 
 	// (Timestamp, Hash) is a strict total order over the deduplicated
@@ -222,11 +265,11 @@ func (ds *Dataset) Reindex() {
 	// completion order, and a timestamp-only stable sort would preserve
 	// that arbitrary order among equal-timestamp transactions, making the
 	// dataset (and its fingerprint) vary run to run.
-	sort.Slice(ds.Txs, func(i, j int) bool {
-		if ds.Txs[i].Timestamp != ds.Txs[j].Timestamp {
-			return ds.Txs[i].Timestamp < ds.Txs[j].Timestamp
+	slices.SortFunc(ds.Txs, func(x, y *Tx) int {
+		if c := cmp.Compare(x.Timestamp, y.Timestamp); c != 0 {
+			return c
 		}
-		return bytes.Compare(ds.Txs[i].Hash[:], ds.Txs[j].Hash[:]) < 0
+		return bytes.Compare(x.Hash[:], y.Hash[:])
 	})
 	par.ForEach(pool, len(ds.Txs), func(i int) {
 		tx := ds.Txs[i]
@@ -234,36 +277,59 @@ func (ds *Dataset) Reindex() {
 		tx.valueCached = true
 	})
 
-	ds.txByAddr = make(map[ethtypes.Address][]*Tx)
-	ds.inByAddr = make(map[ethtypes.Address][]*Tx)
-	ds.outByAddr = make(map[ethtypes.Address][]*Tx)
-	ds.txByHash = make(map[ethtypes.Hash]*Tx, len(ds.Txs))
-	for _, tx := range ds.Txs {
-		ds.txByAddr[tx.From] = append(ds.txByAddr[tx.From], tx)
-		if tx.To != tx.From {
-			ds.txByAddr[tx.To] = append(ds.txByAddr[tx.To], tx)
+	ds.txByHash = make(map[ethtypes.Hash]int32, len(ds.Txs))
+	ds.addrID = make(map[ethtypes.Address]int32)
+	var addrs []ethtypes.Address
+	succeeded := make([]*Tx, 0, len(ds.Txs))
+	from := make([]int32, 0, len(ds.Txs))
+	to := make([]int32, 0, len(ds.Txs))
+	id := func(a ethtypes.Address) int32 {
+		i, seen := ds.addrID[a]
+		if !seen {
+			i = int32(len(addrs))
+			ds.addrID[a] = i
+			addrs = append(addrs, a)
 		}
-		ds.txByHash[tx.Hash] = tx
+		return i
+	}
+	for i, tx := range ds.Txs {
+		ds.txByHash[tx.Hash] = int32(i)
 		if !tx.Failed {
-			ds.inByAddr[tx.To] = append(ds.inByAddr[tx.To], tx)
-			ds.outByAddr[tx.From] = append(ds.outByAddr[tx.From], tx)
+			succeeded = append(succeeded, tx)
+			from = append(from, id(tx.From))
+			to = append(to, id(tx.To))
 		}
 	}
-	// inByAddr inherits the global timestamp order from the append pass;
-	// outByAddr needs the (recipient, timestamp) order. The stable sort by
-	// recipient alone preserves the timestamp order within each run, and
-	// the per-address sorts are independent, so they fan out freely.
-	outAddrs := make([]ethtypes.Address, 0, len(ds.outByAddr))
-	for a := range ds.outByAddr {
-		//lint:allow maporder outAddrs only fans out the per-address sorts below; each list is sorted independently and no order reaches output
-		outAddrs = append(outAddrs, a)
+
+	// Renumber the ids in address order, so that id order is recipient
+	// order for the outgoing index.
+	byAddr := iota32(len(addrs))
+	slices.SortFunc(byAddr, func(x, y int32) int { return bytes.Compare(addrs[x][:], addrs[y][:]) })
+	rank := make([]int32, len(addrs))
+	for r, i := range byAddr {
+		rank[i] = int32(r)
+		ds.addrID[addrs[i]] = int32(r)
 	}
-	par.ForEach(pool, len(outAddrs), func(i int) {
-		list := ds.outByAddr[outAddrs[i]]
-		sort.SliceStable(list, func(x, y int) bool {
-			return bytes.Compare(list[x].To[:], list[y].To[:]) < 0
-		})
-	})
+	for k := range from {
+		from[k], to[k] = rank[from[k]], rank[to[k]]
+	}
+
+	// Two stable counting sorts, no comparisons: by recipient over the
+	// global (timestamp, hash) order gives the incoming index, and then
+	// by sender gives the outgoing index in (sender, recipient,
+	// timestamp) order.
+	var byTo []int32
+	ds.in, byTo = runsByID(len(addrs), succeeded, to, iota32(len(succeeded)))
+	ds.out, _ = runsByID(len(addrs), succeeded, from, byTo)
+}
+
+// iota32 returns 0, 1, ..., n-1.
+func iota32(n int) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
 }
 
 // ByLabel looks a domain up by its plaintext label.
@@ -275,15 +341,14 @@ func (ds *Dataset) ByLabel(label string) (*Domain, bool) {
 	return ds.Domains[lh], true
 }
 
-// TxsOf returns the transactions involving addr, in time order.
-func (ds *Dataset) TxsOf(addr ethtypes.Address) []*Tx {
-	return ds.txByAddr[addr]
-}
-
 // IncomingAll returns every successful transaction received by addr, in
 // time order. The slice aliases the index; callers must not mutate it.
 func (ds *Dataset) IncomingAll(addr ethtypes.Address) []*Tx {
-	return ds.inByAddr[addr]
+	id, ok := ds.addrID[addr]
+	if !ok {
+		return nil
+	}
+	return ds.in.run(id)
 }
 
 // IncomingOf returns the successful transactions received by addr in
@@ -291,25 +356,33 @@ func (ds *Dataset) IncomingAll(addr ethtypes.Address) []*Tx {
 // O(log n + k) instead of a scan over the address's full history. The
 // slice aliases the index; callers must not mutate it.
 func (ds *Dataset) IncomingOf(addr ethtypes.Address, from, to int64) []*Tx {
-	list := ds.inByAddr[addr]
+	list := ds.IncomingAll(addr)
 	lo := sort.Search(len(list), func(i int) bool { return list[i].Timestamp >= from })
 	hi := lo + sort.Search(len(list[lo:]), func(i int) bool { return list[lo+i].Timestamp >= to })
-	return list[lo:hi]
+	return list[lo:hi:hi]
 }
 
 // OutgoingTo returns from's successful payments to to, in time order,
 // by binary-searching the (recipient, timestamp)-sorted outgoing index.
 // The slice aliases the index; callers must not mutate it.
 func (ds *Dataset) OutgoingTo(from, to ethtypes.Address) []*Tx {
-	list := ds.outByAddr[from]
+	id, ok := ds.addrID[from]
+	if !ok {
+		return nil
+	}
+	list := ds.out.run(id)
 	lo := sort.Search(len(list), func(i int) bool { return bytes.Compare(list[i].To[:], to[:]) >= 0 })
 	hi := lo + sort.Search(len(list[lo:]), func(i int) bool { return list[lo+i].To != to })
-	return list[lo:hi]
+	return list[lo:hi:hi]
 }
 
 // TxByHash returns the transaction with the given hash, or nil.
 func (ds *Dataset) TxByHash(h ethtypes.Hash) *Tx {
-	return ds.txByHash[h]
+	i, ok := ds.txByHash[h]
+	if !ok {
+		return nil
+	}
+	return ds.Txs[i]
 }
 
 // IsCustodial reports whether addr belongs to a non-Coinbase custodial

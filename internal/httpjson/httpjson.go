@@ -143,6 +143,10 @@ func AppendString(dst []byte, s string) []byte {
 				dst = append(dst, '\\', 'r')
 			case '\t':
 				dst = append(dst, '\\', 't')
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
 			default:
 				// Other control chars plus <, >, & take the \u00XX form.
 				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])

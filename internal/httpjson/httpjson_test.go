@@ -92,6 +92,7 @@ func TestAppendStringKnownCases(t *testing.T) {
 		"gold.eth",
 		`quote " backslash \`,
 		"tab\t nl\n cr\r nul\x00 ctl\x1f",
+		"backspace\b formfeed\f",
 		"html <b>&amp;</b>",
 		"unicode: 名前 héllo",
 		"line seps   and  ",
