@@ -295,26 +295,22 @@ func hostileClients(base string, hc *http.Client, o options) (*subgraph.Client, 
 	sg := subgraph.NewClient(base + "/subgraph")
 	es := etherscan.NewClient(base+"/etherscan", "enschaos")
 	osc := opensea.NewClient(base + "/opensea")
-	sg.HTTPClient, es.HTTPClient, osc.HTTPClient = hc, hc, hc
-	sg.Sleep, es.Sleep, osc.Sleep = sleep, sleep, sleep
-	sg.MaxRetries, es.MaxRetries, osc.MaxRetries = o.retries, o.retries, o.retries
-	sg.ClientID, osc.ClientID = "enschaos", "enschaos"
 	es.MinInterval = 0
-
-	if o.budgetBurst > 0 {
-		sg.Budget = crawler.NewRetryBudget("subgraph-chaos", o.budgetRatio, o.budgetBurst)
-		es.Budget = crawler.NewRetryBudget("etherscan-chaos", o.budgetRatio, o.budgetBurst)
-		osc.Budget = crawler.NewRetryBudget("opensea-chaos", o.budgetRatio, o.budgetBurst)
-	}
-	if o.breaker {
-		sg.Breaker = crawler.NewBreaker("subgraph-chaos", 10, 50*time.Millisecond)
-		es.Breaker = crawler.NewBreaker("etherscan-chaos", 10, 50*time.Millisecond)
-		osc.Breaker = crawler.NewBreaker("opensea-chaos", 10, 50*time.Millisecond)
-	}
-	if o.hedge {
-		sg.Hedger = crawler.NewHedger(crawler.HedgeConfig{Source: "subgraph-chaos", Breaker: sg.Breaker, Budget: sg.Budget})
-		es.Hedger = crawler.NewHedger(crawler.HedgeConfig{Source: "etherscan-chaos", Breaker: es.Breaker, Budget: es.Budget})
-		osc.Hedger = crawler.NewHedger(crawler.HedgeConfig{Source: "opensea-chaos", Breaker: osc.Breaker, Budget: osc.Budget})
+	// Only the subgraph and opensea clients send an X-Client-ID.
+	for _, s := range []struct {
+		name, clientID string
+		src            *crawler.Source
+	}{{"subgraph-chaos", "enschaos", &sg.Source}, {"etherscan-chaos", "", &es.Source}, {"opensea-chaos", "enschaos", &osc.Source}} {
+		s.src.HTTPClient, s.src.Sleep, s.src.MaxRetries, s.src.ClientID = hc, sleep, o.retries, s.clientID
+		if o.budgetBurst > 0 {
+			s.src.Budget = crawler.NewRetryBudget(s.name, o.budgetRatio, o.budgetBurst)
+		}
+		if o.breaker {
+			s.src.Breaker = crawler.NewBreaker(s.name, 10, 50*time.Millisecond)
+		}
+		if o.hedge {
+			s.src.Hedger = crawler.NewHedger(crawler.HedgeConfig{Source: s.name, Breaker: s.src.Breaker, Budget: s.src.Budget})
+		}
 	}
 	return sg, es, osc
 }

@@ -97,52 +97,43 @@ func main() {
 	}
 
 	esClient := etherscan.NewClient(*base+"/etherscan", *apiKey)
-	if *rps > 0 {
-		esClient.MinInterval = time.Duration(float64(time.Second) / *rps)
-	} else {
-		esClient.MinInterval = 0
-	}
 	sgClient := subgraph.NewClient(*base + "/subgraph")
 	osClient := opensea.NewClient(*base + "/opensea")
-	if *breaker > 0 {
-		esClient.Breaker = crawler.NewBreaker("etherscan", *breaker, *cooldown)
-		sgClient.Breaker = crawler.NewBreaker("subgraph", *breaker, *cooldown)
-		osClient.Breaker = crawler.NewBreaker("opensea", *breaker, *cooldown)
-	}
-	if *budgetBurst > 0 {
-		esClient.Budget = crawler.NewRetryBudget("etherscan", *budgetRatio, *budgetBurst)
-		sgClient.Budget = crawler.NewRetryBudget("subgraph", *budgetRatio, *budgetBurst)
-		osClient.Budget = crawler.NewRetryBudget("opensea", *budgetRatio, *budgetBurst)
-	}
-	if *hedge {
-		// Only the idempotent read paths hedge; the hedger shares the
-		// source's breaker and budget so speculation respects both gates.
-		sgClient.Hedger = crawler.NewHedger(crawler.HedgeConfig{
-			Source: "subgraph", Breaker: sgClient.Breaker, Budget: sgClient.Budget, TailSigma: *hedgeSigma})
-		esClient.Hedger = crawler.NewHedger(crawler.HedgeConfig{
-			Source: "etherscan", Breaker: esClient.Breaker, Budget: esClient.Budget, TailSigma: *hedgeSigma})
-		osClient.Hedger = crawler.NewHedger(crawler.HedgeConfig{
-			Source: "opensea", Breaker: osClient.Breaker, Budget: osClient.Budget, TailSigma: *hedgeSigma})
+	esClient.MinInterval = 0
+	if *rps > 0 && !*adaptive {
+		esClient.MinInterval = time.Duration(float64(time.Second) / *rps)
 	}
 	id := *clientID
 	if id == "" {
 		id = *apiKey
 	}
-	esClient.ClientID, sgClient.ClientID, osClient.ClientID = id, id, id
-	if *adaptive {
-		// AIMD owns pacing: start from -rps and let server feedback
-		// steer; the fixed MinInterval limiter would fight it.
-		esClient.MinInterval = 0
-		initial := *rps
-		if initial <= 0 {
-			initial = float64(etherscan.DefaultRatePerSecond)
+	// AIMD owns pacing when on: it starts from -rps and lets server
+	// feedback steer, so the fixed MinInterval limiter above stays off.
+	initial := *rps
+	if initial <= 0 {
+		initial = float64(etherscan.DefaultRatePerSecond)
+	}
+	for _, s := range []struct {
+		name string
+		src  *crawler.Source
+	}{{"etherscan", &esClient.Source}, {"subgraph", &sgClient.Source}, {"opensea", &osClient.Source}} {
+		s.src.ClientID = id
+		if *breaker > 0 {
+			s.src.Breaker = crawler.NewBreaker(s.name, *breaker, *cooldown)
 		}
-		esClient.Adaptive = crawler.NewAdaptive(crawler.AdaptiveConfig{
-			Source: "etherscan", InitialRate: initial, MaxWorkers: *workers})
-		sgClient.Adaptive = crawler.NewAdaptive(crawler.AdaptiveConfig{
-			Source: "subgraph", InitialRate: initial, MaxWorkers: *workers})
-		osClient.Adaptive = crawler.NewAdaptive(crawler.AdaptiveConfig{
-			Source: "opensea", InitialRate: initial, MaxWorkers: *workers})
+		if *budgetBurst > 0 {
+			s.src.Budget = crawler.NewRetryBudget(s.name, *budgetRatio, *budgetBurst)
+		}
+		if *hedge {
+			// The hedger shares the source's breaker and budget so
+			// speculation respects both gates.
+			s.src.Hedger = crawler.NewHedger(crawler.HedgeConfig{
+				Source: s.name, Breaker: s.src.Breaker, Budget: s.src.Budget, TailSigma: *hedgeSigma})
+		}
+		if *adaptive {
+			s.src.Adaptive = crawler.NewAdaptive(crawler.AdaptiveConfig{
+				Source: s.name, InitialRate: initial, MaxWorkers: *workers})
+		}
 	}
 
 	start := time.Now()

@@ -75,8 +75,9 @@ func TestClassifyRecoversGroundTruth(t *testing.T) {
 			t.Errorf("spurious re-registration of %q", label)
 		}
 	}
-	_ = missed
-	_ = spurious
+	if missed+spurious > 0 {
+		t.Errorf("re-registration classification: %d missed and %d spurious against %d true catches", missed, spurious, len(caught))
+	}
 
 	gotSelf := map[string]bool{}
 	for _, h := range an.Pop.SameOwnerRereg {

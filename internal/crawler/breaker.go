@@ -162,14 +162,3 @@ func (b *Breaker) openLocked() {
 func (b *Breaker) setStateGauge(s BreakerState) {
 	m().breakerState.With(b.name).Set(float64(s))
 }
-
-// Do runs fn through the breaker: a rejected call fails fast with
-// ErrBreakerOpen, otherwise fn's outcome is recorded.
-func (b *Breaker) Do(fn func() error) error {
-	if err := b.Allow(); err != nil {
-		return err
-	}
-	err := fn()
-	b.Record(err)
-	return err
-}

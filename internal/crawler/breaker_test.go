@@ -110,24 +110,6 @@ func TestBreakerNeutralAndPermanentOutcomes(t *testing.T) {
 	}
 }
 
-func TestBreakerDo(t *testing.T) {
-	b, now := testBreaker(t, 1, time.Minute)
-	boom := errors.New("boom")
-	if err := b.Do(func() error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("Do = %v", err)
-	}
-	if err := b.Do(func() error { return nil }); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("open Do = %v, want fast rejection", err)
-	}
-	*now = now.Add(time.Minute)
-	if err := b.Do(func() error { return nil }); err != nil {
-		t.Fatalf("probe Do = %v", err)
-	}
-	if b.State() != BreakerClosed {
-		t.Fatalf("state = %v", b.State())
-	}
-}
-
 // Half-open audit (run with -race): however many goroutines race for
 // the probe slot, exactly one is admitted, and the slot is handed on
 // when the probe's outcome is neutral.

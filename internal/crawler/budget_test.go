@@ -95,8 +95,7 @@ func TestRetryBudgetBoundsOutageAmplification(t *testing.T) {
 // error fails the whole call.
 func TestRetryBudgetErrorIsNotRetryable(t *testing.T) {
 	budget := NewRetryBudget("test", 0.1, 1)
-	cfg := RetryConfig{Attempts: 5, BaseDelay: time.Millisecond, Sleep: noSleep, Budget: budget,
-		RetryIf: func(err error) bool { return !errors.Is(err, ErrRetryBudgetExhausted) }}
+	cfg := RetryConfig{Attempts: 5, BaseDelay: time.Millisecond, Sleep: noSleep, Budget: budget}
 	var attempts int
 	err := Retry(context.Background(), cfg, func(context.Context) error { attempts++; return errors.New("x") })
 	if !errors.Is(err, ErrRetryBudgetExhausted) {

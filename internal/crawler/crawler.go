@@ -1,8 +1,12 @@
-// Package crawler provides the generic machinery behind the paper's data
+// Package crawler provides the machinery behind the paper's data
 // collection (Figure 1): token-bucket rate limiting, retry with exponential
 // backoff and jitter, bounded worker pools, and append-only checkpoints so
-// multi-hour crawls resume where they stopped. It is transport-agnostic:
-// the subgraph, Etherscan, and OpenSea clients plug into it.
+// multi-hour crawls resume where they stopped. It also owns the crawl's
+// transport: Call runs every request of the subgraph, Etherscan, and
+// OpenSea clients through one pipeline (breaker, pacing, hedged send,
+// body read, status classification, decode) under each client's
+// embedded Source policy, so those clients are only URL builders and
+// decoders.
 package crawler
 
 import (
@@ -138,21 +142,12 @@ type RetryConfig struct {
 	MaxDelay time.Duration
 	// Jitter in [0, 1] randomizes each delay by ±Jitter fraction.
 	Jitter float64
-	// RetryIf decides whether an error is transient; nil retries all.
-	RetryIf func(error) bool
 	// Sleep is injectable for tests.
 	Sleep func(context.Context, time.Duration) error
-	// Rand is the jitter source; nil uses a shared seeded source.
-	Rand *rand.Rand
 	// Budget, when set, bounds retry amplification: each retry withdraws
 	// a token and a dry budget fails fast with ErrRetryBudgetExhausted
 	// instead of backing off. Successful first attempts refill it.
 	Budget *RetryBudget
-}
-
-// DefaultRetry is a sensible config for HTTP crawling.
-func DefaultRetry() RetryConfig {
-	return RetryConfig{Attempts: 5, BaseDelay: 200 * time.Millisecond, MaxDelay: 10 * time.Second, Jitter: 0.2}
 }
 
 // ErrPermanent wraps errors that Retry must not retry.
@@ -235,24 +230,18 @@ func ParseRetryAfterAt(v string, now time.Time) (time.Duration, bool) {
 	return d, true
 }
 
-// sharedRand is the jitter source used when RetryConfig.Rand is nil,
-// seeded once at startup and guarded for concurrent retries.
+// sharedRand is the jitter source, seeded once at startup and guarded
+// for concurrent retries.
 var (
 	sharedRandMu sync.Mutex
 	sharedRand   = rand.New(rand.NewSource(time.Now().UnixNano()))
 )
 
-// jitterFactor returns a multiplier in [1-j, 1+j] drawn from rng, or
-// from the shared seeded source when rng is nil.
-func jitterFactor(rng *rand.Rand, j float64) float64 {
-	var u float64
-	if rng != nil {
-		u = rng.Float64()
-	} else {
-		sharedRandMu.Lock()
-		u = sharedRand.Float64()
-		sharedRandMu.Unlock()
-	}
+// jitterFactor returns a multiplier in [1-j, 1+j].
+func jitterFactor(j float64) float64 {
+	sharedRandMu.Lock()
+	u := sharedRand.Float64()
+	sharedRandMu.Unlock()
 	return 1 + j*(2*u-1)
 }
 
@@ -298,9 +287,6 @@ func Retry(ctx context.Context, cfg RetryConfig, fn func(context.Context) error)
 		if errors.Is(err, ErrPermanent) {
 			return err
 		}
-		if cfg.RetryIf != nil && !cfg.RetryIf(err) {
-			return err
-		}
 		if attempt >= cfg.Attempts {
 			m().retryExhausted.Inc()
 			if sp := trace.FromContext(ctx); sp != nil {
@@ -319,7 +305,7 @@ func Retry(ctx context.Context, cfg RetryConfig, fn func(context.Context) error)
 		}
 		d := delay
 		if cfg.Jitter > 0 {
-			d = time.Duration(float64(d) * jitterFactor(cfg.Rand, cfg.Jitter))
+			d = time.Duration(float64(d) * jitterFactor(cfg.Jitter))
 		}
 		// A server-directed hint (Retry-After, breaker cooldown)
 		// overrides the computed backoff, jitter included. A zero

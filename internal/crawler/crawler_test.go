@@ -57,8 +57,8 @@ func TestLimiterHonorsContext(t *testing.T) {
 }
 
 func TestRetrySucceedsAfterTransientErrors(t *testing.T) {
-	cfg := DefaultRetry()
-	cfg.Sleep = func(ctx context.Context, d time.Duration) error { return nil }
+	cfg := RetryConfig{Attempts: 5, BaseDelay: time.Millisecond,
+		Sleep: func(ctx context.Context, d time.Duration) error { return nil }}
 	calls := 0
 	err := Retry(context.Background(), cfg, func(context.Context) error {
 		calls++
@@ -73,8 +73,8 @@ func TestRetrySucceedsAfterTransientErrors(t *testing.T) {
 }
 
 func TestRetryStopsOnPermanent(t *testing.T) {
-	cfg := DefaultRetry()
-	cfg.Sleep = func(ctx context.Context, d time.Duration) error { return nil }
+	cfg := RetryConfig{Attempts: 5, BaseDelay: time.Millisecond,
+		Sleep: func(ctx context.Context, d time.Duration) error { return nil }}
 	calls := 0
 	sentinel := errors.New("nope")
 	err := Retry(context.Background(), cfg, func(context.Context) error {
@@ -86,17 +86,6 @@ func TestRetryStopsOnPermanent(t *testing.T) {
 	}
 	if !errors.Is(err, sentinel) || !errors.Is(err, ErrPermanent) {
 		t.Errorf("err = %v", err)
-	}
-}
-
-func TestRetryRespectsRetryIf(t *testing.T) {
-	cfg := DefaultRetry()
-	cfg.Sleep = func(ctx context.Context, d time.Duration) error { return nil }
-	cfg.RetryIf = func(err error) bool { return false }
-	calls := 0
-	Retry(context.Background(), cfg, func(context.Context) error { calls++; return errors.New("x") })
-	if calls != 1 {
-		t.Errorf("RetryIf=false retried %d times", calls)
 	}
 }
 
@@ -130,7 +119,7 @@ func TestRetryContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls := 0
-	err := Retry(ctx, DefaultRetry(), func(context.Context) error { calls++; return nil })
+	err := Retry(ctx, RetryConfig{Attempts: 5}, func(context.Context) error { calls++; return nil })
 	if !errors.Is(err, context.Canceled) || calls != 0 {
 		t.Errorf("err=%v calls=%d", err, calls)
 	}

@@ -101,11 +101,10 @@ func TestCheckpointRecordsMarks(t *testing.T) {
 }
 
 func TestRetrySharedRandConcurrent(t *testing.T) {
-	// The nil-Rand path draws jitter from a shared seeded source; this
-	// must be safe under concurrent retries (run with -race).
-	cfg := DefaultRetry()
-	cfg.Attempts = 4
-	cfg.Sleep = func(ctx context.Context, d time.Duration) error { return nil }
+	// Jitter is drawn from a shared seeded source; this must be safe
+	// under concurrent retries (run with -race).
+	cfg := RetryConfig{Attempts: 4, BaseDelay: time.Millisecond, Jitter: 0.2,
+		Sleep: func(ctx context.Context, d time.Duration) error { return nil }}
 	var wg sync.WaitGroup
 	for w := 0; w < 16; w++ {
 		wg.Add(1)
@@ -119,7 +118,7 @@ func TestRetrySharedRandConcurrent(t *testing.T) {
 
 func TestJitterFactorRange(t *testing.T) {
 	for i := 0; i < 1000; i++ {
-		if f := jitterFactor(nil, 0.2); f < 0.8 || f > 1.2 {
+		if f := jitterFactor(0.2); f < 0.8 || f > 1.2 {
 			t.Fatalf("jitter factor %v outside [0.8, 1.2]", f)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"testing"
 
+	"ensdropcatch/internal/vfs"
 	"ensdropcatch/internal/world"
 )
 
@@ -94,4 +95,77 @@ func snapshotBytes(f *testing.F, ds *Dataset) []byte {
 		f.Fatal(err)
 	}
 	return data
+}
+
+// FuzzLoadSpoolSnapshot mutates spool snapshots, the cache a resumed
+// crawl reads before replaying the spool tail. Each input must decode
+// to rows or fail with an error wrapping ErrCorrupt (or a version
+// mismatch); it must never panic or allocate more than the bound
+// FuzzLoadSnapshot sets by input length.
+func FuzzLoadSpoolSnapshot(f *testing.F) {
+	res, err := world.Generate(world.DefaultConfig(50))
+	if err != nil {
+		f.Fatal(err)
+	}
+	ds, err := FromWorld(context.Background(), res, BuildOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(f.TempDir(), spoolSnapFile)
+	if err := writeSpoolSnapshot(vfs.OS, path, ds.Txs, 4096, false); err != nil {
+		f.Fatal(err)
+	}
+	full, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full)
+
+	// Cut inside the header, after it, mid-columns and before the last
+	// footer byte; tamper with the covered offset, the row count and the
+	// version.
+	coveredAt := len(snapMagic) + 2
+	rowsAt := coveredAt + 8
+	for _, cut := range []int{len(snapMagic), rowsAt, rowsAt + 8, (rowsAt + len(full)) / 2, len(full) - 1} {
+		f.Add(full[:cut])
+	}
+	rows := binary.LittleEndian.Uint64(full[rowsAt:])
+	for _, tc := range []struct {
+		at int
+		v  uint64
+	}{{rowsAt, rows + 1}, {rowsAt, rows - 1}, {rowsAt, 1 << 62}, {coveredAt, 1 << 63}} {
+		mut := bytes.Clone(full)
+		binary.LittleEndian.PutUint64(mut[tc.at:], tc.v)
+		f.Add(mut)
+	}
+	mut := bytes.Clone(full)
+	binary.LittleEndian.PutUint16(mut[len(snapMagic):], binVersion+1)
+	f.Add(mut)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		txs, covered, err := decodeSpoolSnapshot(data)
+		runtime.ReadMemStats(&after)
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+512*len(data)); grew > bound {
+			t.Fatalf("%d-byte input allocated %d bytes, bound %d", len(data), grew, bound)
+		}
+		if err != nil {
+			hdr := len(snapMagic) + 2
+			wrongVersion := len(data) >= hdr+16 && bytes.HasPrefix(data, snapMagic) &&
+				binary.LittleEndian.Uint16(data[len(snapMagic):]) != binVersion
+			if !errors.Is(err, ErrCorrupt) && !wrongVersion {
+				t.Fatalf("err = %v, want ErrCorrupt or a version mismatch", err)
+			}
+			return
+		}
+		if covered < 0 {
+			t.Fatalf("decoded a negative covered offset %d", covered)
+		}
+		for i, tx := range txs {
+			if tx == nil {
+				t.Fatalf("row %d decoded to nil", i)
+			}
+		}
+	})
 }

@@ -266,6 +266,11 @@ func loadSpoolSnapshot(path string) ([]*Tx, int64, error) {
 	if err != nil {
 		return nil, 0, err // not-exist must stay recognizable to the caller
 	}
+	return decodeSpoolSnapshot(data)
+}
+
+// decodeSpoolSnapshot decodes the bytes of a spool snapshot file.
+func decodeSpoolSnapshot(data []byte) ([]*Tx, int64, error) {
 	r := codec.NewReader(data)
 	if magic := r.Raw(len(snapMagic)); r.Err() != nil || !bytes.Equal(magic, snapMagic) {
 		return nil, 0, fmt.Errorf("%w: bad spool snapshot magic", ErrCorrupt)

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -222,26 +221,6 @@ func TestDecodeErrorsAreRetried(t *testing.T) {
 	_, err = client.call(context.Background(), url.Values{})
 	if err == nil || !strings.Contains(err.Error(), "etherscan: decode") {
 		t.Fatalf("err = %v, want an etherscan decode error", err)
-	}
-}
-
-// TestReadBodyCapsPreallocation feeds readBody Content-Length headers
-// that lie both ways: a huge one must not reserve more than the cap,
-// and a short one must not cut the body.
-func TestReadBodyCapsPreallocation(t *testing.T) {
-	body := strings.Repeat("x", 3000)
-	for _, length := range []int64{1 << 40, 10, -1, int64(len(body))} {
-		resp := &http.Response{ContentLength: length, Body: io.NopCloser(strings.NewReader(body))}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		got, err := readBody(resp)
-		runtime.ReadMemStats(&after)
-		if err != nil || string(got) != body {
-			t.Fatalf("Content-Length %d: read %d bytes, %v", length, len(got), err)
-		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*maxPrealloc {
-			t.Errorf("Content-Length %d: allocated %d bytes for a %d-byte body", length, grew, len(body))
-		}
 	}
 }
 

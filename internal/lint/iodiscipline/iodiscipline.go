@@ -1,24 +1,17 @@
-// Package iodiscipline defines an analyzer that keeps every network
-// round-trip of the crawl clients behind the crawler package's
-// fault-tolerance machinery.
+// Package iodiscipline defines an analyzer that keeps network
+// round-trips out of the crawl-client packages. Transport lives in one
+// place, crawler.Call, which runs every request under its source's
+// retry, breaker, pacing and hedge policy; a client package only builds
+// requests and decodes answers.
 //
 // Inside the client packages (internal/etherscan, internal/subgraph,
-// internal/opensea) a raw transport call — http.Get/Post/Head/PostForm,
-// anything on http.DefaultClient, or (*http.Client).Do — may only
-// execute under crawler.Retry or (*crawler.Breaker).Do. A call site is
-// disciplined when:
-//
-//   - it sits lexically inside a function literal passed to
-//     crawler.Retry or (*crawler.Breaker).Do, or
-//   - it sits in an unexported function all of whose intra-package
-//     callers are themselves disciplined (computed to a fixed point,
-//     so retry → doOnce → helper chains of any depth are recognized).
-//
-// Exported functions cannot be proven disciplined (callers outside the
-// package are invisible to a per-package analyzer), so a raw transport
-// call in one is always flagged. Context-less http.NewRequest is also
-// flagged: every request must carry the crawl's context so breaker
-// cooldowns and shutdown cancel in-flight I/O.
+// internal/opensea and the others in clientPkgs) every raw transport
+// call — http.Get/Post/Head/PostForm, or Do/Get/Post/PostForm/Head on
+// an *http.Client, http.DefaultClient included — is flagged wherever it
+// sits: a crawler.Retry closure, or a helper reached only from one, is
+// no exemption. Context-less http.NewRequest is also flagged: every
+// request must carry the crawl's context so breaker cooldowns and
+// shutdown cancel in-flight I/O.
 package iodiscipline
 
 import (
@@ -31,10 +24,10 @@ import (
 	"ensdropcatch/internal/lint/lintutil"
 )
 
-// Analyzer flags raw HTTP that bypasses crawler.Retry/Limiter/Breaker.
+// Analyzer flags raw HTTP in the crawl-client packages.
 var Analyzer = &analysis.Analyzer{
 	Name: "iodiscipline",
-	Doc:  "forbid raw HTTP in crawl-client packages outside crawler.Retry / Breaker.Do discipline",
+	Doc:  "forbid raw HTTP in crawl-client packages: transport belongs to crawler.Call",
 	Run:  run,
 }
 
@@ -44,15 +37,15 @@ var clientPkgs = []string{
 	"internal/subgraph",
 	"internal/opensea",
 	// trace ships in every client's request path (Inject, Middleware);
-	// raw outbound HTTP from it would bypass the retry/breaker stack.
+	// raw outbound HTTP from it would bypass the call pipeline.
 	"internal/trace",
 	// The load harness speaks raw HTTP *by design* (an open-loop
 	// generator must not retry or back off), so its transport calls are
 	// in scope precisely to force each one to carry a //lint:allow
 	// explaining that intent.
 	"cmd/ensload",
-	// PR 10: the chaos runner builds hostile *and* clean client stacks;
-	// any raw HTTP it issued itself would be traffic the campaign clock
+	// The chaos runner builds hostile *and* clean client stacks; any
+	// raw HTTP it issued itself would be traffic the campaign clock
 	// never ticks for, silently skewing the fault schedule.
 	"cmd/enschaos",
 }
@@ -66,138 +59,23 @@ func isClientPkg(path string) bool {
 	return false
 }
 
-func isCrawlerPkg(path string) bool {
-	return path == "internal/crawler" || strings.HasSuffix(path, "/internal/crawler")
-}
-
-// rawSite is one raw transport call found in the package.
-type rawSite struct {
-	call *ast.CallExpr
-	desc string
-	fn   *types.Func // enclosing top-level function, nil at package scope
-	safe bool        // lexically inside a Retry/Breaker.Do literal
-}
-
-// callEdge records one intra-package call to a named function.
-type callEdge struct {
-	callee *types.Func
-	fn     *types.Func // enclosing top-level function
-	safe   bool        // lexically inside a Retry/Breaker.Do literal
-}
-
 func run(pass *analysis.Pass) (interface{}, error) {
 	if !isClientPkg(pass.Pkg.Path()) {
 		return nil, nil
 	}
-
-	var sites []rawSite
-	var edges []callEdge
-
 	for _, f := range lintutil.NonTestFiles(pass) {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			enclosing, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			// Function literals passed to crawler.Retry / Breaker.Do;
-			// code inside them is disciplined by construction.
-			safeLits := map[*ast.FuncLit]bool{}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if isDisciplineCall(pass, call) {
-					for _, arg := range call.Args {
-						if lit, ok := arg.(*ast.FuncLit); ok {
-							safeLits[lit] = true
-						}
-					}
-				}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
 				return true
-			})
-
-			inSafe := func(pos ast.Node) bool {
-				for lit := range safeLits {
-					if lit.Body.Pos() <= pos.Pos() && pos.End() <= lit.Body.End() {
-						return true
-					}
-				}
-				return false
 			}
-
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if desc, bad := rawTransport(pass, call); bad {
-					sites = append(sites, rawSite{call: call, desc: desc, fn: enclosing, safe: inSafe(call)})
-				}
-				if callee := staticCallee(pass, call); callee != nil && callee.Pkg() == pass.Pkg {
-					edges = append(edges, callEdge{callee: callee, fn: enclosing, safe: inSafe(call)})
-				}
-				return true
-			})
-		}
-	}
-
-	// Fixed point: a function is "disciplined" when it has at least one
-	// intra-package caller and every intra-package call to it is either
-	// inside a Retry/Breaker literal or inside a disciplined function.
-	// Exported functions are never disciplined (outside callers are
-	// invisible).
-	disciplined := map[*types.Func]bool{}
-	callers := map[*types.Func][]callEdge{}
-	for _, e := range edges {
-		callers[e.callee] = append(callers[e.callee], e)
-	}
-	for changed := true; changed; {
-		changed = false
-		for callee, es := range callers {
-			if disciplined[callee] || callee.Exported() {
-				continue
+			if desc, bad := rawTransport(pass, call); bad {
+				pass.Reportf(call.Pos(), "%s in crawl-client package %s: transport belongs to crawler.Call, which runs it under the source's retry, breaker, pacing and hedge policy", desc, pass.Pkg.Path())
 			}
-			ok := true
-			for _, e := range es {
-				if !e.safe && !disciplined[e.fn] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				disciplined[callee] = true
-				changed = true
-			}
-		}
-	}
-
-	for _, s := range sites {
-		if s.safe || disciplined[s.fn] {
-			continue
-		}
-		pass.Reportf(s.call.Pos(), "%s outside crawler discipline: raw transport calls in %s must run inside crawler.Retry or (*crawler.Breaker).Do so pacing, backoff, and breaker accounting cover them", s.desc, pass.Pkg.Path())
+			return true
+		})
 	}
 	return nil, nil
-}
-
-// isDisciplineCall reports whether call is crawler.Retry(…) or
-// (*crawler.Breaker).Do(…).
-func isDisciplineCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	fn := staticCallee(pass, call)
-	if fn == nil || fn.Pkg() == nil || !isCrawlerPkg(fn.Pkg().Path()) {
-		return false
-	}
-	if fn.Name() == "Retry" {
-		return true
-	}
-	if fn.Name() == "Do" {
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // rawTransport classifies a call as a raw HTTP transport operation.

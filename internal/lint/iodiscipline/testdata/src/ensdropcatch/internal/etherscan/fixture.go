@@ -1,6 +1,6 @@
 // Positive fixture: the package path ends in internal/etherscan, so the
 // I/O discipline applies. It imports the real crawler package, so the
-// Retry/Breaker recognition runs against the true signatures.
+// crawler.Retry calls below type-check against the true signature.
 package etherscan
 
 import (
@@ -10,18 +10,22 @@ import (
 	"ensdropcatch/internal/crawler"
 )
 
-// Naked transport in an exported function: always flagged.
+// Naked transport in an exported function: flagged.
 func Naked(c *http.Client, req *http.Request) {
-	c.Do(req)                               // want "outside crawler discipline"
-	http.Get("http://x")                    // want "outside crawler discipline"
-	http.Head("http://x")                   // want "outside crawler discipline"
+	c.Do(req)                               // want "transport belongs to crawler.Call"
+	http.Get("http://x")                    // want "transport belongs to crawler.Call"
+	http.Head("http://x")                   // want "transport belongs to crawler.Call"
+	http.DefaultClient.Do(req)              // want "transport belongs to crawler.Call"
 	http.NewRequest("GET", "http://x", nil) // want "context-less http.NewRequest"
 }
 
-// Inside a crawler.Retry closure: disciplined.
+var retry = crawler.RetryConfig{Attempts: 3}
+
+// Inside a crawler.Retry closure: still flagged — a client package
+// sends nothing itself.
 func UnderRetry(ctx context.Context, c *http.Client, req *http.Request) error {
-	return crawler.Retry(ctx, crawler.DefaultRetry(), func(ctx context.Context) error {
-		resp, err := c.Do(req)
+	return crawler.Retry(ctx, retry, func(ctx context.Context) error {
+		resp, err := c.Do(req) // want "transport belongs to crawler.Call"
 		if err != nil {
 			return err
 		}
@@ -29,56 +33,20 @@ func UnderRetry(ctx context.Context, c *http.Client, req *http.Request) error {
 	})
 }
 
-// Inside a Breaker.Do closure: disciplined.
-func UnderBreaker(b *crawler.Breaker, c *http.Client, req *http.Request) error {
-	return b.Do(func() error {
-		_, err := c.Do(req)
-		return err
-	})
-}
-
-// An unexported helper whose only callers sit inside Retry closures is
-// disciplined transitively (the doOnce pattern).
+// An unexported helper reached only from a Retry closure: still
+// flagged.
 func viaHelper(ctx context.Context, c *http.Client, req *http.Request) error {
-	return crawler.Retry(ctx, crawler.DefaultRetry(), func(ctx context.Context) error {
+	return crawler.Retry(ctx, retry, func(ctx context.Context) error {
 		return doOnce(c, req)
 	})
 }
 
 func doOnce(c *http.Client, req *http.Request) error {
-	_, err := c.Do(req) // reached only through Retry: allowed
+	_, err := c.Do(req) // want "transport belongs to crawler.Call"
 	return err
 }
 
-// Two levels of helpers still resolve (fixed point).
-func viaTwoHelpers(ctx context.Context, c *http.Client, req *http.Request) error {
-	return crawler.Retry(ctx, crawler.DefaultRetry(), func(ctx context.Context) error {
-		return levelOne(c, req)
-	})
-}
-
-func levelOne(c *http.Client, req *http.Request) error { return levelTwo(c, req) }
-
-func levelTwo(c *http.Client, req *http.Request) error {
-	_, err := c.Do(req) // reached only through Retry via levelOne: allowed
-	return err
-}
-
-// A helper with even one undisciplined caller loses the exemption.
-func leakyHelper(c *http.Client, req *http.Request) error {
-	_, err := c.Do(req) // want "outside crawler discipline"
-	return err
-}
-
-func UndisciplinedCaller(c *http.Client, req *http.Request) { leakyHelper(c, req) }
-
-func alsoDisciplinedCaller(ctx context.Context, c *http.Client, req *http.Request) error {
-	return crawler.Retry(ctx, crawler.DefaultRetry(), func(ctx context.Context) error {
-		return leakyHelper(c, req)
-	})
-}
-
-// Request construction with a context is fine anywhere.
+// Building a request with a context is fine anywhere.
 func BuildRequest(ctx context.Context) (*http.Request, error) {
 	return http.NewRequestWithContext(ctx, http.MethodGet, "http://x", nil)
 }

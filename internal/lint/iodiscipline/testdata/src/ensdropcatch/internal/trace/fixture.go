@@ -1,8 +1,8 @@
 // Positive fixture: the package path ends in internal/trace, so the
 // I/O discipline applies. trace ships inside every crawl client's
 // request path (Inject sets headers, Middleware serves them) — if it
-// ever grew an outbound exporter, that HTTP must ride the same
-// retry/breaker stack as the clients it instruments.
+// ever grew an outbound exporter, that HTTP must go through the same
+// call pipeline as the clients it instruments.
 package trace
 
 import (
@@ -12,14 +12,13 @@ import (
 
 // A hypothetical span exporter calling the transport directly: flagged.
 func exportSpans(c *http.Client, req *http.Request) {
-	c.Do(req)                        // want "outside crawler discipline"
-	http.Get("http://collector")     // want "outside crawler discipline"
+	c.Do(req)                        // want "transport belongs to crawler.Call"
+	http.Get("http://collector")     // want "transport belongs to crawler.Call"
 	http.NewRequest("GET", "x", nil) // want "context-less http.NewRequest"
 }
 
-// Header propagation mutates a request the *caller* will send under its
-// own discipline; no transport call happens here, so nothing is
-// flagged.
+// Header propagation mutates a request the *caller* will send; no
+// transport call happens here, so nothing is flagged.
 func inject(req *http.Request, header string) {
 	req.Header.Set("traceparent", header)
 }

@@ -9,7 +9,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -20,8 +19,6 @@ import (
 	"ensdropcatch/internal/crawler"
 	"ensdropcatch/internal/ethtypes"
 	"ensdropcatch/internal/httpjson"
-	"ensdropcatch/internal/overload"
-	"ensdropcatch/internal/trace"
 	"ensdropcatch/internal/world"
 )
 
@@ -131,36 +128,23 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	_ = httpjson.Write(w, http.StatusOK, &resp)
 }
 
-// Client pages through the events API. Transport failures, 5xx answers,
-// and truncated responses are retried with backoff, honoring Retry-After
-// on 429s; 4xx answers are permanent.
+// Client pages through the events API. Page fetches run through
+// crawler.Call under the embedded Source policy: transport failures,
+// 5xx answers, and truncated responses are retried with backoff,
+// honoring Retry-After on 429s; 4xx answers are permanent.
 type Client struct {
-	BaseURL    string
-	HTTPClient *http.Client
-	Limit      int
-	// MaxRetries per page fetch on transient failures.
-	MaxRetries int
-	// Sleep is indirected for tests; nil uses a context-aware sleep.
-	Sleep func(ctx context.Context, d time.Duration) error
-	// Breaker, when set, circuit-breaks requests to this source.
-	Breaker *crawler.Breaker
-	// Adaptive, when set, paces and bounds in-flight requests with AIMD
-	// control fed by server feedback (429/503 + Retry-After, latency).
-	Adaptive *crawler.Adaptive
-	// ClientID, when non-empty, is sent as X-Client-ID so server-side
-	// per-client quotas key on a stable identity.
-	ClientID string
-	// Budget, when set, caps how many retries this client may fund
-	// during an outage; a dry budget fails fast instead of storming.
-	Budget *crawler.RetryBudget
-	// Hedger, when set, duplicates slow page fetches past the
-	// tail-latency estimate; page GETs are idempotent.
-	Hedger *crawler.Hedger
+	crawler.Source
+	BaseURL string
+	Limit   int
 }
 
 // NewClient returns a client with defaults.
 func NewClient(baseURL string) *Client {
-	return &Client{BaseURL: baseURL, HTTPClient: &http.Client{Timeout: 30 * time.Second}, Limit: 200, MaxRetries: 5}
+	return &Client{
+		Source:  crawler.Source{HTTPClient: &http.Client{Timeout: 30 * time.Second}, MaxRetries: 5},
+		BaseURL: baseURL,
+		Limit:   200,
+	}
 }
 
 // EventsForToken retrieves all events for one ENS token (label hash).
@@ -190,8 +174,15 @@ func (c *Client) page(ctx context.Context, params url.Values) ([]Event, error) {
 		if cursor != "" {
 			params.Set("cursor", cursor)
 		}
-		endpoint := c.BaseURL + "/events?" + params.Encode()
-		page, err := c.fetchPage(ctx, endpoint)
+		page, err := crawler.Call(ctx, &c.Source, crawler.Request{
+			Span:     "opensea.page",
+			Prefix:   "opensea",
+			Method:   http.MethodGet,
+			URL:      c.BaseURL + "/events?" + params.Encode(),
+			MaxBody:  16 << 20,
+			Requests: m().requests,
+			Errors:   m().errors,
+		}, decodePage)
 		if err != nil {
 			return nil, err
 		}
@@ -205,100 +196,9 @@ func (c *Client) page(ctx context.Context, params url.Values) ([]Event, error) {
 	}
 }
 
-// fetchPage retrieves one page with retries and breaker accounting.
-func (c *Client) fetchPage(ctx context.Context, endpoint string) (*eventsResponse, error) {
-	attempts := c.MaxRetries + 1
-	if attempts < 1 {
-		attempts = 1
-	}
-	cfg := crawler.RetryConfig{
-		Attempts:  attempts,
-		BaseDelay: 200 * time.Millisecond,
-		MaxDelay:  10 * time.Second,
-		Jitter:    0.2,
-		Sleep:     c.Sleep,
-		Budget:    c.Budget,
-	}
-	// One page fetch is one span; retry attempts nest under it and the
-	// traceparent each attempt sends links the server's records in.
-	ctx, sp := trace.Start(ctx, "opensea.page")
-	var page *eventsResponse
-	err := crawler.Retry(ctx, cfg, func(ctx context.Context) error {
-		if b := c.Breaker; b != nil {
-			if err := b.Allow(); err != nil {
-				return err
-			}
-		}
-		if a := c.Adaptive; a != nil {
-			if err := a.Wait(ctx); err != nil {
-				return crawler.Permanent(err)
-			}
-			if err := a.Acquire(ctx); err != nil {
-				return crawler.Permanent(err)
-			}
-		}
-		var err error
-		start := time.Now()
-		// The hedged pair runs under the single Adaptive slot acquired
-		// above; speculative volume is bounded by the retry budget.
-		page, err = crawler.Hedge(ctx, c.Hedger, func(ctx context.Context) (*eventsResponse, error) {
-			return c.doOnce(ctx, endpoint)
-		})
-		if a := c.Adaptive; a != nil {
-			a.Release()
-			a.Observe(err, time.Since(start))
-		}
-		if b := c.Breaker; b != nil {
-			b.Record(err)
-		}
-		return err
-	})
-	sp.EndErr(err)
-	if err != nil {
-		return nil, err
-	}
-	return page, nil
-}
-
-// doOnce performs one page request. Errors it returns are transient
-// (retryable) unless wrapped with crawler.Permanent.
-func (c *Client) doOnce(ctx context.Context, endpoint string) (*eventsResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, endpoint, nil)
-	if err != nil {
-		return nil, crawler.Permanent(err)
-	}
-	overload.SetRequestHeaders(req, c.ClientID)
-	trace.Inject(req)
-	httpClient := c.HTTPClient
-	if httpClient == nil {
-		httpClient = &http.Client{Timeout: 30 * time.Second}
-	}
-	m().requests.Inc()
-	resp, err := httpClient.Do(req)
-	if err != nil {
-		m().errors.Inc()
-		return nil, fmt.Errorf("opensea: %w", err)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	_ = resp.Body.Close() // read side; the read error above is what matters
-	if err != nil {
-		m().errors.Inc()
-		return nil, fmt.Errorf("opensea: read: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		m().errors.Inc()
-		statusErr := fmt.Errorf("opensea: HTTP %d: %s", resp.StatusCode, body)
-		if d, ok := crawler.ParseRetryAfter(resp.Header.Get("Retry-After")); ok {
-			return nil, crawler.RetryAfter(statusErr, d)
-		}
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 && resp.StatusCode != http.StatusTooManyRequests {
-			return nil, crawler.Permanent(statusErr)
-		}
-		return nil, statusErr
-	}
+func decodePage(body []byte) (*eventsResponse, error) {
 	var page eventsResponse
 	if err := json.Unmarshal(body, &page); err != nil {
-		m().errors.Inc()
 		return nil, fmt.Errorf("opensea: decode: %w", err)
 	}
 	return &page, nil
