@@ -90,13 +90,10 @@ persist-smoke:
 # (enschaos), asserting per-phase SLOs, identical phase reports across
 # runs, byte-identical convergence with a fault-free crawl, and no
 # goroutine leaks; plus the fault×route matrix through the assembled
-# serve stack, the retry-budget outage-damping property, and a hedged
-# crawl through the real clients against a server that holds answers
-# back, which must still build the FromWorld dataset.
+# serve stack and the retry-budget outage-damping property.
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaosSmoke|TestRetryBudgetDampsOutageE2E' -v ./cmd/enschaos/
 	$(GO) test -race -count=1 -run 'TestChaosFaultRouteMatrix' -v ./internal/serve/
-	$(GO) test -race -count=1 -run 'TestHedgedCrawlMatchesFromWorld' -v .
 
 # Regenerates every table and figure of the paper's evaluation and archives
 # the machine-readable results (name -> ns/op, allocs, custom metrics).
@@ -168,6 +165,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeTxList -fuzztime=30s ./internal/etherscan/
 	$(GO) test -run '^$$' -fuzz=FuzzLoadSnapshot -fuzztime=30s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz=FuzzLoadSpoolSnapshot -fuzztime=30s ./internal/dataset/
+	$(GO) test -run '^$$' -fuzz=FuzzTxListQuery -fuzztime=30s ./internal/etherscan/
+	$(GO) test -run '^$$' -fuzz=FuzzParsePlan -fuzztime=30s ./internal/chaos/plan/
 
 # Short fuzz pass for CI: 10s per target is enough to catch shallow
 # regressions in the parsers without stalling the pipeline.
@@ -178,6 +177,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeTxList -fuzztime=10s ./internal/etherscan/
 	$(GO) test -run '^$$' -fuzz=FuzzLoadSnapshot -fuzztime=10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz=FuzzLoadSpoolSnapshot -fuzztime=10s ./internal/dataset/
+	$(GO) test -run '^$$' -fuzz=FuzzTxListQuery -fuzztime=10s ./internal/etherscan/
+	$(GO) test -run '^$$' -fuzz=FuzzParsePlan -fuzztime=10s ./internal/chaos/plan/
 
 tools:
 	$(GO) build -o bin/ ./cmd/...

@@ -1,7 +1,7 @@
 package ensdropcatch
 
 // End-to-end chaos drill: the full crawl pipeline against all three mock
-// servers behind a seeded fault injector at a 20% fault rate, killed
+// servers behind a seeded chaos campaign at a 20% fault rate, killed
 // mid-crawl and resumed, must converge to a dataset byte-identical with a
 // clean (fault-free) run. This is the capstone over the retry, breaker,
 // spool, and checkpoint machinery: faults may cost time, but never rows.
@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"ensdropcatch/internal/chaos"
+	"ensdropcatch/internal/chaos/plan"
 	"ensdropcatch/internal/crawler"
 	"ensdropcatch/internal/dataset"
 	"ensdropcatch/internal/etherscan"
@@ -109,13 +110,12 @@ func TestChaosCrawlConvergesToCleanDataset(t *testing.T) {
 		return sg, es, os
 	}
 
-	inj := chaos.New(chaos.Config{
+	camp := chaos.NewCampaign(plan.Steady(0.2), chaos.Config{
 		Seed:       42,
-		Rate:       0.2,
 		RetryAfter: 10 * time.Millisecond,
 		Delay:      2 * time.Millisecond,
 	})
-	hostile := newServer(inj.Wrap)
+	hostile := newServer(camp.Wrap)
 	sg, es, osc := newClients(hostile.URL, true)
 
 	resumeDir := filepath.Join(t.TempDir(), "resume")
@@ -139,7 +139,7 @@ func TestChaosCrawlConvergesToCleanDataset(t *testing.T) {
 		t.Fatalf("crawl died after only %d TxList calls, before the kill", killer.calls.Load())
 	}
 
-	// Run 2: resume under the same fault injector; must complete.
+	// Run 2: resume under the same campaign; must complete.
 	chaosDS, err := dataset.Build(context.Background(), sg, es, osc, opts)
 	if err != nil {
 		t.Fatalf("resumed chaos crawl: %v", err)

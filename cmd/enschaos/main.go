@@ -4,7 +4,7 @@
 // (internal/serve: gate, quotas, cache), injures the client's traffic
 // through a phased chaos.Campaign on the request clock, and crawls the
 // three sources into a dataset with the resilient clients — retry
-// budgets, resumable spool/checkpoint, optional breakers and hedging.
+// budgets, resumable spool/checkpoint, optional breakers.
 // A build attempt that dies mid-campaign (a dry retry budget failing
 // fast is the designed outcome of a blackout) is restarted and resumes
 // from its checkpoint, exactly like the operator runbook says.
@@ -29,10 +29,10 @@
 //     enschaos -list
 //
 // Determinism needs a serial request stream, so -tx-workers defaults to
-// 1 and breakers/hedging default off (both consult wall time: cooldown
-// expiry and latency estimates would let timing reorder the request
-// sequence). Turning them on is still a valid — just non-reproducible —
-// drill of the full client stack.
+// 1 and breakers default off (cooldown expiry consults wall time, which
+// would let timing reorder the request sequence). Turning them on is
+// still a valid — just non-reproducible — drill of the full client
+// stack.
 package main
 
 import (
@@ -85,7 +85,6 @@ type options struct {
 	budgetBurst  float64
 	budgetRatio  float64
 	breaker      bool
-	hedge        bool
 	maxRestarts  int
 	restartPause time.Duration
 	runs         int
@@ -107,7 +106,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.Float64Var(&o.budgetBurst, "budget-burst", 10, "retry-budget burst per source (0 disables the budget: unbounded retry amplification)")
 	fs.Float64Var(&o.budgetRatio, "budget-ratio", 0.1, "retry-budget refill per successful first attempt")
 	fs.BoolVar(&o.breaker, "breaker", false, "enable circuit breakers (wall-time cooldowns; breaks request-clock determinism)")
-	fs.BoolVar(&o.hedge, "hedge", false, "enable hedged reads (wall-time latency estimates; breaks request-clock determinism)")
 	fs.IntVar(&o.maxRestarts, "max-restarts", 25, "build restarts before the drill is declared failed")
 	fs.DurationVar(&o.restartPause, "restart-pause", 50*time.Millisecond, "pause between build restarts (where fail-fast damping shows)")
 	fs.IntVar(&o.runs, "runs", 1, "drill repetitions; > 1 asserts identical phase reports across runs")
@@ -288,7 +286,7 @@ func drill(ctx context.Context, res *world.Result, store *subgraph.Store, p *pla
 
 // hostileClients builds the three source clients with the resilience
 // stack under test: capped backoff, retry budgets, and (opted in)
-// breakers and hedging, all sharing the campaign-injured HTTP client.
+// breakers, all sharing the campaign-injured HTTP client.
 func hostileClients(base string, hc *http.Client, o options) (*subgraph.Client, *etherscan.Client, *opensea.Client) {
 	sleep := cappedSleep(2 * time.Millisecond)
 
@@ -307,9 +305,6 @@ func hostileClients(base string, hc *http.Client, o options) (*subgraph.Client, 
 		}
 		if o.breaker {
 			s.src.Breaker = crawler.NewBreaker(s.name, 10, 50*time.Millisecond)
-		}
-		if o.hedge {
-			s.src.Hedger = crawler.NewHedger(crawler.HedgeConfig{Source: s.name, Breaker: s.src.Breaker, Budget: s.src.Budget})
 		}
 	}
 	return sg, es, osc

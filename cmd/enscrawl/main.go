@@ -52,8 +52,6 @@ func main() {
 		clientID    = flag.String("client-id", "", "identity sent as X-Client-ID for server-side per-client quotas (defaults to -apikey)")
 		budgetBurst = flag.Float64("retry-budget", 10, "per-source retry-budget burst: retries beyond this bucket fail fast instead of storming an outage (0 = unbounded retries)")
 		budgetRatio = flag.Float64("retry-ratio", 0.1, "fraction of a retry token deposited per successful first attempt")
-		hedge       = flag.Bool("hedge", false, "hedge tail-slow idempotent reads with one speculative duplicate (gated by breaker state and retry budget)")
-		hedgeSigma  = flag.Float64("hedge-sigma", 3, "with -hedge, deviation multiplier in the hedge-delay estimate (mean + sigma·dev)")
 	)
 	traceFlags := registerTraceFlags(flag.CommandLine, false)
 	flag.Parse()
@@ -123,12 +121,6 @@ func main() {
 		}
 		if *budgetBurst > 0 {
 			s.src.Budget = crawler.NewRetryBudget(s.name, *budgetRatio, *budgetBurst)
-		}
-		if *hedge {
-			// The hedger shares the source's breaker and budget so
-			// speculation respects both gates.
-			s.src.Hedger = crawler.NewHedger(crawler.HedgeConfig{
-				Source: s.name, Breaker: s.src.Breaker, Budget: s.src.Budget, TailSigma: *hedgeSigma})
 		}
 		if *adaptive {
 			s.src.Adaptive = crawler.NewAdaptive(crawler.AdaptiveConfig{

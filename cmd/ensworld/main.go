@@ -18,11 +18,11 @@
 // ensworld_http_* metric names. SIGINT/SIGTERM drain in-flight requests
 // before exit.
 //
-// With -chaos-rate > 0, a seeded fault injector (internal/chaos) wraps
-// the API routes (including /rpc), randomly answering with 429s, 500s,
-// connection resets, slow bodies, stalls, and truncated JSON — a
-// repeatable hostile-network drill for crawler hardening. Health and
-// debug routes stay clean.
+// With -chaos-rate > 0, a seeded chaos campaign (internal/chaos, on the
+// always-on plan.Steady plan) wraps the API routes (including /rpc),
+// randomly answering with 429s, 500s, connection resets, slow bodies,
+// stalls, and truncated JSON — a repeatable hostile-network drill for
+// crawler hardening. Health and debug routes stay clean.
 //
 // Data routes additionally run behind overload protection
 // (internal/overload): a bounded-concurrency admission gate with a
@@ -49,6 +49,8 @@ import (
 	"syscall"
 	"time"
 
+	"ensdropcatch/internal/chaos"
+	"ensdropcatch/internal/chaos/plan"
 	"ensdropcatch/internal/dataset"
 	"ensdropcatch/internal/etherscan"
 	"ensdropcatch/internal/serve"
@@ -80,6 +82,19 @@ func main() {
 	traceFlags := registerTraceFlags(flag.CommandLine, true)
 	flag.Parse()
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
+
+	// A bare fault rate is the one-phase, one-rule campaign; a rate
+	// outside [0, 1] fails here, before the world is generated.
+	var faulty func(http.Handler) http.Handler
+	if *chaosRate != 0 {
+		p := plan.Steady(*chaosRate)
+		if err := p.Validate(); err != nil {
+			logger.Error("chaos-rate", "err", err)
+			os.Exit(2)
+		}
+		faulty = chaos.NewCampaign(p, chaos.Config{Seed: *chaosSeed}).Wrap
+		logger.Info("chaos enabled", "rate", *chaosRate, "seed", *chaosSeed)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -142,8 +157,7 @@ func main() {
 		Logger:        logger,
 		Seed:          *seed,
 		EtherscanRate: *rate,
-		ChaosRate:     *chaosRate,
-		ChaosSeed:     *chaosSeed,
+		Chaos:         faulty,
 		MaxInflight:   *maxInflight,
 		QueueDepth:    *queueDepth,
 		QueueWait:     *queueWait,

@@ -12,11 +12,11 @@ import (
 )
 
 // Campaign executes a plan.Plan: it binds the pure phase schedule to a
-// virtual clock and a seeded generator, and injures traffic through the
-// same fault machinery as the stateless Injector. Like the Injector it
-// wraps either side of the wire — Wrap for a server, RoundTripper for a
-// client — and both draw ticks and uniforms from one guarded source, so
-// a campaign over a serial request stream is fully reproducible.
+// virtual clock and a seeded generator, and injures traffic with the
+// package's fault executors. It wraps either side of the wire — Wrap
+// for a server, RoundTripper for a client — and both draw ticks and
+// uniforms from one guarded source, so a campaign over a serial request
+// stream is fully reproducible.
 //
 // The clock unit comes from the plan: UnitRequests advances one tick
 // per observed request (deterministic — the schedule is a pure function
@@ -56,9 +56,8 @@ type PhaseReport struct {
 // phase (before the first offset, in gaps, or after the plan ends).
 const IdlePhase = "idle"
 
-// NewCampaign binds p to cfg's seed and fault tuning. Rate and Faults
-// in cfg are ignored — the plan's rules own those — but Seed,
-// RetryAfter, Delay, and StormDelay apply. p must already be validated.
+// NewCampaign binds p to cfg's seed and fault tuning. p must already be
+// validated.
 func NewCampaign(p *plan.Plan, cfg Config) *Campaign {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
@@ -148,7 +147,7 @@ func kindOf(d plan.Decision) string {
 	}
 }
 
-// executable maps a decision onto the injector's fault vocabulary plus
+// executable maps a decision onto the package's fault vocabulary plus
 // the delay it should use.
 func (c *Campaign) executable(d plan.Decision) (Fault, time.Duration) {
 	switch d.Mode {

@@ -11,8 +11,8 @@ import (
 )
 
 // TestPlanFaultNamesMatchAllFaults pins the cross-package contract: the
-// fault names a scenario file may use are exactly the injector's fault
-// vocabulary.
+// fault names a scenario file may use are exactly the faults this
+// package can execute.
 func TestPlanFaultNamesMatchAllFaults(t *testing.T) {
 	var names []string
 	for _, f := range AllFaults() {

@@ -6,25 +6,24 @@
 // and resume machinery can be exercised end-to-end under a seeded,
 // repeatable fault schedule.
 //
-// An Injector wraps either side of the wire: Wrap produces an
-// http.Handler that injects faults before (or into) the inner handler's
-// response, and RoundTripper produces an http.RoundTripper that injects
-// the equivalent failures client-side without a server. Both draw from
-// the same seeded source, so a given (Seed, Rate, Faults) configuration
-// yields a reproducible fault sequence.
+// A Campaign runs a plan.Plan, the package's one fault engine: phases
+// on a virtual clock, each with per-route rules. A bare fault rate is
+// the one-phase plan plan.Steady builds. A campaign wraps either side of
+// the wire: Wrap produces an http.Handler that injects faults before (or
+// into) the inner handler's response, and RoundTripper produces an
+// http.RoundTripper that injects the equivalent failures client-side
+// without a server. Both draw from the same seeded source, so a given
+// (plan, Seed) pair yields a reproducible fault sequence over a serial
+// request stream.
 package chaos
 
 import (
 	"bytes"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
-
-	"ensdropcatch/internal/trace"
 )
 
 // Fault names one injectable failure mode.
@@ -53,63 +52,17 @@ func AllFaults() []Fault {
 	return []Fault{FaultRateLimit, FaultServerError, FaultReset, FaultSlowBody, FaultStall, FaultTruncate}
 }
 
-// Config tunes an Injector.
+// Config tunes how a Campaign executes the faults its plan draws.
 type Config struct {
 	// Seed makes the fault schedule reproducible.
 	Seed int64
-	// Rate in [0, 1] is the per-request fault probability.
-	Rate float64
-	// Faults is the enabled fault set; nil enables AllFaults.
-	Faults []Fault
 	// RetryAfter is the hint sent with injected 429s; <= 0 uses 1s.
 	RetryAfter time.Duration
 	// Delay is the slow-body and stall duration; <= 0 uses 50ms.
 	Delay time.Duration
-	// StormDelay is the latency-storm delay used by campaigns
-	// (plan.ModeLatencyStorm); <= 0 uses 5× Delay. The stateless
-	// Injector never uses it.
+	// StormDelay is the latency-storm delay (plan.ModeLatencyStorm);
+	// <= 0 uses 5× Delay.
 	StormDelay time.Duration
-}
-
-// Injector deterministically injects faults into HTTP traffic. Safe for
-// concurrent use; under concurrency the fault *sequence* is still drawn
-// deterministically from the seed, though its assignment to requests
-// follows arrival order.
-type Injector struct {
-	cfg Config
-
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-// New returns an injector for cfg.
-func New(cfg Config) *Injector {
-	if cfg.Rate < 0 {
-		cfg.Rate = 0
-	}
-	if cfg.Rate > 1 {
-		cfg.Rate = 1
-	}
-	if len(cfg.Faults) == 0 {
-		cfg.Faults = AllFaults()
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
-	if cfg.Delay <= 0 {
-		cfg.Delay = 50 * time.Millisecond
-	}
-	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
-}
-
-// pick draws the next scheduled fault, or "" for a clean request.
-func (in *Injector) pick() Fault {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.rng.Float64() >= in.cfg.Rate {
-		return ""
-	}
-	return in.cfg.Faults[in.rng.Intn(len(in.cfg.Faults))]
 }
 
 // retryAfterSeconds renders the Retry-After hint; fractional values keep
@@ -118,34 +71,7 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.FormatFloat(d.Seconds(), 'g', -1, 64)
 }
 
-// Wrap returns a handler that injects faults around inner. Clean
-// requests pass through untouched.
-func (in *Injector) Wrap(inner http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fault := in.pick()
-		if fault != "" {
-			m().injected.With(string(fault)).Inc()
-			// Record the injected fault on the request's span before
-			// acting: faults that abort the connection never reach the
-			// status-recording middleware, so the annotation is the only
-			// attribution the stored trace gets.
-			if sp := trace.FromContext(r.Context()); sp != nil {
-				sp.Error("chaos.fault", trace.A("kind", string(fault)))
-			}
-		} else {
-			m().passed.Inc()
-		}
-		if fault == "" {
-			inner.ServeHTTP(w, r)
-			return
-		}
-		serveFault(w, r, inner, fault, retryAfterSeconds(in.cfg.RetryAfter), in.cfg.Delay)
-	})
-}
-
-// serveFault executes one server-side fault around inner. It is shared
-// between the stateless Injector and campaign phases, so both injure
-// traffic in exactly the same way.
+// serveFault executes one server-side fault around inner.
 func serveFault(w http.ResponseWriter, r *http.Request, inner http.Handler, fault Fault, retryAfter string, delay time.Duration) {
 	switch fault {
 	case FaultRateLimit:
@@ -220,32 +146,12 @@ func (r *recorder) Write(p []byte) (int, error) {
 	return r.body.Write(p)
 }
 
-// ErrInjected marks transport-level failures synthesized by the
-// RoundTripper, so tests can tell injected resets from real ones.
+// ErrInjected marks transport-level failures synthesized by
+// Campaign.RoundTripper, so tests can tell injected resets from real
+// ones.
 var ErrInjected = fmt.Errorf("chaos: injected connection failure")
 
-// RoundTripper returns a transport that injects the configured faults
-// client-side. next == nil uses http.DefaultTransport.
-func (in *Injector) RoundTripper(next http.RoundTripper) http.RoundTripper {
-	if next == nil {
-		next = http.DefaultTransport
-	}
-	return roundTripFunc(func(req *http.Request) (*http.Response, error) {
-		fault := in.pick()
-		if fault != "" {
-			m().injected.With(string(fault)).Inc()
-		} else {
-			m().passed.Inc()
-		}
-		if fault == "" {
-			return next.RoundTrip(req)
-		}
-		return tripFault(req, next, fault, retryAfterSeconds(in.cfg.RetryAfter), in.cfg.Delay)
-	})
-}
-
-// tripFault executes one client-side fault, shared between the
-// stateless Injector and campaign phases.
+// tripFault executes one client-side fault.
 func tripFault(req *http.Request, next http.RoundTripper, fault Fault, retryAfter string, delay time.Duration) (*http.Response, error) {
 	switch fault {
 	case FaultRateLimit:

@@ -8,27 +8,42 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ensdropcatch/internal/chaos/plan"
 )
 
-// drawSequence collects the fault schedule an injector produces.
-func drawSequence(in *Injector, n int) []Fault {
+// drawSequence collects the fault schedule a campaign produces for n
+// serial requests.
+func drawSequence(c *Campaign, n int) []Fault {
 	out := make([]Fault, n)
 	for i := range out {
-		out[i] = in.pick()
+		out[i] = Fault(kindOf(c.decide("/x")))
 	}
 	return out
 }
 
+// steady returns a campaign over the always-on plan.
+func steady(cfg Config, rate float64, faults ...Fault) *Campaign {
+	names := make([]string, len(faults))
+	for i, f := range faults {
+		names[i] = string(f)
+	}
+	p := plan.Steady(rate, names...)
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
+	return NewCampaign(p, cfg)
+}
+
 func TestScheduleIsDeterministicPerSeed(t *testing.T) {
-	cfg := Config{Seed: 42, Rate: 0.3}
-	a := drawSequence(New(cfg), 500)
-	b := drawSequence(New(cfg), 500)
+	a := drawSequence(steady(Config{Seed: 42}, 0.3), 500)
+	b := drawSequence(steady(Config{Seed: 42}, 0.3), 500)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("draw %d differs: %q vs %q", i, a[i], b[i])
 		}
 	}
-	c := drawSequence(New(Config{Seed: 43, Rate: 0.3}), 500)
+	c := drawSequence(steady(Config{Seed: 43}, 0.3), 500)
 	same := 0
 	for i := range a {
 		if a[i] == c[i] {
@@ -41,10 +56,9 @@ func TestScheduleIsDeterministicPerSeed(t *testing.T) {
 }
 
 func TestRateIsRespected(t *testing.T) {
-	in := New(Config{Seed: 7, Rate: 0.2})
 	faults := 0
 	const n = 10000
-	for _, f := range drawSequence(in, n) {
+	for _, f := range drawSequence(steady(Config{Seed: 7}, 0.2), n) {
 		if f != "" {
 			faults++
 		}
@@ -53,7 +67,7 @@ func TestRateIsRespected(t *testing.T) {
 	if got < 0.17 || got > 0.23 {
 		t.Errorf("fault rate %.3f, want ~0.2", got)
 	}
-	if n := len(drawSequence(New(Config{Seed: 7, Rate: 0}), 100)); countFaults(drawSequence(New(Config{Seed: 7}), 100)) != 0 || n == 0 {
+	if countFaults(drawSequence(steady(Config{Seed: 7}, 0), 100)) != 0 {
 		t.Error("rate 0 still injected")
 	}
 }
@@ -68,16 +82,15 @@ func countFaults(fs []Fault) int {
 	return n
 }
 
-// chaosServer wraps a trivial JSON handler with a single-fault injector.
+// chaosServer wraps a trivial JSON handler with a campaign that gives
+// every request the one fault.
 func chaosServer(t *testing.T, fault Fault, cfg Config) *httptest.Server {
 	t.Helper()
-	cfg.Rate = 1
-	cfg.Faults = []Fault{fault}
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		io.WriteString(w, `{"ok": true, "payload": "0123456789abcdef0123456789abcdef"}`)
 	})
-	srv := httptest.NewServer(New(cfg).Wrap(inner))
+	srv := httptest.NewServer(steady(cfg, 1, fault).Wrap(inner))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -157,7 +170,7 @@ func TestHandlerPassthroughAtZeroRate(t *testing.T) {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "clean")
 	})
-	srv := httptest.NewServer(New(Config{Seed: 1, Rate: 0}).Wrap(inner))
+	srv := httptest.NewServer(steady(Config{Seed: 1}, 0).Wrap(inner))
 	defer srv.Close()
 	for i := 0; i < 50; i++ {
 		resp, err := http.Get(srv.URL)
@@ -180,8 +193,8 @@ func TestRoundTripperFaults(t *testing.T) {
 	defer srv.Close()
 
 	tryWith := func(fault Fault) (*http.Response, error) {
-		in := New(Config{Seed: 1, Rate: 1, Faults: []Fault{fault}, RetryAfter: 500 * time.Millisecond, Delay: time.Millisecond})
-		client := &http.Client{Transport: in.RoundTripper(nil)}
+		c := steady(Config{Seed: 1, RetryAfter: 500 * time.Millisecond, Delay: time.Millisecond}, 1, fault)
+		client := &http.Client{Transport: c.RoundTripper(nil)}
 		return client.Get(srv.URL)
 	}
 

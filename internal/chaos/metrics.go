@@ -28,7 +28,7 @@ func InitMetrics(reg *obs.Registry) {
 		injected: reg.CounterVec("chaos_faults_injected_total",
 			"Faults injected into requests, by fault mode.", "fault"),
 		passed: reg.Counter("chaos_requests_passed_total",
-			"Requests the injector let through cleanly."),
+			"Requests a campaign let through cleanly."),
 		campaignRequests: reg.CounterVec("chaos_campaign_requests_total",
 			"Requests observed by a campaign, by phase.", "phase"),
 		campaignFaults: reg.CounterVec("chaos_campaign_faults_total",

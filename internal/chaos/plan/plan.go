@@ -13,15 +13,17 @@
 // determinism contract). Plans themselves never touch wall time; the
 // detrand analyzer enforces that.
 //
-// Beyond the stateless per-request fault mix the PR 2 injector could
-// express, phases model the correlated failures that actually kill long
-// crawls: a source blacking out entirely for a window, a latency storm,
-// an error burst, and flapping (periodic up/down inside one phase).
+// A bare per-request fault rate is the one-phase, one-rule plan Steady
+// builds. Beyond that stateless mix, phases model the correlated
+// failures that actually kill long crawls: a source blacking out
+// entirely for a window, a latency storm, an error burst, and flapping
+// (periodic up/down inside one phase).
 package plan
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -48,9 +50,8 @@ const (
 type Mode string
 
 const (
-	// ModeMix injects a random fault from Faults at probability Rate —
-	// the PR 2 injector's stateless behaviour, now scoped to a phase
-	// and a route.
+	// ModeMix injects a random fault from Faults at probability Rate,
+	// drawn independently per request.
 	ModeMix Mode = "mix"
 	// ModeBlackout kills every matched request at the transport level:
 	// the source is down, connections die, no HTTP answer exists.
@@ -158,11 +159,29 @@ func (p *Plan) End() Ticks {
 	return p.Phases[len(p.Phases)-1].End()
 }
 
+// Steady returns the always-on plan: one phase from tick 0 to the end
+// of the clock, with one mix rule over every route that injures each
+// request with probability rate, drawing the fault from faults (empty
+// means all of Faults). It is what a bare fault rate, such as
+// ensworld's -chaos-rate, means as a campaign. Validate rejects a rate
+// outside [0, 1] or an unknown fault name.
+func Steady(rate float64, faults ...string) *Plan {
+	return &Plan{
+		Name: "steady",
+		Unit: UnitRequests,
+		Phases: []Phase{{
+			Name:     "steady",
+			Duration: math.MaxInt64,
+			Rules:    []Rule{{Mode: ModeMix, Rate: rate, Faults: faults}},
+		}},
+	}
+}
+
 // Validate checks the plan's structural invariants: a name, at least
-// one phase, phases sorted and non-overlapping with positive durations,
-// modes and fault names drawn from the known sets, rates and duties in
-// range, flap periods positive. A plan that validates cannot surprise
-// the runner.
+// one phase, phases sorted and non-overlapping with positive durations
+// and ends that fit the clock, modes and fault names drawn from the
+// known sets, rates and duties in range, flap periods positive. A plan
+// that validates cannot surprise the runner.
 func (p *Plan) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("plan: name is required")
@@ -190,6 +209,10 @@ func (p *Plan) Validate() error {
 		}
 		if ph.Duration <= 0 {
 			return fmt.Errorf("plan %s: phase %q: duration must be positive, got %d", p.Name, ph.Name, ph.Duration)
+		}
+		if ph.Duration > math.MaxInt64-ph.Offset {
+			return fmt.Errorf("plan %s: phase %q: offset %d + duration %d overflows the clock",
+				p.Name, ph.Name, ph.Offset, ph.Duration)
 		}
 		if i > 0 && ph.Offset < p.Phases[i-1].End() {
 			return fmt.Errorf("plan %s: phase %q (offset %d) overlaps %q (ends %d)",
@@ -219,7 +242,7 @@ func validateRule(r *Rule) error {
 	}
 	switch r.Mode {
 	case "", ModeMix:
-		if r.Rate < 0 || r.Rate > 1 {
+		if !(r.Rate >= 0 && r.Rate <= 1) { // also rejects NaN
 			return fmt.Errorf("mix rate %v out of [0, 1]", r.Rate)
 		}
 		for _, f := range r.Faults {

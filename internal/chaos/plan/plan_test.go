@@ -1,6 +1,9 @@
 package plan
 
 import (
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -40,6 +43,7 @@ func TestValidateRejections(t *testing.T) {
 		{"negative offset", func(p *Plan) { p.Phases[0].Offset = -1 }, "negative offset"},
 		{"zero duration", func(p *Plan) { p.Phases[1].Duration = 0 }, "duration must be positive"},
 		{"overlap", func(p *Plan) { p.Phases[2].Offset = 250 }, "overlaps"},
+		{"end overflows", func(p *Plan) { p.Phases[1].Duration = math.MaxInt64 }, "overflows"},
 		{"bad route", func(p *Plan) { p.Phases[1].Rules[0].Route = "etherscan" }, "must start with /"},
 		{"bad mode", func(p *Plan) { p.Phases[1].Rules[0].Mode = "meltdown" }, "unknown mode"},
 		{"bad rate", func(p *Plan) { p.Phases[1].Rules[1].Rate = 1.5 }, "out of [0, 1]"},
@@ -188,4 +192,98 @@ func TestParseRejectsInvalid(t *testing.T) {
 	if _, err := Parse([]byte(`{not json`)); err == nil {
 		t.Fatal("malformed JSON accepted")
 	}
+}
+
+func TestSteady(t *testing.T) {
+	p := Steady(0.2)
+	if err := p.Validate(); err != nil {
+		t.Fatalf("steady plan rejected: %v", err)
+	}
+	if p.End() != math.MaxInt64 {
+		t.Fatalf("steady plan ends at %d, want the end of the clock", p.End())
+	}
+	// Every route, at both ends of the clock, is in the one phase and
+	// drawn by the one mix rule.
+	for _, tick := range []Ticks{0, math.MaxInt64 - 1} {
+		for _, route := range []string{"/subgraph", "/etherscan/api", "/rpc"} {
+			if d := p.Decide(tick, route, 0.1, 0); d.Phase != "steady" || d.Mode != ModeMix || d.Fault != Faults[0] {
+				t.Errorf("Decide(%d, %s, u1 under rate) = %+v", tick, route, d)
+			}
+			if d := p.Decide(tick, route, 0.2, 0); !d.Clean() || d.Phase != "steady" {
+				t.Errorf("Decide(%d, %s, u1 at rate) = %+v, want clean", tick, route, d)
+			}
+		}
+	}
+	if d := Steady(1, "stall").Decide(3, "/x", 0.5, 0.99); d.Fault != "stall" {
+		t.Errorf("single-fault steady plan drew %q", d.Fault)
+	}
+	for _, bad := range []*Plan{Steady(-0.1), Steady(1.5), Steady(math.NaN()), Steady(0.5, "gremlins")} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("Steady(%v, %v) validated", bad.Phases[0].Rules[0].Rate, bad.Phases[0].Rules[0].Faults)
+		}
+	}
+}
+
+// overflowPlan has a first phase whose end does not fit in the clock:
+// if accepted, a.End() wraps negative, a covers no tick, and b sits
+// inside it. FuzzParsePlan seeds it.
+const overflowPlan = `{"name": "overflow", "phases": [
+	{"name": "a", "offset": 5, "duration": 9223372036854775807},
+	{"name": "b", "offset": 10, "duration": 1}
+]}`
+
+// FuzzParsePlan holds Parse to its contract on arbitrary documents: an
+// error, or phases that are sorted, non-overlapping and non-empty on
+// the clock, which Decide resolves without panicking at every phase
+// boundary on every route.
+func FuzzParsePlan(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "..", "cmd", "enschaos", "scenarios", "*.json"))
+	if err != nil || len(paths) < 3 {
+		f.Fatalf("built-in scenarios: %v (%d found)", err, len(paths))
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(overflowPlan))
+	almostOne := math.Nextafter(1, 0)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Parse(data)
+		if err != nil {
+			return
+		}
+		routes := []string{"", "/", "/subgraph", "/etherscan/api", "/opensea/events", "/rpc"}
+		for i := range p.Phases {
+			ph := &p.Phases[i]
+			if ph.End() <= ph.Offset {
+				t.Fatalf("phase %q: end %d <= offset %d", ph.Name, ph.End(), ph.Offset)
+			}
+			if i > 0 && ph.Offset < p.Phases[i-1].End() {
+				t.Fatalf("phase %q (offset %d) overlaps %q (end %d)", ph.Name, ph.Offset, p.Phases[i-1].Name, p.Phases[i-1].End())
+			}
+			for _, r := range ph.Rules {
+				routes = append(routes, r.Route, r.Route+"x")
+			}
+		}
+		for i := range p.Phases {
+			ph := &p.Phases[i]
+			for _, tick := range []Ticks{ph.Offset - 1, ph.Offset, ph.End() - 1, ph.End()} {
+				inside := tick >= ph.Offset && tick < ph.End()
+				for _, route := range routes {
+					for _, u := range []float64{0, 0.5, almostOne} {
+						d := p.Decide(tick, route, u, u)
+						if inside && d.Phase != ph.Name {
+							t.Fatalf("Decide(%d, %q) in phase %q reports phase %q", tick, route, ph.Name, d.Phase)
+						}
+						if d.Mode == ModeMix && !knownFault(d.Fault) {
+							t.Fatalf("Decide(%d, %q) drew unknown fault %q", tick, route, d.Fault)
+						}
+					}
+				}
+			}
+		}
+	})
 }

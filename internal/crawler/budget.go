@@ -69,8 +69,8 @@ func (b *RetryBudget) Deposit() {
 	m().retryBudgetTokens.With(b.source).Set(t)
 }
 
-// Withdraw takes one token for a retry (or a hedge). It reports false —
-// without sleeping or blocking — when the budget is dry.
+// Withdraw takes one token for a retry. It reports false — without
+// sleeping or blocking — when the budget is dry.
 func (b *RetryBudget) Withdraw() bool {
 	b.mu.Lock()
 	ok := b.tokens >= 1
@@ -86,15 +86,6 @@ func (b *RetryBudget) Withdraw() bool {
 		m().retryBudgetDenied.With(b.source).Inc()
 	}
 	return ok
-}
-
-// Low reports whether the budget cannot currently fund a speculative
-// request. Hedging uses this as its gate: hedges are a luxury, spent
-// only when the budget could also absorb real retries.
-func (b *RetryBudget) Low() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens < 1
 }
 
 // exhausted wraps err for the fail-fast path.

@@ -11,6 +11,13 @@ import (
 // noSleep makes Retry's backoff instant for tests.
 func noSleep(context.Context, time.Duration) error { return nil }
 
+// dry reports whether b cannot fund a retry.
+func dry(b *RetryBudget) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.tokens < 1
+}
+
 func TestRetryBudgetFailsFastWhenDry(t *testing.T) {
 	budget := NewRetryBudget("test", 0.1, 2) // 2 tokens, nothing refilling
 	boom := errors.New("upstream down")
@@ -43,7 +50,7 @@ func TestRetryBudgetRefilledBySuccesses(t *testing.T) {
 	if fails != 2 {
 		t.Fatalf("drain pass ran %d attempts, want 2", fails)
 	}
-	if !budget.Low() {
+	if !dry(budget) {
 		t.Fatal("budget should be dry after the drain")
 	}
 	// Two successful first attempts at ratio 0.5 earn one retry back.
@@ -52,7 +59,7 @@ func TestRetryBudgetRefilledBySuccesses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if budget.Low() {
+	if dry(budget) {
 		t.Fatal("budget should have refilled from successes")
 	}
 	fails = 0

@@ -3,10 +3,9 @@
 // backoff and jitter, bounded worker pools, and append-only checkpoints so
 // multi-hour crawls resume where they stopped. It also owns the crawl's
 // transport: Call runs every request of the subgraph, Etherscan, and
-// OpenSea clients through one pipeline (breaker, pacing, hedged send,
-// body read, status classification, decode) under each client's
-// embedded Source policy, so those clients are only URL builders and
-// decoders.
+// OpenSea clients through one pipeline (breaker, pacing, send, body
+// read, status classification, decode) under each client's embedded
+// Source policy, so those clients are only URL builders and decoders.
 package crawler
 
 import (
@@ -361,20 +360,8 @@ func annotateAttemptError(sp *trace.Span, err error) {
 	}
 }
 
-// FailurePolicy controls how a ForEach pool reacts to item errors.
-// The zero value is fail-fast: the first error cancels outstanding work.
-type FailurePolicy struct {
-	// ContinueOnError keeps the pool running after item failures,
-	// collecting every error instead of cancelling on the first.
-	ContinueOnError bool
-	// ErrorBudget bounds the tolerated failures when ContinueOnError is
-	// set: once more than ErrorBudget items have failed the pool aborts
-	// like fail-fast. 0 means unbounded.
-	ErrorBudget int
-}
-
 // ItemError records the failure of one ForEach item by position, so a
-// continue-on-error crawl can report exactly which items failed.
+// failed crawl reports exactly which item failed.
 type ItemError struct {
 	Index int
 	Err   error
@@ -384,22 +371,11 @@ func (e *ItemError) Error() string { return fmt.Sprintf("item %d: %v", e.Index, 
 
 func (e *ItemError) Unwrap() error { return e.Err }
 
-// ErrBudgetExhausted is joined into the ForEachPolicy result when a
-// continue-on-error pool aborted because its error budget ran out.
-var ErrBudgetExhausted = errors.New("crawler: error budget exhausted")
-
 // ForEach processes items with the given concurrency and fail-fast
 // semantics: the first error cancels outstanding work and is returned
 // (joined with any other errors observed before cancellation took
-// effect).
+// effect), each wrapped in an *ItemError carrying the item's index.
 func ForEach[T any](ctx context.Context, workers int, items []T, fn func(context.Context, T) error) error {
-	return ForEachPolicy(ctx, workers, items, FailurePolicy{}, fn)
-}
-
-// ForEachPolicy processes items with the given concurrency under the
-// given failure policy. Errors are returned joined, each wrapped in an
-// *ItemError carrying the item's index.
-func ForEachPolicy[T any](ctx context.Context, workers int, items []T, policy FailurePolicy, fn func(context.Context, T) error) error {
 	if workers < 1 {
 		workers = 1
 	}
@@ -414,7 +390,6 @@ func ForEachPolicy[T any](ctx context.Context, workers int, items []T, policy Fa
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var errs []error
-	budgetBlown := false
 
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -431,17 +406,9 @@ func ForEachPolicy[T any](ctx context.Context, workers int, items []T, policy Fa
 					m().itemErrors.Inc()
 					mu.Lock()
 					errs = append(errs, &ItemError{Index: j.index, Err: err})
-					over := policy.ContinueOnError && policy.ErrorBudget > 0 && len(errs) > policy.ErrorBudget
-					if over && !budgetBlown {
-						budgetBlown = true
-						errs = append(errs, ErrBudgetExhausted)
-					}
 					mu.Unlock()
-					if !policy.ContinueOnError || over {
-						cancel()
-						return
-					}
-					continue
+					cancel()
+					return
 				}
 				m().itemsDone.Inc()
 			}

@@ -182,83 +182,29 @@ func TestRetryCapsRetryAfterHintAtMaxDelay(t *testing.T) {
 	}
 }
 
-func TestForEachPolicyContinueCollectsAllErrors(t *testing.T) {
-	withTestMetrics(t)
-	items := make([]int, 100)
-	for i := range items {
-		items[i] = i
-	}
-	var processed sync.Map
-	err := ForEachPolicy(context.Background(), 4, items, FailurePolicy{ContinueOnError: true},
-		func(ctx context.Context, i int) error {
-			processed.Store(i, true)
-			if i%10 == 0 {
-				return fmt.Errorf("fail %d", i)
-			}
-			return nil
-		})
-	if err == nil {
-		t.Fatal("want joined errors")
-	}
-	var itemErrs int
-	for _, e := range err.(interface{ Unwrap() []error }).Unwrap() {
-		var ie *ItemError
-		if !errors.As(e, &ie) {
-			t.Errorf("error %v is not an *ItemError", e)
-			continue
-		}
-		if ie.Index%10 != 0 {
-			t.Errorf("unexpected failing index %d", ie.Index)
-		}
-		itemErrs++
-	}
-	if itemErrs != 10 {
-		t.Errorf("collected %d item errors, want 10", itemErrs)
-	}
-	// Every item ran despite the failures.
-	for _, i := range items {
-		if _, ok := processed.Load(i); !ok {
-			t.Errorf("item %d never processed", i)
-		}
-	}
-}
-
-func TestForEachPolicyErrorBudgetAborts(t *testing.T) {
+func TestForEachFailsFast(t *testing.T) {
 	withTestMetrics(t)
 	items := make([]int, 10000)
 	for i := range items {
 		items[i] = i
 	}
-	boom := errors.New("boom")
-	err := ForEachPolicy(context.Background(), 4, items, FailurePolicy{ContinueOnError: true, ErrorBudget: 5},
-		func(ctx context.Context, i int) error { return boom })
-	if !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("err = %v, want ErrBudgetExhausted joined in", err)
-	}
-	if !errors.Is(err, boom) {
-		t.Fatalf("item errors missing from %v", err)
-	}
-	joined := err.(interface{ Unwrap() []error }).Unwrap()
-	// Budget 5 aborts on the 6th failure; concurrency can add at most
-	// workers-1 stragglers before the cancel lands.
-	if len(joined) > 5+4+1 {
-		t.Errorf("%d errors collected, budget did not abort early", len(joined))
-	}
-}
-
-func TestForEachPolicyZeroValueFailsFast(t *testing.T) {
-	withTestMetrics(t)
-	items := make([]int, 10000)
 	boom := errors.New("boom")
 	var calls sync.Map
 	n := 0
-	err := ForEachPolicy(context.Background(), 4, items, FailurePolicy{},
+	err := ForEach(context.Background(), 4, items,
 		func(ctx context.Context, i int) error {
 			calls.Store(i, true)
 			return boom
 		})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
+	}
+	var ie *ItemError
+	if !errors.As(err, &ie) {
+		t.Fatalf("err = %v, want an *ItemError", err)
+	}
+	if _, ran := calls.Load(ie.Index); !ran {
+		t.Errorf("*ItemError names index %d, which never ran", ie.Index)
 	}
 	calls.Range(func(_, _ any) bool { n++; return true })
 	if n > 1000 {

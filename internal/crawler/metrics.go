@@ -26,8 +26,6 @@ type metricSet struct {
 	retryBudgetTokens *obs.GaugeVec
 	retryBudgetSpent  *obs.CounterVec
 	retryBudgetDenied *obs.CounterVec
-	hedgesIssued      *obs.CounterVec
-	hedgeWins         *obs.CounterVec
 }
 
 var metrics atomic.Pointer[metricSet]
@@ -74,13 +72,9 @@ func InitMetrics(reg *obs.Registry) {
 		retryBudgetTokens: reg.GaugeVec("crawler_retry_budget_tokens",
 			"Retry-budget tokens currently available per source.", "source"),
 		retryBudgetSpent: reg.CounterVec("crawler_retry_budget_spent_total",
-			"Retries and hedges funded by the retry budget per source.", "source"),
+			"Retries funded by the retry budget per source.", "source"),
 		retryBudgetDenied: reg.CounterVec("crawler_retry_budget_denied_total",
 			"Retries suppressed by a dry retry budget per source.", "source"),
-		hedgesIssued: reg.CounterVec("crawler_hedges_issued_total",
-			"Speculative duplicate requests issued per source.", "source"),
-		hedgeWins: reg.CounterVec("crawler_hedge_wins_total",
-			"Hedged requests whose duplicate answered first per source.", "source"),
 	})
 }
 

@@ -38,11 +38,6 @@ type Source struct {
 	// refilled by successful first attempts, and a dry budget fails fast
 	// instead of hammering a broadly failing source.
 	Budget *RetryBudget
-	// Hedger, when set, duplicates a send that outlives the tail-latency
-	// estimate and takes the first answer. Every call is a read, so a
-	// duplicate is safe. It is gated off while the breaker is not closed
-	// or the budget is low.
-	Hedger *Hedger
 	// ClientID, when non-empty, is sent as X-Client-ID so server-side
 	// per-client quotas key on a stable identity.
 	ClientID string
@@ -79,7 +74,7 @@ var defaultHTTPClient = &http.Client{Timeout: 30 * time.Second}
 //     attempts, funded by Budget;
 //  3. per attempt, the Breaker;
 //  4. pacing: Adaptive Wait and Acquire, or else r.Pace;
-//  5. the hedged send, with the attempt's context, X-Client-ID and
+//  5. the send, with the attempt's context, X-Client-ID and
 //     traceparent;
 //  6. the body read, sized from Content-Length and capped at r.MaxBody;
 //  7. status classification: a Retry-After header makes the error a
@@ -88,9 +83,6 @@ var defaultHTTPClient = &http.Client{Timeout: 30 * time.Second}
 //  8. decode, which may itself report a shed (RetryAfter) or a
 //     permanent API error;
 //  9. Adaptive Release and Observe, then Breaker Record.
-//
-// A hedged pair runs decode concurrently, so decode must return its
-// value rather than write to shared state.
 func Call[T any](ctx context.Context, s *Source, r Request, decode func(body []byte) (T, error)) (T, error) {
 	ctx, sp := trace.Start(ctx, r.Span)
 	cfg := RetryConfig{
@@ -135,15 +127,11 @@ func attempt[T any](ctx context.Context, s *Source, r *Request, decode func([]by
 		r.Requests.Inc()
 	}
 	start := time.Now()
-	// The pair runs under the one Adaptive slot acquired above: hedge
-	// volume is bounded by the retry budget, not the AIMD window.
-	v, err := Hedge(ctx, s.Hedger, func(ctx context.Context) (T, error) {
-		body, err := s.send(ctx, r)
-		if err != nil {
-			return zero, err
-		}
-		return decode(body)
-	})
+	body, err := s.send(ctx, r)
+	var v T
+	if err == nil {
+		v, err = decode(body)
+	}
 	var ra *RetryAfterError
 	if err != nil && r.Errors != nil && !errors.As(err, &ra) {
 		r.Errors.Inc()

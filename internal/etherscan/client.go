@@ -20,8 +20,8 @@ import (
 // through large accounts by advancing startblock past the result-window
 // cap — the mechanics behind the paper's 9.7M-transaction crawl. Every
 // request runs through crawler.Call under the embedded Source policy, so
-// the crawler's pacing, retry, breaker and hedge metrics cover this
-// client. Safe for concurrent use.
+// the crawler's pacing, retry, breaker and retry-budget metrics cover
+// this client. Safe for concurrent use.
 type Client struct {
 	crawler.Source
 	// BaseURL is the server root (no trailing /api).

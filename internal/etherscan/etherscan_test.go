@@ -296,23 +296,30 @@ func TestFetchLabels(t *testing.T) {
 func TestResultWindowError(t *testing.T) {
 	c, addrs := buildChain(t, 1)
 	srv := newTestServer(t, c)
-	v := url.Values{
-		"module": {"account"}, "action": {"txlist"},
-		"address": {"0x" + hexLower(addrs[0])},
-		"page":    {strconv.Itoa(3)}, "offset": {strconv.Itoa(MaxOffset)},
-		"apikey": {"k"},
-	}
-	resp, err := http.Get(srv.URL + "/api?" + v.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var env envelope
-	json.NewDecoder(resp.Body).Decode(&env)
-	var msg string
-	json.Unmarshal(env.Result, &msg)
-	if env.Message != "NOTOK" || msg == "" {
-		t.Errorf("window error not reported: %+v", env)
+	// The last two pages wrap page*offset in 64 bits.
+	for _, po := range []struct{ page, offset string }{
+		{strconv.Itoa(3), strconv.Itoa(MaxOffset)},
+		{"4611686018427387904", "100"}, // 2^62
+		{"9223372036854775807", "100"}, // 2^63-1
+	} {
+		v := url.Values{
+			"module": {"account"}, "action": {"txlist"},
+			"address": {"0x" + hexLower(addrs[0])},
+			"page":    {po.page}, "offset": {po.offset},
+			"apikey": {"k"},
+		}
+		resp, err := http.Get(srv.URL + "/api?" + v.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env envelope
+		json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		var msg string
+		json.Unmarshal(env.Result, &msg)
+		if env.Message != "NOTOK" || msg == "" {
+			t.Errorf("page %s offset %s: window error not reported: status %s, message %s", po.page, po.offset, env.Status, env.Message)
+		}
 	}
 }
 

@@ -202,7 +202,9 @@ func (s *Server) serveTxList(w http.ResponseWriter, r *http.Request, q url.Value
 		writeEnvelope(w, "0", "NOTOK", "Error! Invalid offset")
 		return
 	}
-	if page <= 0 || page*offset > MaxWindow {
+	// page*offset > MaxWindow, without the product: page can be near
+	// 2^63, where the product wraps.
+	if page <= 0 || page > MaxWindow/offset {
 		writeEnvelope(w, "0", "NOTOK", errWindowTooLarge)
 		return
 	}

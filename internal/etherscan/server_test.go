@@ -2,10 +2,14 @@ package etherscan
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/big"
+	"math/bits"
 	"net/http/httptest"
+	"net/url"
 	"slices"
 	"strconv"
 	"testing"
@@ -87,4 +91,102 @@ func TestTxListMatchesEncoder(t *testing.T) {
 		}
 	}
 	t.Logf("%d pages byte-identical", checked)
+}
+
+// refTxList is the txlist pager FuzzTxListQuery holds the handler to:
+// the handler's parameter rules, with the page*offset window computed
+// in 128 bits so no page number can wrap it. It returns the answer's
+// message, or its error text, and the hashes of the page's rows.
+func refTxList(txs []*chain.Transaction, q url.Values) (string, []string) {
+	num := func(k string, def uint64) uint64 {
+		v, err := strconv.ParseUint(q.Get(k), 10, 63)
+		if err != nil {
+			return def
+		}
+		return v
+	}
+	start, end := num("startblock", 0), num("endblock", 1<<62)
+	page, offset := num("page", 1), num("offset", 100)
+	if offset == 0 || offset > MaxOffset {
+		return "Error! Invalid offset", nil
+	}
+	hi, window := bits.Mul64(page, offset)
+	if page == 0 || hi != 0 || window > MaxWindow {
+		return errWindowTooLarge, nil
+	}
+	skip := window - offset
+	var hashes []string
+	for _, tx := range txs {
+		if tx.BlockNumber < start || tx.BlockNumber > end {
+			continue
+		}
+		if skip > 0 {
+			skip--
+			continue
+		}
+		hashes = append(hashes, tx.Hash.Hex())
+		if uint64(len(hashes)) == offset {
+			break
+		}
+	}
+	if len(hashes) == 0 {
+		return "No transactions found", nil
+	}
+	return "OK", hashes
+}
+
+// FuzzTxListQuery drives the txlist handler with arbitrary page,
+// offset, startblock and endblock strings and checks every answer
+// against refTxList: the same error, or the same rows in order.
+func FuzzTxListQuery(f *testing.F) {
+	c, addrs := buildChain(f, 30)
+	srv := NewServer(c, Labels{}, math.MaxInt32, nil)
+	txs := slices.Clone(c.TxsByAddress(addrs[0]))
+	slices.SortStableFunc(txs, func(a, b *chain.Transaction) int { return cmp.Compare(a.BlockNumber, b.BlockNumber) })
+
+	f.Add("1", "100", "", "")
+	f.Add("2", "7", "3", "20")
+	f.Add("3", strconv.Itoa(MaxOffset), "", "")
+	f.Add("4611686018427387904", "100", "", "") // 2^62: page*offset wraps to 0
+	f.Add("9223372036854775807", "100", "", "") // 2^63-1
+	f.Add("0", "0", "x", "-1")
+	f.Add("", "", "18446744073709551615", "")
+	f.Fuzz(func(t *testing.T, page, offset, startBlock, endBlock string) {
+		q := url.Values{
+			"module": {"account"}, "action": {"txlist"},
+			"address": {"0x" + hexLower(addrs[0])}, "apikey": {"fuzz"},
+			"page": {page}, "offset": {offset},
+			"startblock": {startBlock}, "endblock": {endBlock},
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("GET", "/api?"+q.Encode(), nil))
+		var env envelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatalf("answer is not JSON: %v: %q", err, rec.Body.Bytes())
+		}
+		want, wantHashes := refTxList(txs, q)
+		switch want {
+		case "OK", "No transactions found":
+			if env.Message != want {
+				t.Fatalf("message %q, want %q (%s)", env.Message, want, rec.Body.Bytes())
+			}
+		default:
+			var msg string
+			if env.Status != "0" || json.Unmarshal(env.Result, &msg) != nil || msg != want {
+				t.Fatalf("answer %s, want the error %q", rec.Body.Bytes(), want)
+			}
+			return
+		}
+		var rows []TxRecord
+		if err := json.Unmarshal(env.Result, &rows); err != nil {
+			t.Fatalf("rows: %v", err)
+		}
+		got := make([]string, len(rows))
+		for i, r := range rows {
+			got[i] = r.Hash
+		}
+		if !slices.Equal(got, wantHashes) {
+			t.Fatalf("page rows %v, want %v", got, wantHashes)
+		}
+	})
 }

@@ -11,7 +11,7 @@
 // when the assignment executes:
 //
 //   - inside a function literal passed to par.Map / par.ForEach /
-//     crawler.ForEach / crawler.ForEachPolicy, or
+//     crawler.ForEach, or
 //   - inside a `go` statement.
 //
 // Integer accumulation under a mutex or atomics is exact and is not
@@ -117,7 +117,7 @@ func sameObj(pass *analysis.Pass, a, b ast.Expr) bool {
 }
 
 // isParCall reports whether the callee is par.Map/par.ForEach or
-// crawler.ForEach/ForEachPolicy.
+// crawler.ForEach.
 func isParCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	fn := staticCallee(pass, call)
 	if fn == nil || fn.Pkg() == nil {
@@ -128,7 +128,7 @@ func isParCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	case p == "internal/par" || strings.HasSuffix(p, "/internal/par"):
 		return fn.Name() == "Map" || fn.Name() == "ForEach"
 	case p == "internal/crawler" || strings.HasSuffix(p, "/internal/crawler"):
-		return fn.Name() == "ForEach" || fn.Name() == "ForEachPolicy"
+		return fn.Name() == "ForEach"
 	}
 	return false
 }

@@ -1,7 +1,7 @@
 // Package iodiscipline defines an analyzer that keeps network
 // round-trips out of the crawl-client packages. Transport lives in one
 // place, crawler.Call, which runs every request under its source's
-// retry, breaker, pacing and hedge policy; a client package only builds
+// retry, breaker and pacing policy; a client package only builds
 // requests and decodes answers.
 //
 // Inside the client packages (internal/etherscan, internal/subgraph,
@@ -70,7 +70,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				return true
 			}
 			if desc, bad := rawTransport(pass, call); bad {
-				pass.Reportf(call.Pos(), "%s in crawl-client package %s: transport belongs to crawler.Call, which runs it under the source's retry, breaker, pacing and hedge policy", desc, pass.Pkg.Path())
+				pass.Reportf(call.Pos(), "%s in crawl-client package %s: transport belongs to crawler.Call, which runs it under the source's retry, breaker and pacing policy", desc, pass.Pkg.Path())
 			}
 			return true
 		})

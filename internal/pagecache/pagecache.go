@@ -14,7 +14,7 @@
 //
 // Placement matters: the cache wraps the innermost handler, inside the
 // admission gate and quota middleware (so shed accounting still sees
-// every request, hit or miss) and inside the chaos injector (so fault
+// every request, hit or miss) and inside the chaos campaign (so fault
 // drills keep firing on cache hits, and injected faults are never
 // stored).
 package pagecache

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ensdropcatch/internal/chaos"
+	"ensdropcatch/internal/chaos/plan"
 	"ensdropcatch/internal/leakcheck"
 	"ensdropcatch/internal/obs"
 )
@@ -44,17 +45,14 @@ func TestChaosFaultRouteMatrix(t *testing.T) {
 		fault := fault
 		t.Run(string(fault), func(t *testing.T) {
 			// Rate 1 with a single-fault set: every data-route request
-			// takes exactly this fault. Routed through the Config.Chaos
-			// hook — the same seam campaigns use.
-			inj := chaos.New(chaos.Config{
-				Seed:   1,
-				Rate:   1,
-				Faults: []chaos.Fault{fault},
-				Delay:  2 * time.Millisecond,
+			// takes exactly this fault, through the Config.Chaos hook.
+			camp := chaos.NewCampaign(plan.Steady(1, string(fault)), chaos.Config{
+				Seed:  1,
+				Delay: 2 * time.Millisecond,
 			})
 			st := newTestStack(t, Config{
 				Registry: obs.NewRegistry(),
-				Chaos:    inj.Wrap,
+				Chaos:    camp.Wrap,
 				// Generous quotas so the matrix measures faults, not sheds.
 				QuotaRate: 10000, QuotaBurst: 10000,
 			})

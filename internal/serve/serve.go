@@ -12,7 +12,7 @@
 //	overload.Deadline       per-route budget, shrinkable by the client
 //	overload.Quotas         per-client token buckets (cheap rejection)
 //	overload.Gate           bounded concurrency + shed queue
-//	chaos injector          seeded fault drills (optional)
+//	chaos campaign          seeded fault drills (optional)
 //	pagecache               rendered-response cache (optional)
 //	handler                 subgraph / etherscan / opensea / rpc
 //
@@ -27,7 +27,6 @@ import (
 	"net/http"
 	"time"
 
-	"ensdropcatch/internal/chaos"
 	"ensdropcatch/internal/dataset"
 	"ensdropcatch/internal/etherscan"
 	"ensdropcatch/internal/ethrpc"
@@ -56,15 +55,10 @@ type Config struct {
 	// EtherscanRate is requests/second/key on /etherscan/api (0 = the
 	// etherscan package default).
 	EtherscanRate int
-	// ChaosRate enables the fault injector on the data routes when > 0.
-	ChaosRate float64
-	// ChaosSeed seeds the fault schedule.
-	ChaosSeed int64
-	// Chaos, when set, wraps the data routes in a caller-supplied fault
-	// layer — typically (*chaos.Campaign).Wrap for phased campaigns. It
-	// takes precedence over ChaosRate. The wrap sits between the page
-	// cache and the overload gate, same as the rate-based injector, so
-	// injected faults consume gate slots but never poison the cache.
+	// Chaos, when set, wraps the data routes in a fault layer, in
+	// practice (*chaos.Campaign).Wrap. The wrap sits between the page
+	// cache and the overload gate, so injected faults consume gate
+	// slots but never poison the cache.
 	Chaos func(http.Handler) http.Handler
 	// MaxInflight bounds concurrently served data-route requests
 	// (0 = 64).
@@ -148,14 +142,9 @@ func New(res *world.Result, store *subgraph.Store, cfg Config) *Stack {
 	}
 
 	faulty := func(h http.Handler) http.Handler { return h }
-	switch {
-	case cfg.Chaos != nil:
+	if cfg.Chaos != nil {
 		faulty = cfg.Chaos
 		logger.Info("chaos campaign enabled")
-	case cfg.ChaosRate > 0:
-		inj := chaos.New(chaos.Config{Seed: cfg.ChaosSeed, Rate: cfg.ChaosRate})
-		faulty = inj.Wrap
-		logger.Info("chaos enabled", "rate", cfg.ChaosRate, "seed", cfg.ChaosSeed)
 	}
 	handle := func(route string, h http.Handler) {
 		st.Mux.Handle(route, st.Metrics.Wrap(route, h))

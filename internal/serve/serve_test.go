@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"ensdropcatch/internal/chaos"
+	"ensdropcatch/internal/chaos/plan"
 	"ensdropcatch/internal/obs"
 	"ensdropcatch/internal/overload"
 	"ensdropcatch/internal/subgraph"
@@ -282,8 +284,8 @@ func TestStackQuotaDeniesThroughCache(t *testing.T) {
 // pages must stay clean — a fault answer is never stored, so a later
 // clean pass serves the true page.
 func TestStackChaosFaultsNotCached(t *testing.T) {
-	st := newTestStack(t, Config{ChaosRate: 0.5, ChaosSeed: 7})
-	// The injector simulates connection resets by panicking with
+	st := newTestStack(t, Config{Chaos: chaos.NewCampaign(plan.Steady(0.5), chaos.Config{Seed: 7}).Wrap})
+	// The campaign simulates connection resets by panicking with
 	// http.ErrAbortHandler; a real server recovers that, so the direct
 	// ServeHTTP drive must too.
 	postRecovering := func() (rec *httptest.ResponseRecorder) {

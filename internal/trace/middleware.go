@@ -11,7 +11,7 @@ import (
 // annotated, and 429/5xx responses mark the trace errored so the tail
 // sampler always keeps them.
 //
-// Mount it outermost: the chaos injector aborts connections by
+// Mount it outermost: a chaos campaign aborts connections by
 // panicking with http.ErrAbortHandler, and the middleware must see
 // that panic to finish the span (the abort is recorded, then
 // re-raised for the server to handle).
@@ -74,7 +74,7 @@ func (w *traceWriter) Write(b []byte) (int, error) {
 }
 
 // Flush forwards to the underlying writer when it supports streaming;
-// the chaos injector's stall fault depends on flushes reaching the
+// a chaos campaign's stall fault depends on flushes reaching the
 // connection.
 func (w *traceWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {

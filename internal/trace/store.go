@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -163,14 +164,22 @@ func (s *Store) evictLocked() {
 	}
 }
 
-// Get returns the stored trace for id, or nil.
+// Get returns a copy of the stored trace for id, or nil. Offer keeps
+// appending roots to a stored trace, so the copy owns its Roots slice;
+// the roots themselves are immutable snapshots and are shared.
 func (s *Store) Get(id string) *Trace {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.traces[id]
+	tr := s.traces[id]
+	if tr == nil {
+		return nil
+	}
+	cp := *tr
+	cp.Roots = slices.Clone(tr.Roots)
+	return &cp
 }
 
 // Len returns the number of retained traces.

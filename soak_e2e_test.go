@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"ensdropcatch/internal/chaos"
+	"ensdropcatch/internal/chaos/plan"
 	"ensdropcatch/internal/crawler"
 	"ensdropcatch/internal/dataset"
 	"ensdropcatch/internal/etherscan"
@@ -74,14 +75,14 @@ func TestSoakOverloadConvergence(t *testing.T) {
 	gate := overload.NewGate(overload.GateConfig{
 		MaxInflight: 1, QueueDepth: 2, MaxWait: 50 * time.Millisecond})
 	quotas := overload.NewQuotas(overload.QuotaConfig{Rate: 100, Burst: 2})
-	inj := chaos.New(chaos.Config{
-		Seed: 7, Rate: 0.1, RetryAfter: 10 * time.Millisecond, Delay: 20 * time.Millisecond})
+	camp := chaos.NewCampaign(plan.Steady(0.1),
+		chaos.Config{Seed: 7, RetryAfter: 10 * time.Millisecond, Delay: 20 * time.Millisecond})
 
 	newServer := func(protected bool) *httptest.Server {
 		mux := http.NewServeMux()
 		handleData := func(route string, h http.Handler) {
 			if protected {
-				h = gate.Wrap(route, overload.Data, inj.Wrap(h))
+				h = gate.Wrap(route, overload.Data, camp.Wrap(h))
 				h = quotas.Wrap(route, h)
 				h = overload.Deadline(5*time.Second, 5*time.Second, h)
 			}

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"ensdropcatch/internal/chaos"
+	"ensdropcatch/internal/chaos/plan"
 	"ensdropcatch/internal/core"
 	"ensdropcatch/internal/crawler"
 	"ensdropcatch/internal/dataset"
@@ -251,13 +252,13 @@ func TestTraceAttributionQuotaDenial(t *testing.T) {
 func TestTraceAttributionChaosFault(t *testing.T) {
 	// Rate 1 with only the ratelimit fault: every request draws an
 	// injected 429 and the span must say chaos did it.
-	inj := chaos.New(chaos.Config{Seed: 9, Rate: 1, Faults: []chaos.Fault{chaos.FaultRateLimit},
-		RetryAfter: 5 * time.Millisecond})
+	camp := chaos.NewCampaign(plan.Steady(1, string(chaos.FaultRateLimit)),
+		chaos.Config{Seed: 9, RetryAfter: 5 * time.Millisecond})
 	ok := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	})
 	srv, _ := tracedServer(t, 45, func(mux *http.ServeMux) {
-		mux.Handle("/data", inj.Wrap(ok))
+		mux.Handle("/data", camp.Wrap(ok))
 	})
 
 	ctracer, _ := clientTracer(46)
