@@ -76,13 +76,15 @@ trace-smoke:
 	$(GO) test -race -count=1 -run 'TestTraceAttribution|TestTracingDoesNotChangeFingerprint' -v .
 	$(GO) test -count=1 -run 'TestDisabledTracingAllocates' -v ./internal/trace/
 
-# Persistence durability drill: JSON-vs-binary fingerprint equivalence,
-# save->load->save byte-stability in both formats, every-byte and strided
-# truncation sweeps over the binary snapshot and the JSONL sections,
-# crash-atomic save (no temp residue, old data survives failed writes),
-# torn/stale spool-snapshot fallback on the resumable crawl.
+# Persistence durability drill: dataset.bin save->load->save
+# byte-stability, every-byte and strided truncation sweeps, crash-atomic
+# save (no temp residue, old data survives failed writes), and the resume
+# spool's contract under the race detector: torn records at every byte
+# re-crawled, a corrupt middle record refused, a crash after an append
+# not repeated, disk faults typed or healed, the spool header rules and
+# the spool fuzz seeds.
 persist-smoke:
-	$(GO) test -race -count=1 -run 'TestBinary|TestSave|TestTruncated|TestTornSnapshot|TestSnapshot|TestSpoolSnapshot|TestMixedGeneration|TestLoad|TestWriteAtomic' -v ./internal/dataset/
+	$(GO) test -race -count=1 -run 'TestBinary|TestSave|TestLoad|TestWriteAtomic|TestResume|ReplaySpool' -v ./internal/dataset/
 	$(GO) test -race -count=1 ./internal/dataset/codec/
 
 # Chaos-campaign drill under the race detector: the built-in
@@ -106,10 +108,10 @@ bench:
 	ENSBENCH_DOMAINS=100000 $(GO) test -bench='Figure8MisdirectedAmounts|Table1FeatureComparison' -benchmem . | tee -a bench_output.txt
 	$(GO) run ./cmd/benchjson -o BENCH_PR3.json bench_output.txt
 
-# Save/load wall-time, allocs/op, and on-disk bytes for both dataset
-# encodings at the default 20k world and the 100k acceptance scale.
-# Sub-benchmark names carry the scale (save_json_20k, load_binary_100k,
-# ...), so both passes survive in BENCH_PR7.json.
+# Save/load wall-time, allocs/op, and on-disk bytes of dataset.bin at
+# the default 20k world and the 100k acceptance scale. Sub-benchmark
+# names carry the scale (save_binary_20k, load_binary_100k, ...), so both
+# passes survive in BENCH_PR7.json.
 bench-persist:
 	$(GO) test -bench=BenchmarkDatasetPersist -benchmem . | tee bench_persist.txt
 	ENSBENCH_DOMAINS=100000 $(GO) test -bench=BenchmarkDatasetPersist -benchmem -timeout 40m . | tee -a bench_persist.txt
@@ -164,9 +166,11 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseTraceparent -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzDecodeTxList -fuzztime=30s ./internal/etherscan/
 	$(GO) test -run '^$$' -fuzz=FuzzLoadSnapshot -fuzztime=30s ./internal/dataset/
-	$(GO) test -run '^$$' -fuzz=FuzzLoadSpoolSnapshot -fuzztime=30s ./internal/dataset/
+	$(GO) test -run '^$$' -fuzz=FuzzReplaySpool -fuzztime=30s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz=FuzzTxListQuery -fuzztime=30s ./internal/etherscan/
 	$(GO) test -run '^$$' -fuzz=FuzzParsePlan -fuzztime=30s ./internal/chaos/plan/
+	$(GO) test -run '^$$' -fuzz=FuzzRPCRequest -fuzztime=30s ./internal/ethrpc/
+	$(GO) test -run '^$$' -fuzz=FuzzOpenSeaQuery -fuzztime=30s ./internal/opensea/
 
 # Short fuzz pass for CI: 10s per target is enough to catch shallow
 # regressions in the parsers without stalling the pipeline.
@@ -176,9 +180,11 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseTraceparent -fuzztime=10s ./internal/trace/
 	$(GO) test -fuzz=FuzzDecodeTxList -fuzztime=10s ./internal/etherscan/
 	$(GO) test -run '^$$' -fuzz=FuzzLoadSnapshot -fuzztime=10s ./internal/dataset/
-	$(GO) test -run '^$$' -fuzz=FuzzLoadSpoolSnapshot -fuzztime=10s ./internal/dataset/
+	$(GO) test -run '^$$' -fuzz=FuzzReplaySpool -fuzztime=10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz=FuzzTxListQuery -fuzztime=10s ./internal/etherscan/
 	$(GO) test -run '^$$' -fuzz=FuzzParsePlan -fuzztime=10s ./internal/chaos/plan/
+	$(GO) test -run '^$$' -fuzz=FuzzRPCRequest -fuzztime=10s ./internal/ethrpc/
+	$(GO) test -run '^$$' -fuzz=FuzzOpenSeaQuery -fuzztime=10s ./internal/opensea/
 
 tools:
 	$(GO) build -o bin/ ./cmd/...

@@ -632,69 +632,60 @@ func BenchmarkResolutionLogAuthoritative(b *testing.B) {
 
 // --- Dataset persistence (DESIGN.md §persistence) ---
 
-// BenchmarkDatasetPersist times saving and loading the bench world in
-// both on-disk encodings. The binary columnar format must beat JSONL on
-// load wall-time and allocs/op — that gap is the reason it exists; the
-// dirsize_bytes metric records the footprint each encoding pays for it.
-// Sub-benchmark names carry the world size (save_json_20k, ...) so the
+// BenchmarkDatasetPersist times saving and loading the bench world as
+// dataset.bin; the dirsize_bytes metric records its footprint.
+// Sub-benchmark names carry the world size (save_binary_20k, ...) so the
 // 20k and 100k passes of `make bench-persist` land as separate entries
-// in BENCH_PR7.json instead of the second overwriting the first.
+// in BENCH_PR7.json instead of the second overwriting the first. That
+// archive also keeps save_json/load_json rows, measured for a JSONL
+// directory format the dataset no longer has.
 func BenchmarkDatasetPersist(b *testing.B) {
 	_, ds, _ := benchWorld(b)
 	sizeTag := fmt.Sprintf("%dk", benchDomains()/1000)
-	for _, format := range []dataset.Format{dataset.FormatJSON, dataset.FormatBinary} {
-		dir := filepath.Join(b.TempDir(), format.String())
-		if err := ds.Save(dir, dataset.WithFormat(format)); err != nil {
-			b.Fatal(err)
+	dir := filepath.Join(b.TempDir(), "binary")
+	if err := ds.Save(dir); err != nil {
+		b.Fatal(err)
+	}
+	loaded, err := dataset.Load(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if loaded.Fingerprint() != ds.Fingerprint() {
+		b.Fatal("round trip changed the dataset fingerprint")
+	}
+	fi, err := os.Stat(filepath.Join(dir, "dataset.bin"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	bytes := fi.Size()
+
+	b.Run("save_binary_"+sizeTag, func(b *testing.B) {
+		out := filepath.Join(b.TempDir(), "out")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := ds.Save(out); err != nil {
+				b.Fatal(err)
+			}
 		}
-		loaded, err := dataset.Load(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if loaded.Fingerprint() != ds.Fingerprint() {
-			b.Fatalf("%s round trip changed the dataset fingerprint", format)
-		}
-		var bytes int64
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, e := range entries {
-			fi, err := e.Info()
+		b.ReportMetric(float64(bytes), "dirsize_bytes")
+		b.ReportMetric(float64(benchDomains()), "world_domains")
+	})
+	b.Run("load_binary_"+sizeTag, func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		var loaded *dataset.Dataset
+		for i := 0; i < b.N; i++ {
+			var err error
+			loaded, err = dataset.Load(dir)
 			if err != nil {
 				b.Fatal(err)
 			}
-			bytes += fi.Size()
 		}
-
-		b.Run("save_"+format.String()+"_"+sizeTag, func(b *testing.B) {
-			out := filepath.Join(b.TempDir(), "out")
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := ds.Save(out, dataset.WithFormat(format)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(bytes), "dirsize_bytes")
-			b.ReportMetric(float64(benchDomains()), "world_domains")
-		})
-		b.Run("load_"+format.String()+"_"+sizeTag, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			var loaded *dataset.Dataset
-			for i := 0; i < b.N; i++ {
-				var err error
-				loaded, err = dataset.Load(dir)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(loaded.Txs)), "txs")
-			b.ReportMetric(float64(bytes), "dirsize_bytes")
-			b.ReportMetric(float64(benchDomains()), "world_domains")
-		})
-	}
+		b.ReportMetric(float64(len(loaded.Txs)), "txs")
+		b.ReportMetric(float64(bytes), "dirsize_bytes")
+		b.ReportMetric(float64(benchDomains()), "world_domains")
+	})
 }
 
 // BenchmarkAblationControlSampling compares the sampled control group

@@ -4,7 +4,7 @@ package ensdropcatch
 // servers behind a seeded chaos campaign at a 20% fault rate, killed
 // mid-crawl and resumed, must converge to a dataset byte-identical with a
 // clean (fault-free) run. This is the capstone over the retry, breaker,
-// spool, and checkpoint machinery: faults may cost time, but never rows.
+// and resume-spool machinery: faults may cost time, but never rows.
 
 import (
 	"context"

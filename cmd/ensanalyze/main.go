@@ -4,8 +4,9 @@
 // Figure 6), the resale market (§4.2), the financial-loss analysis (§4.4,
 // Figures 7-10), and the wallet survey (Appendix B, Table 2).
 //
-// Input is either a crawled dataset (-data: a JSONL directory or binary
-// dataset.bin written by enscrawl/ensworld) or a freshly generated
+// Input is either a crawled dataset (-data: a directory holding the
+// dataset.bin enscrawl writes, or a snapshot file written by ensworld)
+// or a freshly generated
 // in-memory world (-domains). With -snapshot, a generated world is cached
 // as a binary snapshot on first run and loaded directly on later runs,
 // skipping regeneration entirely.
@@ -36,7 +37,7 @@ import (
 
 func main() {
 	var (
-		dataDir     = flag.String("data", "", "dataset to load: a JSONL directory or a binary snapshot file written by enscrawl/ensworld")
+		dataDir     = flag.String("data", "", "dataset to load: a directory holding dataset.bin (enscrawl -out) or a snapshot file (ensworld -snapshot)")
 		domains     = flag.Int("domains", 0, "generate a world of this size instead of loading -data")
 		seed        = flag.Int64("seed", 1, "generation seed for -domains")
 		snapshot    = flag.String("snapshot", "", "with -domains: load this binary snapshot if it exists, else generate and save it (a cache keyed by nothing — delete it when -domains/-seed change)")
@@ -135,7 +136,7 @@ func loadDataset(dir, snapshot string, domains int, seed int64, workers int, log
 			"txs", len(ds.Txs), "elapsed", time.Since(start).Round(time.Millisecond))
 		if snapshot != "" {
 			start = time.Now()
-			if err := ds.SaveSnapshot(snapshot, dataset.WithFormat(dataset.FormatBinary)); err != nil {
+			if err := ds.SaveSnapshot(snapshot); err != nil {
 				return nil, nil, fmt.Errorf("save snapshot: %w", err)
 			}
 			logger.Info("snapshot saved", "path", snapshot,

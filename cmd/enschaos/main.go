@@ -4,10 +4,10 @@
 // (internal/serve: gate, quotas, cache), injures the client's traffic
 // through a phased chaos.Campaign on the request clock, and crawls the
 // three sources into a dataset with the resilient clients — retry
-// budgets, resumable spool/checkpoint, optional breakers.
+// budgets, the resumable crawl's spool, optional breakers.
 // A build attempt that dies mid-campaign (a dry retry budget failing
 // fast is the designed outcome of a blackout) is restarted and resumes
-// from its checkpoint, exactly like the operator runbook says.
+// from its spool, exactly like the operator runbook says.
 //
 // After the drill it:
 //
@@ -19,7 +19,7 @@
 //     (scenario, seed, request sequence),
 //
 //   - with -verify-clean, crawls the same world fault-free and requires
-//     the persisted datasets to be byte-identical — faults may cost
+//     the persisted datasets (dataset.bin) to be byte-identical — faults may cost
 //     time and restarts, never rows,
 //
 //   - emits CHAOS_REPORT as go-bench lines cmd/benchjson can archive:

@@ -3,8 +3,9 @@
 // same shapes): it pages the full registration history out of the
 // subgraph, crawls per-address transaction lists from the Etherscan API
 // under its rate limit, fetches custodial labels, pulls marketplace events
-// for re-registered names, and writes the assembled dataset to a
-// directory.
+// for re-registered names, and writes the assembled dataset to
+// <out>/dataset.bin. With -resume, every finished address is appended to
+// a checksummed spool, so an interrupted crawl restarts where it stopped.
 //
 // While crawling it logs periodic progress summaries (addresses
 // done/total, ETA) and, with -metrics-addr, exposes live /metrics,
@@ -40,10 +41,8 @@ func main() {
 		workers     = flag.Int("workers", 8, "concurrent transaction crawlers")
 		apiKey      = flag.String("apikey", "enscrawl", "etherscan API key (rate-limit bucket)")
 		rps         = flag.Float64("rps", float64(etherscan.DefaultRatePerSecond), "etherscan request pacing per second")
-		resume      = flag.String("resume", "", "spool/checkpoint directory; an interrupted crawl restarts where it stopped")
-		fsync       = flag.Bool("fsync", false, "fsync the spool, checkpoint, and saved dataset at every commit (survives power loss, costs throughput)")
-		format      = flag.String("format", "json", "saved dataset encoding: json (directory of JSONL, diff-friendly) or binary (columnar dataset.bin, fast to load at scale)")
-		snapEvery   = flag.Int("snapshot-every", 0, "with -resume, write a binary spool snapshot every N completed addresses so the next resume replays only the spool tail (0 = default 256, negative = off)")
+		resume      = flag.String("resume", "", "spool directory; an interrupted crawl restarts where it stopped")
+		fsync       = flag.Bool("fsync", false, "fsync the spool at every finished address and the saved dataset at its commit (survives power loss, costs throughput)")
 		breaker     = flag.Int("breaker-threshold", 8, "consecutive transport failures before a source's circuit opens (0 = breakers off)")
 		cooldown    = flag.Duration("breaker-cooldown", 15*time.Second, "how long an open circuit waits before probing the source again")
 		metricsAddr = flag.String("metrics-addr", "", "serve live /metrics and /debug/pprof on this address while crawling (empty = disabled)")
@@ -56,13 +55,6 @@ func main() {
 	traceFlags := registerTraceFlags(flag.CommandLine, false)
 	flag.Parse()
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-
-	// Fail on a bad -format before hours of crawling, not after.
-	outFormat, err := dataset.ParseFormat(*format)
-	if err != nil {
-		logger.Error("flags", "err", err)
-		os.Exit(2)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -134,7 +126,7 @@ func main() {
 		esClient,
 		osClient,
 		dataset.BuildOptions{TxWorkers: *workers, ResumeDir: *resume, FsyncCheckpoint: *fsync,
-			SpoolSnapshotEvery: *snapEvery, Logger: logger, ProgressEvery: *progress},
+			Logger: logger, ProgressEvery: *progress},
 	)
 	if err != nil {
 		logger.Error("crawl", "err", err)
@@ -152,7 +144,7 @@ func main() {
 		logger.Warn("dataset validation", "err", err)
 	}
 
-	saveOpts := []dataset.SaveOption{dataset.WithFormat(outFormat)}
+	var saveOpts []dataset.SaveOption
 	if *fsync {
 		saveOpts = append(saveOpts, dataset.WithSync())
 	}
@@ -160,5 +152,5 @@ func main() {
 		logger.Error("save", "err", err)
 		os.Exit(1)
 	}
-	logger.Info("dataset written", "dir", *out, "format", outFormat)
+	logger.Info("dataset written", "dir", *out)
 }

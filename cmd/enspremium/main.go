@@ -4,8 +4,9 @@
 // dropcatcher (or a defender estimating exposure) would use.
 //
 // The expiry comes either from -expiry directly, or from a persisted
-// dataset: with -data, the tool loads the dataset (JSONL directory or
-// binary snapshot), looks up -label, and uses its final on-chain expiry.
+// dataset: with -data, the tool loads the dataset (a directory holding
+// dataset.bin, or a snapshot file), looks up -label, and uses its final
+// on-chain expiry.
 //
 // Examples:
 //
@@ -34,7 +35,7 @@ import (
 func main() {
 	var (
 		expiryStr   = flag.String("expiry", "", "expiry date (YYYY-MM-DD; required unless -data is given)")
-		dataPath    = flag.String("data", "", "dataset (JSONL directory or binary snapshot); -label's recorded expiry is used instead of -expiry")
+		dataPath    = flag.String("data", "", "dataset (a directory holding dataset.bin, or a snapshot file); -label's recorded expiry is used instead of -expiry")
 		label       = flag.String("label", "example", "label, for the base-rent tier (and the dataset lookup with -data)")
 		stepHours   = flag.Int("step", 24, "schedule step in hours")
 		metricsAddr = flag.String("metrics-addr", "", "after printing, keep serving /metrics and /debug/pprof on this address until interrupted (for profiling)")

@@ -132,7 +132,7 @@ func main() {
 			logger.Error("snapshot dataset", "err", err)
 			os.Exit(1)
 		}
-		if err := ds.SaveSnapshot(*snapshot, dataset.WithFormat(dataset.FormatBinary)); err != nil {
+		if err := ds.SaveSnapshot(*snapshot); err != nil {
 			logger.Error("snapshot save", "err", err)
 			os.Exit(1)
 		}

@@ -121,7 +121,7 @@ func TestWorldCrawlAnalyzePipelineCLI(t *testing.T) {
 	if out, err := crawl.CombinedOutput(); err != nil {
 		t.Fatalf("enscrawl: %v\n%s", err, out)
 	}
-	if _, err := os.Stat(filepath.Join(dataDir, "meta.json")); err != nil {
+	if _, err := os.Stat(filepath.Join(dataDir, "dataset.bin")); err != nil {
 		t.Fatalf("dataset not written: %v", err)
 	}
 

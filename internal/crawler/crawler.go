@@ -1,7 +1,6 @@
 // Package crawler provides the machinery behind the paper's data
 // collection (Figure 1): token-bucket rate limiting, retry with exponential
-// backoff and jitter, bounded worker pools, and append-only checkpoints so
-// multi-hour crawls resume where they stopped. It also owns the crawl's
+// backoff and jitter, and bounded worker pools. It also owns the crawl's
 // transport: Call runs every request of the subgraph, Etherscan, and
 // OpenSea clients through one pipeline (breaker, pacing, send, body
 // read, status classification, decode) under each client's embedded
@@ -9,19 +8,16 @@
 package crawler
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
-	"os"
 	"strconv"
 	"sync"
 	"time"
 
 	"ensdropcatch/internal/trace"
-	"ensdropcatch/internal/vfs"
 )
 
 // Limiter is a token-bucket rate limiter. The zero value is invalid; use
@@ -426,118 +422,4 @@ feed:
 	close(jobs)
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// Checkpoint is an append-only set of completed item ids persisted to
-// disk, one id per line. Reopening a checkpoint resumes the crawl.
-type Checkpoint struct {
-	mu   sync.Mutex
-	done map[string]bool
-	f    vfs.File
-	w    *bufio.Writer
-	sync bool
-}
-
-// checkpointConfig collects OpenCheckpoint options; the fs must be
-// known before the file is opened, so options apply to this rather
-// than to the Checkpoint itself.
-type checkpointConfig struct {
-	sync bool
-	fs   vfs.FS
-}
-
-// CheckpointOption tunes OpenCheckpoint.
-type CheckpointOption func(*checkpointConfig)
-
-// WithSync makes every Mark fsync the checkpoint file, so a completed id
-// survives power loss — not just process death — at the cost of one disk
-// sync per item. Opt-in: crawls that can afford to re-crawl a tail of
-// addresses keep the cheap default.
-func WithSync() CheckpointOption {
-	return func(c *checkpointConfig) { c.sync = true }
-}
-
-// WithFS opens and writes the checkpoint through fsys (default
-// vfs.OS), so chaos tests can inject disk faults into Mark's
-// durability path.
-func WithFS(fsys vfs.FS) CheckpointOption {
-	return func(c *checkpointConfig) { c.fs = fsys }
-}
-
-// OpenCheckpoint loads (or creates) the checkpoint at path.
-func OpenCheckpoint(path string, opts ...CheckpointOption) (*Checkpoint, error) {
-	var cfg checkpointConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	f, err := vfs.OrOS(cfg.fs).OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("crawler: open checkpoint: %w", err)
-	}
-	cp := &Checkpoint{done: make(map[string]bool), f: f, sync: cfg.sync}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		if line := sc.Text(); line != "" {
-			cp.done[line] = true
-		}
-	}
-	if err := sc.Err(); err != nil {
-		_ = f.Close() // the read error is the failure being reported
-		return nil, fmt.Errorf("crawler: read checkpoint: %w", err)
-	}
-	if _, err := f.Seek(0, 2); err != nil {
-		_ = f.Close() // the seek error is the failure being reported
-		return nil, fmt.Errorf("crawler: seek checkpoint: %w", err)
-	}
-	cp.w = bufio.NewWriter(f)
-	return cp, nil
-}
-
-// Done reports whether id was already processed.
-func (c *Checkpoint) Done(id string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.done[id]
-}
-
-// Count returns the number of completed ids.
-func (c *Checkpoint) Count() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.done)
-}
-
-// Mark records id as processed and flushes it to disk.
-func (c *Checkpoint) Mark(id string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.done[id] {
-		return nil
-	}
-	c.done[id] = true
-	if _, err := c.w.WriteString(id + "\n"); err != nil {
-		return fmt.Errorf("crawler: write checkpoint: %w", err)
-	}
-	m().checkpointMarks.Inc()
-	if err := c.w.Flush(); err != nil {
-		return err
-	}
-	if c.sync {
-		if err := c.f.Sync(); err != nil {
-			return fmt.Errorf("crawler: sync checkpoint: %w", err)
-		}
-	}
-	return nil
-}
-
-// Close flushes and closes the underlying file.
-func (c *Checkpoint) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.w.Flush(); err != nil {
-		_ = c.f.Close() // the flush error is the failure being reported
-		return err
-	}
-	return c.f.Close()
 }

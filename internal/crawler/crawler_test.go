@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -185,70 +184,5 @@ func TestForEachConcurrencyBounded(t *testing.T) {
 	}
 	if p := peak.Load(); p > 5 {
 		t.Errorf("peak concurrency %d > 5", p)
-	}
-}
-
-func TestCheckpointResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp.txt")
-	cp, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{"a", "b", "c", "b"} {
-		if err := cp.Mark(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cp.Count() != 3 {
-		t.Errorf("count = %d, want 3", cp.Count())
-	}
-	if err := cp.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	cp2, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp2.Close()
-	if !cp2.Done("a") || !cp2.Done("c") || cp2.Done("z") {
-		t.Error("resume lost state")
-	}
-	if err := cp2.Mark("d"); err != nil {
-		t.Fatal(err)
-	}
-	if cp2.Count() != 4 {
-		t.Errorf("count after resume = %d", cp2.Count())
-	}
-}
-
-func TestCheckpointConcurrentMarks(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp.txt")
-	cp, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				cp.Mark(fmt.Sprintf("id-%d-%d", w, i))
-			}
-		}(w)
-	}
-	wg.Wait()
-	if cp.Count() != 800 {
-		t.Errorf("count = %d, want 800", cp.Count())
-	}
-	cp.Close()
-	cp2, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp2.Close()
-	if cp2.Count() != 800 {
-		t.Errorf("reloaded count = %d, want 800", cp2.Count())
 	}
 }

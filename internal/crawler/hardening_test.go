@@ -3,8 +3,6 @@ package crawler
 import (
 	"context"
 	"errors"
-	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -209,71 +207,5 @@ func TestForEachFailsFast(t *testing.T) {
 	calls.Range(func(_, _ any) bool { n++; return true })
 	if n > 1000 {
 		t.Errorf("fail-fast processed %d items", n)
-	}
-}
-
-func TestCheckpointWithSyncPersists(t *testing.T) {
-	withTestMetrics(t)
-	path := filepath.Join(t.TempDir(), "cp.sync")
-	cp, err := OpenCheckpoint(path, WithSync())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{"a", "b"} {
-		if err := cp.Mark(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cp2, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp2.Close()
-	if !cp2.Done("a") || !cp2.Done("b") || cp2.Count() != 2 {
-		t.Errorf("synced checkpoint lost state: count=%d", cp2.Count())
-	}
-}
-
-// TestForEachConcurrentCheckpointMark drives ForEach workers into a
-// shared checkpoint, the exact shape of the resumable crawl's hot path;
-// run under -race it guards the Mark/Done locking.
-func TestForEachConcurrentCheckpointMark(t *testing.T) {
-	withTestMetrics(t)
-	path := filepath.Join(t.TempDir(), "cp.race")
-	cp, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	items := make([]int, 500)
-	for i := range items {
-		items[i] = i
-	}
-	err = ForEach(context.Background(), 8, items, func(ctx context.Context, i int) error {
-		id := fmt.Sprintf("id-%d", i)
-		if cp.Done(id) {
-			return fmt.Errorf("id %s done before mark", id)
-		}
-		if err := cp.Mark(id); err != nil {
-			return err
-		}
-		cp.Count()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cp2, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp2.Close()
-	if cp2.Count() != len(items) {
-		t.Errorf("reloaded %d marks, want %d", cp2.Count(), len(items))
 	}
 }

@@ -15,7 +15,6 @@ type metricSet struct {
 	workersActive   *obs.Gauge
 	itemsDone       *obs.Counter
 	itemErrors      *obs.Counter
-	checkpointMarks *obs.Counter
 	breakerState    *obs.GaugeVec
 	breakerOpens    *obs.CounterVec
 	breakerRejects  *obs.CounterVec
@@ -55,8 +54,6 @@ func InitMetrics(reg *obs.Registry) {
 			"Items successfully processed by ForEach."),
 		itemErrors: reg.Counter("crawler_foreach_item_errors_total",
 			"Items whose ForEach callback returned an error."),
-		checkpointMarks: reg.Counter("crawler_checkpoint_marks_total",
-			"New ids marked complete in checkpoints."),
 		breakerState: reg.GaugeVec("crawler_breaker_state",
 			"Circuit breaker position per source (0 closed, 1 half-open, 2 open).", "source"),
 		breakerOpens: reg.CounterVec("crawler_breaker_opens_total",

@@ -3,7 +3,6 @@ package crawler
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -79,24 +78,6 @@ func TestForEachRecordsItemsAndErrors(t *testing.T) {
 	}
 	if got := reg.Gauge("crawler_foreach_workers_active", "").Value(); got != 0 {
 		t.Errorf("workers active after run = %v, want 0", got)
-	}
-}
-
-func TestCheckpointRecordsMarks(t *testing.T) {
-	reg := withTestRegistry(t)
-	cp, err := OpenCheckpoint(filepath.Join(t.TempDir(), "cp"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp.Close()
-	for _, id := range []string{"a", "b", "a"} {
-		if err := cp.Mark(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Duplicate marks are not new completions.
-	if got := reg.Counter("crawler_checkpoint_marks_total", "").Value(); got != 2 {
-		t.Errorf("marks = %d, want 2", got)
 	}
 }
 

@@ -12,9 +12,10 @@ import (
 	"ensdropcatch/internal/vfs"
 )
 
-// Binary columnar snapshot (dataset.bin), the format behind
-// FormatBinary and SaveSnapshot. Layout (all integers via the codec
-// package: varints for values, little-endian fixed widths for framing):
+// Binary columnar snapshot (dataset.bin), the dataset's only on-disk
+// format, written by Save and SaveSnapshot. Layout (all integers via the
+// codec package: varints for values, little-endian fixed widths for
+// framing):
 //
 //	magic "ENSDSB1\n" · version u16 · section count u8
 //	5 × section: id u8 · row count u64 · payload length u64 · payload
@@ -28,6 +29,8 @@ import (
 // declared up front and the decoder consumes every payload exactly, so
 // truncating the file at any byte — or tampering with any count — fails
 // decode by construction rather than silently shortening the dataset.
+// The resume spool (resume.go) stores its rows in the same tx column
+// encoding and carries binVersion too, so it follows every bump.
 const binVersion = 1
 
 var (
@@ -230,7 +233,7 @@ func decodeMeta(r *codec.Reader, rows int, ds *Dataset) error {
 	}
 	got := readAddrs(ds.Coinbase) + readAddrs(ds.OtherCustodial)
 	if r.Err() == nil && got != rows {
-		return &CountMismatchError{File: binFile + " (meta)", Got: got, Want: rows}
+		return fmt.Errorf("%w: meta section declares %d custodial addresses, holds %d", ErrCorrupt, rows, got)
 	}
 	return nil
 }

@@ -47,22 +47,17 @@ type BuildOptions struct {
 	TxWorkers int
 	// MarketWorkers is the concurrency of the marketplace crawl.
 	MarketWorkers int
-	// ResumeDir, when set, makes the transaction crawl resumable: results
-	// spool to this directory and completed addresses are checkpointed,
-	// so an interrupted crawl restarts where it stopped.
+	// ResumeDir, when set, makes the transaction crawl resumable: each
+	// finished address appends a checksummed record to a spool in this
+	// directory, so an interrupted crawl restarts where it stopped.
 	ResumeDir string
-	// FsyncCheckpoint syncs the spool and checkpoint to disk at every
-	// completed address, making resume state survive power loss rather
-	// than just process death. Opt-in: it costs two fsyncs per address.
+	// FsyncCheckpoint syncs the spool to disk at every finished address,
+	// making resume state survive power loss rather than just process
+	// death. Opt-in: it costs one fsync per finished address.
 	FsyncCheckpoint bool
-	// SpoolSnapshotEvery writes a binary spool snapshot every that many
-	// completed addresses, so resume replays only the spool tail instead
-	// of re-parsing the whole JSONL spool. 0 defaults to 256; negative
-	// disables snapshots.
-	SpoolSnapshotEvery int
-	// FS routes the resumable crawl's spool, snapshot, and checkpoint
-	// writes through an injectable filesystem (nil uses vfs.OS). Chaos
-	// tests pass a vfs.Faulty to exercise crash recovery.
+	// FS routes the resumable crawl's spool writes through an injectable
+	// filesystem (nil uses vfs.OS). Chaos tests pass a vfs.Faulty to
+	// exercise crash recovery.
 	FS vfs.FS
 	// Logger receives progress; nil disables logging.
 	Logger *slog.Logger
@@ -80,9 +75,6 @@ func (o *BuildOptions) defaults() {
 	}
 	if o.MarketWorkers <= 0 {
 		o.MarketWorkers = 4
-	}
-	if o.SpoolSnapshotEvery == 0 {
-		o.SpoolSnapshotEvery = 256
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)
@@ -135,6 +127,13 @@ var eventFields = []string{"type", "label", "labelName", "registrant", "newOwner
 // labels, and marketplace events for names registered more than once.
 func Build(ctx context.Context, regs RegistrationSource, txs TxSource, market MarketSource, opts BuildOptions) (*Dataset, error) {
 	opts.defaults()
+	if opts.ResumeDir != "" {
+		// Refuse an older layout's resume state before the first request,
+		// not after the subgraph and label stages.
+		if err := refuseLegacyResume(opts.ResumeDir); err != nil {
+			return nil, err
+		}
+	}
 	bm := newBuildMetrics(opts.Obs)
 	ds := New(opts.Start, opts.End)
 
@@ -228,7 +227,7 @@ func Build(ctx context.Context, regs RegistrationSource, txs TxSource, market Ma
 
 	var mu sync.Mutex
 	if opts.ResumeDir != "" {
-		err = crawlTxsResumable(ctx, opts.ResumeDir, txs, addrs, opts.TxWorkers, ds, onAddressDone, opts.FsyncCheckpoint, opts.SpoolSnapshotEvery, opts.FS)
+		err = crawlTxsResumable(ctx, opts.ResumeDir, txs, addrs, opts.TxWorkers, ds, onAddressDone, opts.FsyncCheckpoint, opts.FS)
 	} else {
 		seen := map[ethtypes.Hash]bool{}
 		err = crawler.ForEach(ctx, opts.TxWorkers, addrs, func(ctx context.Context, addr ethtypes.Address) error {

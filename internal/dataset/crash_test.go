@@ -3,11 +3,13 @@ package dataset
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ensdropcatch/internal/etherscan"
@@ -17,17 +19,15 @@ import (
 )
 
 // crashFixture runs one clean resumable Build and hands back everything a
-// crash test needs to damage and re-run it: the spool/checkpoint bytes,
-// the final entry's boundaries, and the ground-truth transaction set.
+// crash test needs to damage and re-run it: the spool bytes, the final
+// record's boundaries, and the ground-truth transaction set.
 type crashFixture struct {
 	store     *subgraph.Store
 	chainSrc  *ChainSource
 	market    *MarketEventsSource
 	opts      BuildOptions
 	spool     []byte
-	cp        []byte
-	lastStart int    // byte offset where the final spool line begins
-	lastAddr  string // address of the final spool entry
+	lastStart int // byte offset where the final spool record begins
 	wantTxs   map[ethtypes.Hash]bool
 }
 
@@ -53,47 +53,41 @@ func newCrashFixture(t *testing.T) *crashFixture {
 		fx.wantTxs[tx.Hash] = true
 	}
 
-	fx.spool, err = os.ReadFile(filepath.Join(dir, spoolFile))
+	spool, err := os.ReadFile(filepath.Join(dir, spoolFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx.cp, err = os.ReadFile(filepath.Join(dir, checkpointFile))
-	if err != nil {
-		t.Fatal(err)
+	recs, end, err := replaySpool(spool)
+	if err != nil || end != len(spool) {
+		t.Fatalf("clean spool replays to %d of %d bytes: %v", end, len(spool), err)
 	}
-	// Spool line order is irrelevant to recovery, and any entry can be the
-	// one a crash tears. Move the shortest entry to the end so the
-	// every-byte tear sweep stays fast while still crossing every boundary
-	// class (inside the address, after it, mid-JSON, missing newline).
-	lines := bytes.Split(bytes.TrimRight(fx.spool, "\n"), []byte("\n"))
+	// Record order is irrelevant to recovery, and any record can be the
+	// one a crash tears. Move the shortest record to the end so the
+	// every-byte tear sweep stays fast while still crossing every
+	// boundary class (length, checksum, address, row columns).
 	shortest := 0
-	for i, l := range lines {
-		if len(l) < len(lines[shortest]) {
+	for i, r := range recs {
+		if r.end-r.off < recs[shortest].end-recs[shortest].off {
 			shortest = i
 		}
 	}
-	last := append(append([]byte(nil), lines[shortest]...), '\n')
-	lines = append(lines[:shortest], lines[shortest+1:]...)
-	fx.spool = append(bytes.Join(lines, []byte("\n")), '\n')
-	fx.lastStart = len(fx.spool)
-	fx.spool = append(fx.spool, last...)
-	var entry spoolEntry
-	if err := json.Unmarshal(last, &entry); err != nil {
-		t.Fatalf("decode final spool line: %v", err)
+	fx.spool = append([]byte(nil), spool[:spoolHeaderLen]...)
+	for i, r := range recs {
+		if i != shortest {
+			fx.spool = append(fx.spool, spool[r.off:r.end]...)
+		}
 	}
-	fx.lastAddr = entry.Address
+	fx.lastStart = len(fx.spool)
+	fx.spool = append(fx.spool, spool[recs[shortest].off:recs[shortest].end]...)
 	return fx
 }
 
-// restore writes damaged spool/checkpoint bytes into a fresh resume dir
-// and returns BuildOptions pointed at it.
-func (fx *crashFixture) restore(t *testing.T, spool, cp []byte) BuildOptions {
+// restore writes damaged spool bytes into a fresh resume dir and returns
+// BuildOptions pointed at it.
+func (fx *crashFixture) restore(t *testing.T, spool []byte) BuildOptions {
 	t.Helper()
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, spoolFile), spool, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, checkpointFile), cp, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	opts := fx.opts
@@ -101,91 +95,134 @@ func (fx *crashFixture) restore(t *testing.T, spool, cp []byte) BuildOptions {
 	return opts
 }
 
-// cpWithout returns the checkpoint bytes with addr's line removed — the
-// on-disk state after a crash that tore the spool write before Mark ran.
-func (fx *crashFixture) cpWithout(t *testing.T, addr string) []byte {
-	t.Helper()
-	var out []byte
-	found := false
-	for _, line := range strings.Split(strings.TrimRight(string(fx.cp), "\n"), "\n") {
-		if line == addr {
-			found = true
-			continue
-		}
-		out = append(out, line...)
-		out = append(out, '\n')
-	}
-	if !found {
-		t.Fatalf("address %s not in checkpoint", addr)
-	}
-	return out
-}
-
 func (fx *crashFixture) build(t *testing.T, opts BuildOptions) (*Dataset, error) {
 	t.Helper()
 	return Build(context.Background(), &StoreSource{Store: fx.store}, fx.chainSrc, fx.market, opts)
 }
 
+// checkConverged fails unless ds holds exactly the clean crawl's
+// transactions and the resume left a spool that replays whole.
+func (fx *crashFixture) checkConverged(t *testing.T, what string, ds *Dataset, opts BuildOptions) {
+	t.Helper()
+	if len(ds.Txs) != len(fx.wantTxs) {
+		t.Fatalf("%s: %d txs, want %d", what, len(ds.Txs), len(fx.wantTxs))
+	}
+	for _, tx := range ds.Txs {
+		if !fx.wantTxs[tx.Hash] {
+			t.Fatalf("%s: unexpected tx %s", what, tx.Hash)
+		}
+	}
+	spool, err := os.ReadFile(filepath.Join(opts.ResumeDir, spoolFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, end, err := replaySpool(spool); err != nil || end != len(spool) {
+		t.Fatalf("%s: healed spool replays to %d of %d bytes: %v", what, end, len(spool), err)
+	}
+}
+
 // TestResumeConvergesFromSpoolTornAtEveryByte simulates the real crash
-// footprint — the final spool write torn at an arbitrary byte, Mark never
-// reached — at every possible tear position in the last entry, and
-// asserts the resumed Build recovers and converges to the clean dataset.
-// On pre-fix code every one of these tears hard-failed the resume.
+// footprint — the final record's append torn at an arbitrary byte — at
+// every possible tear position, both as a short file and as a file whose
+// torn remainder reads back as zeros (a size update that reached disk
+// before the data did), and asserts the resumed Build recovers and
+// converges to the clean dataset.
 func TestResumeConvergesFromSpoolTornAtEveryByte(t *testing.T) {
 	fx := newCrashFixture(t)
-	cp := fx.cpWithout(t, fx.lastAddr)
 	lastLen := len(fx.spool) - fx.lastStart
-	t.Logf("final entry %s: %d bytes at offset %d", fx.lastAddr, lastLen, fx.lastStart)
+	t.Logf("final record: %d bytes at offset %d", lastLen, fx.lastStart)
 
-	// cut == lastStart drops the entry cleanly; every larger cut leaves a
-	// torn prefix (including len(spool)-1: the full line minus only its
-	// newline, which still decodes but must be treated as torn).
+	// cut == lastStart drops the record cleanly; every larger cut leaves
+	// a torn prefix.
 	for cut := fx.lastStart; cut < len(fx.spool); cut++ {
-		opts := fx.restore(t, fx.spool[:cut], cp)
-		ds, err := fx.build(t, opts)
-		if err != nil {
-			t.Fatalf("cut at byte %d of %d: resume failed: %v", cut-fx.lastStart, lastLen, err)
-		}
-		if len(ds.Txs) != len(fx.wantTxs) {
-			t.Fatalf("cut at byte %d: %d txs, want %d", cut-fx.lastStart, len(ds.Txs), len(fx.wantTxs))
-		}
-		for _, tx := range ds.Txs {
-			if !fx.wantTxs[tx.Hash] {
-				t.Fatalf("cut at byte %d: unexpected tx %s", cut-fx.lastStart, tx.Hash)
+		torn := fx.spool[:cut]
+		zeroed := append(append([]byte(nil), torn...), make([]byte, len(fx.spool)-cut)...)
+		for _, tc := range []struct {
+			name  string
+			spool []byte
+		}{{"cut", torn}, {"zero-filled", zeroed}} {
+			what := fmt.Sprintf("%s at byte %d of %d", tc.name, cut-fx.lastStart, lastLen)
+			opts := fx.restore(t, tc.spool)
+			ds, err := fx.build(t, opts)
+			if err != nil {
+				t.Fatalf("%s: resume failed: %v", what, err)
 			}
+			fx.checkConverged(t, what, ds, opts)
 		}
 	}
 }
 
-// A torn final line whose address the checkpoint claims durable is not a
-// crash tail — it is lost data, and resume must refuse to paper over it.
-func TestResumeRefusesTornCheckpointedEntry(t *testing.T) {
-	fx := newCrashFixture(t)
-	// Tear the line but keep enough prefix that the address is readable.
-	cut := fx.lastStart + len(`{"address":"`) + len(fx.lastAddr) + 2
-	opts := fx.restore(t, fx.spool[:cut], fx.cp)
-	_, err := fx.build(t, opts)
-	if !errors.Is(err, ErrSpoolCorrupt) {
-		t.Fatalf("err = %v, want ErrSpoolCorrupt", err)
-	}
-}
-
-// Corruption on a non-final line can never be a mid-write crash tail;
-// resume must hard-fail rather than silently drop checkpointed data.
-func TestResumeRefusesCorruptMiddleLine(t *testing.T) {
+// A flipped payload byte in a non-final record can never be a
+// mid-append crash tail: later records were written after it. Resume
+// must hard-fail rather than silently re-crawl or drop finished data.
+func TestResumeRefusesCorruptMiddleRecord(t *testing.T) {
 	fx := newCrashFixture(t)
 	spool := append([]byte(nil), fx.spool...)
-	// Smash the first line's JSON without touching its newline.
-	end := bytes.IndexByte(spool, '\n')
-	if end < 8 {
-		t.Fatal("first spool line implausibly short")
-	}
-	copy(spool[1:5], "!!!!")
-	opts := fx.restore(t, spool, fx.cp)
+	// The first record's payload starts after the spool and record
+	// headers; flip a byte inside its address.
+	spool[spoolHeaderLen+recordHeaderLen+3] ^= 0x40
+	opts := fx.restore(t, spool)
 	_, err := fx.build(t, opts)
 	if !errors.Is(err, ErrSpoolCorrupt) {
 		t.Fatalf("err = %v, want ErrSpoolCorrupt", err)
 	}
+}
+
+// The spool header: one shorter than the header is reset, a wrong magic
+// is corruption, and another version is a version error, not corruption.
+func TestReplaySpoolHeader(t *testing.T) {
+	header := binary.LittleEndian.AppendUint16(append([]byte(nil), spoolMagic...), binVersion)
+	for cut := 0; cut < len(header); cut++ {
+		if recs, end, err := replaySpool(header[:cut]); err != nil || end != 0 || recs != nil {
+			t.Fatalf("%d-byte spool: (%d records, end %d, %v), want a reset", cut, len(recs), end, err)
+		}
+	}
+	if recs, end, err := replaySpool(header); err != nil || end != len(header) || len(recs) != 0 {
+		t.Fatalf("bare header: (%d records, end %d, %v), want none up to %d", len(recs), end, err, len(header))
+	}
+	badMagic := bytes.Clone(header)
+	badMagic[0] ^= 0xff
+	if _, _, err := replaySpool(badMagic); !errors.Is(err, ErrSpoolCorrupt) {
+		t.Fatalf("bad magic: err = %v, want ErrSpoolCorrupt", err)
+	}
+	newer := binary.LittleEndian.AppendUint16(append([]byte(nil), spoolMagic...), binVersion+1)
+	if _, _, err := replaySpool(newer); err == nil || errors.Is(err, ErrSpoolCorrupt) || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("version %d: err = %v, want a version error", binVersion+1, err)
+	}
+}
+
+// A resume directory holding the older layout's spool or checkpoint is
+// refused before any request, with an error naming the file, so an
+// interrupted crawl is never silently restarted from zero.
+func TestResumeRefusesLegacyLayoutBeforeAnyRequest(t *testing.T) {
+	fx := newCrashFixture(t)
+	for _, name := range legacyResumeFiles {
+		opts := fx.restore(t, nil)
+		path := filepath.Join(opts.ResumeDir, name)
+		if err := os.WriteFile(path, []byte("0xabc\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		regs := &countingRegs{inner: &StoreSource{Store: fx.store}}
+		txs := &recordingSource{inner: fx.chainSrc}
+		_, err := Build(context.Background(), regs, txs, fx.market, opts)
+		if err == nil || !strings.Contains(err.Error(), path) {
+			t.Fatalf("%s: err = %v, want one naming %s", name, err, path)
+		}
+		if regs.calls.Load() != 0 || len(txs.addrs) != 0 {
+			t.Fatalf("%s: %d subgraph and %d txlist requests before refusing", name, regs.calls.Load(), len(txs.addrs))
+		}
+	}
+}
+
+// countingRegs counts PageAll calls.
+type countingRegs struct {
+	inner RegistrationSource
+	calls atomic.Int64
+}
+
+func (c *countingRegs) PageAll(ctx context.Context, collection string, fields []string) ([]subgraph.Entity, error) {
+	c.calls.Add(1)
+	return c.inner.PageAll(ctx, collection, fields)
 }
 
 func validLabelRow(typ string) subgraph.Entity {

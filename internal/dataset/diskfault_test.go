@@ -3,8 +3,11 @@ package dataset
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
+	"ensdropcatch/internal/etherscan"
+	"ensdropcatch/internal/ethtypes"
 	"ensdropcatch/internal/subgraph"
 	"ensdropcatch/internal/vfs"
 	"ensdropcatch/internal/world"
@@ -15,8 +18,7 @@ import (
 // corruption.
 
 // grow returns a copy-ish second generation with one more transaction,
-// so the two generations have different section counts and a
-// mixed-generation directory is detectable by Load's cross-checks.
+// so the two generations have different fingerprints.
 func grow(t *testing.T, ds *Dataset) *Dataset {
 	t.Helper()
 	extra := *ds.Txs[0]
@@ -74,34 +76,8 @@ func TestSaveWriteFaultSurfacesTyped(t *testing.T) {
 	}
 }
 
-// A crash between the section renames and the meta.json commit leaves a
-// mixed-generation directory that Load *detects* (count cross-check)
-// rather than silently serving shortened data.
-func TestSaveCrashBeforeMetaCommitIsDetectable(t *testing.T) {
-	dir := t.TempDir()
-	if err := tinyDataset(t).Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	gen2 := grow(t, tinyDataset(t))
-	fsys := vfs.NewFaulty(nil, vfs.FaultConfig{CrashAfter: map[string]int{"dataset.save.pre-meta": 1}})
-	if err := gen2.Save(dir, WithFS(fsys)); !errors.Is(err, vfs.ErrCrashed) {
-		t.Fatalf("save error = %v, want ErrCrashed", err)
-	}
-	// New sections, old meta: the counts disagree, so Load must refuse.
-	if _, err := Load(dir); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("mixed-generation load error = %v, want ErrCorrupt", err)
-	}
-	// The repair path is a clean re-save.
-	if err := gen2.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(dir); err != nil {
-		t.Fatalf("re-save did not repair: %v", err)
-	}
-}
-
-// A crash before the very first section's commit rename leaves the
-// previous generation fully intact.
+// A crash before the commit rename leaves the previous generation fully
+// intact.
 func TestSaveCrashBeforeFirstRenameLeavesOldDataset(t *testing.T) {
 	dir := t.TempDir()
 	if err := tinyDataset(t).Save(dir); err != nil {
@@ -142,14 +118,13 @@ func buildWorld(t *testing.T, domains int) (*StoreSource, *ChainSource, *MarketE
 	return &StoreSource{Store: store}, chainSrc, market, opts
 }
 
-// A short write tears the spool's final line mid-crawl; the next resume
-// truncates the torn tail and re-crawls the lost address — the
+// A short write tears the spool's final record mid-crawl; the next
+// resume truncates the torn tail and re-crawls the lost address — the
 // "healed by resume" half of the disk-fault contract.
 func TestResumableCrawlHealsTornSpoolWrite(t *testing.T) {
 	store, chainSrc, market, opts := buildWorld(t, 120)
 	dir := t.TempDir()
 	opts.ResumeDir = dir
-	opts.SpoolSnapshotEvery = -1
 
 	opts.FS = vfs.NewFaulty(nil, vfs.FaultConfig{Seed: 2, ShortWriteRate: 1})
 	_, err := Build(context.Background(), store, chainSrc, market, opts)
@@ -175,23 +150,38 @@ func TestResumableCrawlHealsTornSpoolWrite(t *testing.T) {
 	}
 }
 
-// A crash in the spooled-but-not-checkpointed window loses nothing: the
-// address is simply re-crawled on resume.
-func TestResumableCrawlHealsCrashBeforeCheckpointMark(t *testing.T) {
+// A crash right after a record's append loses nothing and repeats
+// nothing: the record that made it to disk proves its address done, so
+// resume converges without crawling that address again.
+func TestResumableCrawlHealsCrashAfterSpoolAppend(t *testing.T) {
 	store, chainSrc, market, opts := buildWorld(t, 120)
 	dir := t.TempDir()
 	opts.ResumeDir = dir
 
-	opts.FS = vfs.NewFaulty(nil, vfs.FaultConfig{CrashAfter: map[string]int{"dataset.spool.pre-mark": 30}})
-	_, err := Build(context.Background(), store, chainSrc, market, opts)
+	// TxWorkers is 1, so the 30th TxList call's address is the one
+	// whose append the crash follows.
+	first := &recordingSource{inner: chainSrc}
+	opts.FS = vfs.NewFaulty(nil, vfs.FaultConfig{CrashAfter: map[string]int{"dataset.spool.post-append": 30}})
+	_, err := Build(context.Background(), store, first, market, opts)
 	if !errors.Is(err, vfs.ErrCrashed) {
 		t.Fatalf("crashed build error = %v, want ErrCrashed", err)
 	}
+	if len(first.addrs) != 30 {
+		t.Fatalf("crawl made %d TxList calls before the crash, want 30", len(first.addrs))
+	}
 
 	opts.FS = nil
-	ds, err := Build(context.Background(), store, chainSrc, market, opts)
+	second := &recordingSource{inner: chainSrc}
+	ds, err := Build(context.Background(), store, second, market, opts)
 	if err != nil {
 		t.Fatalf("resume after crash: %v", err)
+	}
+	for _, a := range second.addrs {
+		for _, b := range first.addrs {
+			if a == b {
+				t.Fatalf("resume re-crawled %s, whose record was appended before the crash", a)
+			}
+		}
 	}
 	fresh := opts
 	fresh.ResumeDir = ""
@@ -202,6 +192,24 @@ func TestResumableCrawlHealsCrashBeforeCheckpointMark(t *testing.T) {
 	if len(ds.Txs) != len(want.Txs) {
 		t.Fatalf("healed crawl has %d txs, fresh crawl %d", len(ds.Txs), len(want.Txs))
 	}
+}
+
+// recordingSource records the addresses TxList is asked for.
+type recordingSource struct {
+	inner TxSource
+	mu    sync.Mutex
+	addrs []ethtypes.Address
+}
+
+func (r *recordingSource) TxList(ctx context.Context, addr ethtypes.Address) ([]etherscan.TxRecord, error) {
+	r.mu.Lock()
+	r.addrs = append(r.addrs, addr)
+	r.mu.Unlock()
+	return r.inner.TxList(ctx, addr)
+}
+
+func (r *recordingSource) FetchLabels(ctx context.Context) (etherscan.Labels, error) {
+	return r.inner.FetchLabels(ctx)
 }
 
 // Fsync faults under FsyncCheckpoint surface typed instead of silently

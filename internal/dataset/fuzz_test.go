@@ -5,12 +5,13 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 
-	"ensdropcatch/internal/vfs"
+	"ensdropcatch/internal/subgraph"
 	"ensdropcatch/internal/world"
 )
 
@@ -97,75 +98,101 @@ func snapshotBytes(f *testing.F, ds *Dataset) []byte {
 	return data
 }
 
-// FuzzLoadSpoolSnapshot mutates spool snapshots, the cache a resumed
-// crawl reads before replaying the spool tail. Each input must decode
-// to rows or fail with an error wrapping ErrCorrupt (or a version
-// mismatch); it must never panic or allocate more than the bound
+// FuzzReplaySpool runs resume's spool recovery on hostile bytes. Each
+// input must yield records that tile the file from its header to a
+// record boundary (the valid prefix, which replays whole on its own), or
+// fail with ErrSpoolCorrupt, or with a version error for a header of
+// another version; it must never panic or allocate more than the bound
 // FuzzLoadSnapshot sets by input length.
-func FuzzLoadSpoolSnapshot(f *testing.F) {
-	res, err := world.Generate(world.DefaultConfig(50))
-	if err != nil {
-		f.Fatal(err)
-	}
-	ds, err := FromWorld(context.Background(), res, BuildOptions{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	path := filepath.Join(f.TempDir(), spoolSnapFile)
-	if err := writeSpoolSnapshot(vfs.OS, path, ds.Txs, 4096, false); err != nil {
-		f.Fatal(err)
-	}
-	full, err := os.ReadFile(path)
-	if err != nil {
-		f.Fatal(err)
+func FuzzReplaySpool(f *testing.F) {
+	full := realSpool(f)
+	recs, end, err := replaySpool(full)
+	if err != nil || end != len(full) || len(recs) < 2 {
+		f.Fatalf("seed spool: %d records replay to %d of %d bytes: %v", len(recs), end, len(full), err)
 	}
 	f.Add(full)
 
-	// Cut inside the header, after it, mid-columns and before the last
-	// footer byte; tamper with the covered offset, the row count and the
-	// version.
-	coveredAt := len(snapMagic) + 2
-	rowsAt := coveredAt + 8
-	for _, cut := range []int{len(snapMagic), rowsAt, rowsAt + 8, (rowsAt + len(full)) / 2, len(full) - 1} {
+	// Cuts: inside the header, inside a record header, mid-payload, one
+	// byte short; a zero-filled tail.
+	second := recs[1].off
+	for _, cut := range []int{0, len(spoolMagic), spoolHeaderLen + 3, second + recordHeaderLen/2, (second + recs[1].end) / 2, len(full) - 1} {
 		f.Add(full[:cut])
 	}
-	rows := binary.LittleEndian.Uint64(full[rowsAt:])
-	for _, tc := range []struct {
-		at int
-		v  uint64
-	}{{rowsAt, rows + 1}, {rowsAt, rows - 1}, {rowsAt, 1 << 62}, {coveredAt, 1 << 63}} {
+	f.Add(append(bytes.Clone(full[:second+5]), make([]byte, 64)...))
+	// A flipped checksum in the first and in the last record, a huge
+	// length, another version, a wrong magic.
+	for _, at := range []int{spoolHeaderLen + 4, recs[len(recs)-1].off + 4} {
 		mut := bytes.Clone(full)
-		binary.LittleEndian.PutUint64(mut[tc.at:], tc.v)
+		mut[at] ^= 0x01
 		f.Add(mut)
 	}
 	mut := bytes.Clone(full)
-	binary.LittleEndian.PutUint16(mut[len(snapMagic):], binVersion+1)
+	binary.LittleEndian.PutUint32(mut[spoolHeaderLen:], math.MaxUint32)
+	f.Add(mut)
+	mut = bytes.Clone(full)
+	binary.LittleEndian.PutUint16(mut[len(spoolMagic):], binVersion+1)
+	f.Add(mut)
+	mut = bytes.Clone(full)
+	mut[0] ^= 0xff
 	f.Add(mut)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		txs, covered, err := decodeSpoolSnapshot(data)
+		recs, end, err := replaySpool(data)
 		runtime.ReadMemStats(&after)
 		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+512*len(data)); grew > bound {
 			t.Fatalf("%d-byte input allocated %d bytes, bound %d", len(data), grew, bound)
 		}
 		if err != nil {
-			hdr := len(snapMagic) + 2
-			wrongVersion := len(data) >= hdr+16 && bytes.HasPrefix(data, snapMagic) &&
-				binary.LittleEndian.Uint16(data[len(snapMagic):]) != binVersion
-			if !errors.Is(err, ErrCorrupt) && !wrongVersion {
-				t.Fatalf("err = %v, want ErrCorrupt or a version mismatch", err)
+			wrongVersion := len(data) >= spoolHeaderLen && bytes.HasPrefix(data, spoolMagic) &&
+				binary.LittleEndian.Uint16(data[len(spoolMagic):]) != binVersion
+			if !errors.Is(err, ErrSpoolCorrupt) && !wrongVersion {
+				t.Fatalf("err = %v, want ErrSpoolCorrupt or a version mismatch", err)
 			}
 			return
 		}
-		if covered < 0 {
-			t.Fatalf("decoded a negative covered offset %d", covered)
-		}
-		for i, tx := range txs {
-			if tx == nil {
-				t.Fatalf("row %d decoded to nil", i)
+		if len(data) < spoolHeaderLen {
+			if end != 0 || len(recs) != 0 {
+				t.Fatalf("%d-byte spool: %d records to byte %d, want a reset", len(data), len(recs), end)
 			}
+			return
+		}
+		off := spoolHeaderLen
+		for i, r := range recs {
+			if r.off != off || r.end <= r.off {
+				t.Fatalf("record %d spans [%d, %d), want it to start at %d", i, r.off, r.end, off)
+			}
+			off = r.end
+		}
+		if end != off || end > len(data) {
+			t.Fatalf("valid prefix ends at %d, records at %d, input %d bytes", end, off, len(data))
+		}
+		again, end2, err := replaySpool(data[:end])
+		if err != nil || end2 != end || len(again) != len(recs) {
+			t.Fatalf("valid prefix replays to %d records and byte %d (%v), want %d and %d", len(again), end2, err, len(recs), end)
 		}
 	})
+}
+
+// realSpool runs a resumable crawl of a 50-domain world and returns the
+// spool it leaves.
+func realSpool(f *testing.F) []byte {
+	f.Helper()
+	res, err := world.Generate(world.DefaultConfig(50))
+	if err != nil {
+		f.Fatal(err)
+	}
+	dir := f.TempDir()
+	_, err = Build(context.Background(), &StoreSource{Store: subgraph.BuildIndex(res.Chain)},
+		&ChainSource{Chain: res.Chain, Labels: LabelsFromWorld(res)}, NewMarketEventsSource(res.OpenSea),
+		BuildOptions{Start: res.Config.Start, End: res.Config.End, ResumeDir: dir})
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, spoolFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data
 }

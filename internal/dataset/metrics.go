@@ -8,11 +8,8 @@ import (
 
 // metricSet holds the package's instrumentation handles.
 type metricSet struct {
-	parseErrors       *obs.Counter
-	spoolRecoveries   *obs.Counter
-	snapshotWrites    *obs.Counter
-	snapshotRestores  *obs.Counter
-	snapshotFallbacks *obs.Counter
+	parseErrors     *obs.Counter
+	spoolRecoveries *obs.Counter
 }
 
 var pkgMetrics atomic.Pointer[metricSet]
@@ -29,13 +26,7 @@ func InitMetrics(reg *obs.Registry) {
 		parseErrors: reg.Counter("dataset_parse_errors_total",
 			"Malformed numeric fields rejected while assembling the dataset."),
 		spoolRecoveries: reg.Counter("dataset_spool_recoveries_total",
-			"Truncated trailing spool entries dropped and re-crawled on resume."),
-		snapshotWrites: reg.Counter("dataset_spool_snapshot_writes_total",
-			"Spool snapshots written during the transaction crawl."),
-		snapshotRestores: reg.Counter("dataset_spool_snapshot_restores_total",
-			"Resumes that restored absorbed transactions from a spool snapshot."),
-		snapshotFallbacks: reg.Counter("dataset_spool_snapshot_fallbacks_total",
-			"Unusable spool snapshots discarded in favor of a full spool re-parse."),
+			"Torn trailing spool records dropped and re-crawled on resume."),
 	})
 }
 

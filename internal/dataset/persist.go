@@ -1,9 +1,7 @@
 package dataset
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -14,113 +12,42 @@ import (
 	"ensdropcatch/internal/vfs"
 )
 
-// On-disk layouts. FormatJSON is a directory with meta.json,
-// domains.jsonl, transactions.jsonl, subdomains.jsonl and market.jsonl:
-// streamable and diff-friendly, but slow and allocation-heavy at scale.
-// FormatBinary is a single versioned columnar snapshot (dataset.bin, see
-// binary.go and DESIGN.md) built for million-domain worlds: one read to
-// load, struct-of-arrays columns, and truncation detected by
-// construction. Load auto-detects which layout a path holds.
-const (
-	metaFile      = "meta.json"
-	domainsFile   = "domains.jsonl"
-	subdomainFile = "subdomains.jsonl"
-	txsFile       = "transactions.jsonl"
-	marketFile    = "market.jsonl"
-	binFile       = "dataset.bin"
-)
+// binFile is the file Save writes inside a dataset directory: the
+// versioned columnar snapshot described in binary.go and DESIGN.md, and
+// the dataset's only on-disk encoding.
+const binFile = "dataset.bin"
 
-// metaVersion is the JSON layout version written by Save. Version 2
-// added the subdomain/market counts so every section is cross-checked on
-// load; version-0 files (written before the field existed) still have
-// their domain and transaction counts checked.
-const metaVersion = 2
-
-// Format selects the on-disk dataset encoding.
+// Format names a dataset encoding. dataset.bin is the only one; the
+// type, FormatBinary and WithFormat remain so callers written when there
+// were two (the benchmark module's workloads) still compile.
 type Format int
 
-// Supported dataset encodings.
-const (
-	// FormatJSON is the legacy directory-of-JSONL layout.
-	FormatJSON Format = iota
-	// FormatBinary is the versioned columnar snapshot (dataset.bin).
-	FormatBinary
-)
-
-// String returns the flag spelling of the format.
-func (f Format) String() string {
-	if f == FormatBinary {
-		return "binary"
-	}
-	return "json"
-}
-
-// ParseFormat maps a flag value ("json" or "binary") to a Format.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "json":
-		return FormatJSON, nil
-	case "binary":
-		return FormatBinary, nil
-	default:
-		return FormatJSON, fmt.Errorf("dataset: unknown format %q (want json or binary)", s)
-	}
-}
+// FormatBinary is the versioned columnar snapshot (dataset.bin).
+const FormatBinary Format = 0
 
 // ErrCorrupt marks a persisted dataset that cannot be trusted: a file
-// truncated mid-write, a section whose loaded rows disagree with the
-// counts its metadata declared, or binary framing damage. Load never
-// silently drops rows — every such condition surfaces as an error
-// wrapping ErrCorrupt.
+// truncated mid-write, a section whose decoded rows disagree with the
+// counts it declared, or any other framing damage. Load never silently
+// drops rows — every such condition surfaces as an error wrapping
+// ErrCorrupt.
 var ErrCorrupt = errors.New("dataset: persisted dataset truncated or corrupt")
 
-// CountMismatchError reports a persisted section whose loaded row count
-// does not match the count declared in the dataset metadata — the
-// footprint of a file truncated at a row boundary, which would otherwise
-// load cleanly with rows silently missing.
-type CountMismatchError struct {
-	File string // section file name, e.g. "transactions.jsonl"
-	Got  int    // rows actually loaded
-	Want int    // rows the metadata declared
-}
-
-func (e *CountMismatchError) Error() string {
-	return fmt.Sprintf("dataset: %s has %d rows, meta declares %d (truncated or mixed-generation save)", e.File, e.Got, e.Want)
-}
-
-// Unwrap makes errors.Is(err, ErrCorrupt) hold.
-func (e *CountMismatchError) Unwrap() error { return ErrCorrupt }
-
-type meta struct {
-	FormatVersion  int      `json:"formatVersion"`
-	Start          int64    `json:"start"`
-	End            int64    `json:"end"`
-	Coinbase       []string `json:"coinbase"`
-	OtherCustodial []string `json:"otherCustodial"`
-	DomainCount    int      `json:"domainCount"`
-	TxCount        int      `json:"txCount"`
-	SubdomainCount int      `json:"subdomainCount"`
-	MarketCount    int      `json:"marketCount"`
-}
-
 type saveConfig struct {
-	format Format
-	fsync  bool
-	fs     vfs.FS
+	fsync bool
+	fs    vfs.FS
 }
 
 // SaveOption tunes Save and SaveSnapshot.
 type SaveOption func(*saveConfig)
 
-// WithFormat selects the on-disk encoding (default FormatJSON).
-func WithFormat(f Format) SaveOption {
-	return func(c *saveConfig) { c.format = f }
+// WithFormat is a no-op: FormatBinary is the only encoding.
+func WithFormat(Format) SaveOption {
+	return func(*saveConfig) {}
 }
 
-// WithSync fsyncs every file (and its directory) before the rename that
-// commits it, mirroring crawler.WithSync: the saved dataset survives
-// power loss, not just process death. Opt-in because it costs one fsync
-// per section file.
+// WithSync fsyncs the snapshot before the rename that commits it and its
+// directory after, so the saved dataset survives power loss, not just
+// process death.
 func WithSync() SaveOption {
 	return func(c *saveConfig) { c.fsync = true }
 }
@@ -132,24 +59,12 @@ func WithFS(fsys vfs.FS) SaveOption {
 	return func(c *saveConfig) { c.fs = fsys }
 }
 
-// Save writes the dataset to dir, creating it if needed. Every file is
-// written to a temp name in dir and renamed into place, and meta.json —
-// the commit point whose counts Load cross-checks — lands last, so a
-// crash mid-save leaves either the complete previous dataset or a
-// detectable partial one, never a silently shortened mix.
+// Save writes the dataset to dir/dataset.bin, creating dir if needed.
+// The file is written to a temp name and renamed into place, so a crash
+// mid-save leaves either the complete previous dataset or the complete
+// new one.
 func (ds *Dataset) Save(dir string, opts ...SaveOption) error {
-	var cfg saveConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	fsys := vfs.OrOS(cfg.fs)
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("dataset: mkdir: %w", err)
-	}
-	if cfg.format == FormatBinary {
-		return ds.saveBinary(fsys, filepath.Join(dir, binFile), cfg.fsync)
-	}
-	return ds.saveJSON(fsys, dir, cfg.fsync)
+	return ds.SaveSnapshot(filepath.Join(dir, binFile), opts...)
 }
 
 // SaveSnapshot writes the dataset as a single binary columnar snapshot
@@ -161,48 +76,6 @@ func (ds *Dataset) SaveSnapshot(path string, opts ...SaveOption) error {
 		o(&cfg)
 	}
 	return ds.saveBinary(vfs.OrOS(cfg.fs), path, cfg.fsync)
-}
-
-func (ds *Dataset) saveJSON(fsys vfs.FS, dir string, sync bool) error {
-	domains := ds.sortedDomains()
-	txs := ds.sortedTxs()
-	subs := ds.sortedSubdomains()
-	market := ds.sortedMarket()
-
-	if err := writeJSONL(fsys, filepath.Join(dir, domainsFile), domains, sync); err != nil {
-		return err
-	}
-	if err := writeJSONL(fsys, filepath.Join(dir, txsFile), txs, sync); err != nil {
-		return err
-	}
-	if err := writeJSONL(fsys, filepath.Join(dir, subdomainFile), subs, sync); err != nil {
-		return err
-	}
-	if err := writeJSONL(fsys, filepath.Join(dir, marketFile), market, sync); err != nil {
-		return err
-	}
-
-	m := meta{
-		FormatVersion:  metaVersion,
-		Start:          ds.Start,
-		End:            ds.End,
-		DomainCount:    len(domains),
-		TxCount:        len(txs),
-		SubdomainCount: len(subs),
-		MarketCount:    len(market),
-	}
-	for _, a := range sortedAddrs(ds.Coinbase) {
-		m.Coinbase = append(m.Coinbase, a.Hex())
-	}
-	for _, a := range sortedAddrs(ds.OtherCustodial) {
-		m.OtherCustodial = append(m.OtherCustodial, a.Hex())
-	}
-	// meta.json is the commit point: it declares the row count of every
-	// section, and it is written only after all sections are in place.
-	if err := vfs.Hit(fsys, "dataset.save.pre-meta"); err != nil {
-		return fmt.Errorf("dataset: commit %s: %w", metaFile, err)
-	}
-	return writeJSON(fsys, filepath.Join(dir, metaFile), m, sync)
 }
 
 // sortedDomains returns the domains in label-hash byte order — the total
@@ -296,125 +169,28 @@ func sortedAddrs(m map[ethtypes.Address]bool) []ethtypes.Address {
 	return addrs
 }
 
-// Load reads a dataset previously written by Save and reindexes it.
-// path may be a dataset directory (binary if dataset.bin is present,
-// JSON otherwise) or a binary snapshot file written by SaveSnapshot.
-// Every section's loaded row count is cross-checked against its declared
-// count; a file truncated at any byte — even cleanly at a row boundary —
-// makes Load fail with an error wrapping ErrCorrupt rather than return a
-// silently shortened dataset.
+// Load reads a dataset previously written by Save or SaveSnapshot and
+// reindexes it. path is either a snapshot file or a directory holding
+// dataset.bin. Every section's decoded row count is checked against its
+// declared count, so a file truncated at any byte makes Load fail with
+// an error wrapping ErrCorrupt rather than return a silently shortened
+// dataset.
 func Load(path string) (*Dataset, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
-	if !fi.IsDir() {
-		return loadBinaryFile(path)
+	if fi.IsDir() {
+		path = filepath.Join(path, binFile)
 	}
-	bin := filepath.Join(path, binFile)
-	if _, err := os.Stat(bin); err == nil {
-		return loadBinaryFile(bin)
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("dataset: %w", err)
-	}
-	return loadJSON(path)
-}
-
-func loadJSON(dir string) (*Dataset, error) {
-	var m meta
-	if err := readJSON(filepath.Join(dir, metaFile), &m); err != nil {
-		return nil, err
-	}
-	if m.FormatVersion > metaVersion {
-		return nil, fmt.Errorf("%w: meta formatVersion %d newer than supported %d", ErrCorrupt, m.FormatVersion, metaVersion)
-	}
-	ds := New(m.Start, m.End)
-	for _, s := range m.Coinbase {
-		a, err := ethtypes.ParseAddress(s)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: meta coinbase %q: %w", s, err)
-		}
-		ds.Coinbase[a] = true
-	}
-	for _, s := range m.OtherCustodial {
-		a, err := ethtypes.ParseAddress(s)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: meta custodial %q: %w", s, err)
-		}
-		ds.OtherCustodial[a] = true
-	}
-
-	domainRows, err := readJSONL(filepath.Join(dir, domainsFile), func(line []byte) error {
-		var d Domain
-		if err := json.Unmarshal(line, &d); err != nil {
-			return err
-		}
-		ds.Domains[d.LabelHash] = &d
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	txRows, err := readJSONL(filepath.Join(dir, txsFile), func(line []byte) error {
-		var tx Tx
-		if err := json.Unmarshal(line, &tx); err != nil {
-			return err
-		}
-		ds.Txs = append(ds.Txs, &tx)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	subRows, err := readJSONL(filepath.Join(dir, subdomainFile), func(line []byte) error {
-		var sub Subdomain
-		if err := json.Unmarshal(line, &sub); err != nil {
-			return err
-		}
-		ds.Subdomains = append(ds.Subdomains, sub)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	marketRows, err := readJSONL(filepath.Join(dir, marketFile), func(line []byte) error {
-		var ev MarketEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return err
-		}
-		ds.Market[ev.TokenID] = append(ds.Market[ev.TokenID], ev)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// A file cut at a line boundary parses cleanly; the declared counts
-	// are what catch it. Domain/tx counts are present in every meta
-	// version; subdomain/market counts arrived in version 2.
-	if domainRows != m.DomainCount {
-		return nil, &CountMismatchError{File: domainsFile, Got: domainRows, Want: m.DomainCount}
-	}
-	if txRows != m.TxCount {
-		return nil, &CountMismatchError{File: txsFile, Got: txRows, Want: m.TxCount}
-	}
-	if m.FormatVersion >= 2 {
-		if subRows != m.SubdomainCount {
-			return nil, &CountMismatchError{File: subdomainFile, Got: subRows, Want: m.SubdomainCount}
-		}
-		if marketRows != m.MarketCount {
-			return nil, &CountMismatchError{File: marketFile, Got: marketRows, Want: m.MarketCount}
-		}
-	}
-	ds.Reindex()
-	return ds, nil
+	return loadBinaryFile(path)
 }
 
 // writeAtomic streams write's output to a same-directory temp file and
 // renames it over path, so a crash mid-write leaves the previous file
 // intact — readers never observe a half-written one. With sync, the file
-// is fsynced before the rename and the directory after it, matching the
-// crawler.WithSync durability contract. All disk traffic goes through
+// is fsynced before the rename and the directory after it. All disk
+// traffic goes through
 // fsys so chaos tests can inject write, sync, and rename faults; the
 // named crash points bracket the commit rename, the seam the atomicity
 // claim depends on.
@@ -455,66 +231,4 @@ func writeAtomic(fsys vfs.FS, path string, sync bool, write func(f vfs.File) err
 		}
 	}
 	return nil
-}
-
-func writeJSON(fsys vfs.FS, path string, v any, sync bool) error {
-	return writeAtomic(fsys, path, sync, func(w vfs.File) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(v)
-	})
-}
-
-func readJSON(path string, v any) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("dataset: open %s: %w", path, err)
-	}
-	defer f.Close()
-	if err := json.NewDecoder(f).Decode(v); err != nil {
-		return fmt.Errorf("dataset: decode %s: %w", path, err)
-	}
-	return nil
-}
-
-func writeJSONL[T any](fsys vfs.FS, path string, items []T, sync bool) error {
-	return writeAtomic(fsys, path, sync, func(w vfs.File) error {
-		bw := bufio.NewWriterSize(w, 1<<20)
-		enc := json.NewEncoder(bw)
-		for i := range items {
-			if err := enc.Encode(items[i]); err != nil {
-				return err
-			}
-		}
-		return bw.Flush()
-	})
-}
-
-// readJSONL streams path line by line through fn and returns how many
-// non-empty lines it processed, so callers can cross-check the count
-// against the dataset metadata.
-func readJSONL(path string, fn func(line []byte) error) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("dataset: open %s: %w", path, err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	lineNo := 0
-	rows := 0
-	for sc.Scan() {
-		lineNo++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		if err := fn(sc.Bytes()); err != nil {
-			return rows, fmt.Errorf("%w: %s line %d: %v", ErrCorrupt, path, lineNo, err)
-		}
-		rows++
-	}
-	if err := sc.Err(); err != nil {
-		return rows, fmt.Errorf("dataset: read %s: %w", path, err)
-	}
-	return rows, nil
 }

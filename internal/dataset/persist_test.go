@@ -72,66 +72,6 @@ func tinyDataset(t *testing.T) *Dataset {
 	return ds
 }
 
-func TestParseFormat(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want Format
-		err  bool
-	}{
-		{"json", FormatJSON, false},
-		{"binary", FormatBinary, false},
-		{"msgpack", FormatJSON, true},
-		{"", FormatJSON, true},
-	} {
-		got, err := ParseFormat(c.in)
-		if (err != nil) != c.err || got != c.want {
-			t.Errorf("ParseFormat(%q) = (%v, %v), want (%v, err=%v)", c.in, got, err, c.want, c.err)
-		}
-	}
-	if FormatJSON.String() != "json" || FormatBinary.String() != "binary" {
-		t.Error("Format.String mismatch")
-	}
-}
-
-// The round-trip property at the heart of the format change: a dataset
-// saved as JSON and the same dataset saved as binary must load to
-// identical fingerprints — the binary format changes the bytes on disk,
-// never the dataset.
-func TestBinaryAndJSONLoadToIdenticalFingerprints(t *testing.T) {
-	ds := sharedDataset(t)
-	jsonDir, binDir := t.TempDir(), t.TempDir()
-	if err := ds.Save(jsonDir); err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Save(binDir, WithFormat(FormatBinary)); err != nil {
-		t.Fatal(err)
-	}
-	fromJSON, err := Load(jsonDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromBin, err := Load(binDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fj, fb := fromJSON.Fingerprint(), fromBin.Fingerprint(); fj != fb {
-		t.Fatalf("fingerprints diverge: json %x, binary %x", fj, fb)
-	}
-	if len(fromBin.Domains) != len(ds.Domains) || len(fromBin.Txs) != len(ds.Txs) ||
-		len(fromBin.Subdomains) != len(ds.Subdomains) {
-		t.Fatal("binary round trip lost rows")
-	}
-	// Indexes must work on the binary-loaded dataset too.
-	for _, d := range ds.Domains {
-		if d.Label != "" {
-			if _, ok := fromBin.ByLabel(d.Label); !ok {
-				t.Fatalf("ByLabel(%q) failed after binary reload", d.Label)
-			}
-			break
-		}
-	}
-}
-
 // SaveSnapshot round-trips through a single file path.
 func TestSaveSnapshotRoundTrip(t *testing.T) {
 	ds := tinyDataset(t)
@@ -143,62 +83,62 @@ func TestSaveSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	saved, err := loadViaJSON(t, ds)
+	if back.Fingerprint() != ds.Fingerprint() {
+		t.Fatal("snapshot fingerprint diverges from the saved dataset")
+	}
+	// Save(dir) writes the same bytes under dir/dataset.bin.
+	dir := t.TempDir()
+	if err := ds.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustRead(t, path), mustRead(t, filepath.Join(dir, binFile))) {
+		t.Fatal("Save(dir) and SaveSnapshot(path) wrote different bytes")
+	}
+}
+
+// A directory without dataset.bin fails to load with an error naming
+// the missing file.
+func TestLoadDirWithoutDatasetBinNamesIt(t *testing.T) {
+	dir := t.TempDir()
+	_, err := Load(dir)
+	if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, binFile)) {
+		t.Fatalf("err = %v, want one naming %s", err, filepath.Join(dir, binFile))
+	}
+}
+
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Fingerprint() != saved.Fingerprint() {
-		t.Fatal("snapshot fingerprint diverges from JSON round trip")
-	}
+	return b
 }
 
-// loadViaJSON saves ds as JSON into a temp dir and loads it back,
-// producing the canonical persisted-order dataset to compare against.
-func loadViaJSON(t *testing.T, ds *Dataset) (*Dataset, error) {
-	t.Helper()
-	dir := t.TempDir()
-	if err := ds.Save(dir); err != nil {
-		return nil, err
-	}
-	return Load(dir)
-}
-
-// save→load→save must be byte-stable in both formats: loading and
-// re-saving an already-canonical dataset reproduces every file exactly.
+// save→load→save must be byte-stable: loading and re-saving an
+// already-canonical dataset reproduces dataset.bin exactly, and nothing
+// else lands in the directory.
 func TestSaveLoadSaveIsByteStable(t *testing.T) {
-	for _, format := range []Format{FormatJSON, FormatBinary} {
-		t.Run(format.String(), func(t *testing.T) {
-			ds := sharedDataset(t)
-			dir1, dir2 := t.TempDir(), t.TempDir()
-			if err := ds.Save(dir1, WithFormat(format)); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := Load(dir1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := loaded.Save(dir2, WithFormat(format)); err != nil {
-				t.Fatal(err)
-			}
-			names1 := dirFileNames(t, dir1)
-			if len(names1) == 0 {
-				t.Fatal("no files saved")
-			}
-			for _, name := range names1 {
-				b1, err := os.ReadFile(filepath.Join(dir1, name))
-				if err != nil {
-					t.Fatal(err)
-				}
-				b2, err := os.ReadFile(filepath.Join(dir2, name))
-				if err != nil {
-					t.Fatalf("second save missing %s: %v", name, err)
-				}
-				if string(b1) != string(b2) {
-					t.Errorf("%s not byte-stable across save→load→save", name)
-				}
-			}
-		})
-	}
+	t.Run("binary", func(t *testing.T) {
+		ds := sharedDataset(t)
+		dir1, dir2 := t.TempDir(), t.TempDir()
+		if err := ds.Save(dir1); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(dir1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loaded.Save(dir2); err != nil {
+			t.Fatal(err)
+		}
+		if names := dirFileNames(t, dir1); len(names) != 1 || names[0] != binFile {
+			t.Fatalf("saved files = %v, want only %s", names, binFile)
+		}
+		if !bytes.Equal(mustRead(t, filepath.Join(dir1, binFile)), mustRead(t, filepath.Join(dir2, binFile))) {
+			t.Errorf("%s not byte-stable across save→load→save", binFile)
+		}
+	})
 }
 
 func dirFileNames(t *testing.T, dir string) []string {
@@ -276,151 +216,6 @@ func TestBinaryTruncationStrideOnWorldDataset(t *testing.T) {
 	}
 }
 
-// Regression for the foreground bug: a JSONL section truncated at a line
-// boundary parses cleanly line by line, and the old Load returned the
-// shortened dataset without complaint. Now every section's row count is
-// cross-checked against meta.json.
-func TestTruncatedJSONLFailsLoad(t *testing.T) {
-	for _, file := range []string{domainsFile, txsFile, subdomainFile, marketFile} {
-		t.Run(file, func(t *testing.T) {
-			ds := tinyDataset(t)
-			dir := t.TempDir()
-			if err := ds.Save(dir); err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(dir, file)
-			full, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			trimmed := strings.TrimRight(string(full), "\n")
-			i := strings.LastIndexByte(trimmed, '\n')
-			if i < 0 {
-				i = 0 // single-row section: drop the only line
-			}
-			// Clean line-boundary truncation — the crash footprint that
-			// used to load silently.
-			if err := os.WriteFile(path, full[:i], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, err = Load(dir)
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("line-boundary truncation: err = %v, want ErrCorrupt", err)
-			}
-			var cm *CountMismatchError
-			if !errors.As(err, &cm) || cm.File != file {
-				t.Fatalf("err = %v, want CountMismatchError for %s", err, file)
-			}
-
-			// Mid-line truncation must fail too (undecodable row).
-			if err := os.WriteFile(path, full[:len(full)-3], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Load(dir); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("mid-line truncation: err = %v, want ErrCorrupt", err)
-			}
-		})
-	}
-}
-
-// A crash between section writes and the meta.json commit leaves an old
-// meta over a mix of generations; differing counts must be detected.
-func TestMixedGenerationSectionsDetected(t *testing.T) {
-	big := sharedDataset(t)
-	small := tinyDataset(t)
-	dir, dir2 := t.TempDir(), t.TempDir()
-	if err := big.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := small.Save(dir2); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the torn save: one section from another generation under
-	// the original meta.
-	b, err := os.ReadFile(filepath.Join(dir2, txsFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, txsFile), b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var cm *CountMismatchError
-	if _, err := Load(dir); !errors.As(err, &cm) {
-		t.Fatalf("err = %v, want CountMismatchError", err)
-	}
-}
-
-// Load must refuse meta versions newer than it understands rather than
-// guess at their invariants.
-func TestLoadRejectsNewerMetaVersion(t *testing.T) {
-	ds := tinyDataset(t)
-	dir := t.TempDir()
-	if err := ds.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, metaFile)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutated := strings.Replace(string(b), `"formatVersion": 2`, `"formatVersion": 99`, 1)
-	if mutated == string(b) {
-		t.Fatal("meta.json does not carry formatVersion 2")
-	}
-	if err := os.WriteFile(path, []byte(mutated), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(dir); err == nil {
-		t.Fatal("newer meta version loaded without error")
-	}
-}
-
-// Pre-version-2 metas (no subdomain/market counts) must still load — the
-// JSON fallback covers datasets written before this change.
-func TestLoadAcceptsLegacyMetaVersion(t *testing.T) {
-	ds := tinyDataset(t)
-	dir := t.TempDir()
-	if err := ds.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, metaFile)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := strings.Replace(string(b), `"formatVersion": 2`, `"formatVersion": 0`, 1)
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(dir)
-	if err != nil {
-		t.Fatalf("legacy meta failed to load: %v", err)
-	}
-	if len(back.Domains) != len(ds.Domains) {
-		t.Fatal("legacy load lost domains")
-	}
-}
-
-// A directory holding both layouts loads the binary one.
-func TestLoadPrefersBinaryInMixedDir(t *testing.T) {
-	ds := tinyDataset(t)
-	dir := t.TempDir()
-	if err := ds.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Save(dir, WithFormat(FormatBinary)); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the JSON metadata; a successful load proves the binary
-	// file was the one read.
-	if err := os.WriteFile(filepath.Join(dir, metaFile), []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(dir); err != nil {
-		t.Fatalf("mixed dir load failed: %v", err)
-	}
-}
-
 // writeAtomic must leave the previous file intact when the writer fails,
 // and never leave temp files behind on success.
 func TestWriteAtomicPreservesOldContentOnFailure(t *testing.T) {
@@ -443,8 +238,8 @@ func TestWriteAtomicPreservesOldContentOnFailure(t *testing.T) {
 }
 
 // TestPersistAcceptanceAtScale reruns the core persistence contract —
-// binary save→load→save byte-stable, binary fingerprint equal to the
-// JSON-loaded one — over a world of ENSPERSIST_DOMAINS domains. Skipped
+// save→load→save byte-stable, loaded fingerprint equal to the saved
+// dataset's — over a world of ENSPERSIST_DOMAINS domains. Skipped
 // unless that variable is set: at the 100k acceptance scale this is a
 // multi-minute run, driven explicitly (see Makefile bench-persist notes)
 // rather than on every `go test`.
@@ -461,57 +256,41 @@ func TestPersistAcceptanceAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jsonDir, binDir, binDir2 := t.TempDir(), t.TempDir(), t.TempDir()
-	if err := ds.Save(jsonDir); err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Save(binDir, WithFormat(FormatBinary)); err != nil {
-		t.Fatal(err)
-	}
-	fromJSON, err := Load(jsonDir)
-	if err != nil {
+	binDir, binDir2 := t.TempDir(), t.TempDir()
+	if err := ds.Save(binDir); err != nil {
 		t.Fatal(err)
 	}
 	fromBin, err := Load(binDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fj, fb := fromJSON.Fingerprint(), fromBin.Fingerprint(); fj != fb {
-		t.Fatalf("fingerprints diverge at %d domains: json %x, binary %x", n, fj, fb)
+	if want, got := ds.Fingerprint(), fromBin.Fingerprint(); want != got {
+		t.Fatalf("fingerprints diverge at %d domains: saved %x, loaded %x", n, want, got)
 	}
-	if err := fromBin.Save(binDir2, WithFormat(FormatBinary)); err != nil {
+	if err := fromBin.Save(binDir2); err != nil {
 		t.Fatal(err)
 	}
-	b1, err := os.ReadFile(filepath.Join(binDir, binFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := os.ReadFile(filepath.Join(binDir2, binFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
+	b1 := mustRead(t, filepath.Join(binDir, binFile))
+	if !bytes.Equal(b1, mustRead(t, filepath.Join(binDir2, binFile))) {
 		t.Fatalf("binary save→load→save not byte-stable at %d domains", n)
 	}
-	t.Logf("%d domains: %d txs, binary file %d bytes, byte-stable, fingerprints equal", n, len(ds.Txs), len(b1))
+	t.Logf("%d domains: %d txs, dataset.bin %d bytes, byte-stable, fingerprints equal", n, len(ds.Txs), len(b1))
 }
 
-// Save with WithSync and both formats leaves only committed files — no
-// .tmp residue — and the result loads.
+// Save with WithSync leaves only the committed file — no .tmp residue —
+// and the result loads.
 func TestSaveLeavesNoTempFiles(t *testing.T) {
 	ds := tinyDataset(t)
-	for _, format := range []Format{FormatJSON, FormatBinary} {
-		dir := t.TempDir()
-		if err := ds.Save(dir, WithFormat(format), WithSync()); err != nil {
-			t.Fatal(err)
+	dir := t.TempDir()
+	if err := ds.Save(dir, WithSync()); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range dirFileNames(t, dir) {
+		if strings.HasSuffix(name, ".tmp") {
+			t.Errorf("temp file %s left behind", name)
 		}
-		for _, name := range dirFileNames(t, dir) {
-			if strings.HasSuffix(name, ".tmp") {
-				t.Errorf("%s: temp file %s left behind", format, name)
-			}
-		}
-		if _, err := Load(dir); err != nil {
-			t.Fatalf("%s: synced save failed to load: %v", format, err)
-		}
+	}
+	if _, err := Load(dir); err != nil {
+		t.Fatalf("synced save failed to load: %v", err)
 	}
 }

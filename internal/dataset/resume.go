@@ -1,16 +1,16 @@
 package dataset
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -23,56 +23,79 @@ import (
 
 // The transaction crawl is by far the longest stage of assembly (the
 // paper crawled 9.7M transactions under Etherscan's rate limit). This
-// file adds resumability: per-address results stream to an append-only
-// JSONL spool and a checkpoint records completed addresses, so an
-// interrupted crawl restarts where it stopped instead of re-paying hours
-// of rate-limited requests.
+// file makes it resumable: every finished address appends one
+// checksummed record to the spool, txspool.bin, and a record that checks
+// is itself the proof that its address is done. An interrupted crawl
+// replays the spool and restarts where it stopped instead of re-paying
+// hours of rate-limited requests.
 //
-// Crash-consistency contract: an address's result is spooled first and
-// checkpointed second, so a crash between the two re-crawls the address
-// (safe) and never loses data. The converse also holds on recovery: a
-// torn *final* spool line — the footprint of dying mid-write — is only
-// tolerable while its address is absent from the checkpoint; a corrupt
-// line for a checkpointed address (or any corrupt non-final line) means
-// data that was promised durable is gone, which is a hard error.
+// Layout (fixed widths little-endian):
+//
+//	magic "ENSSPL1\n" · version u16 (binVersion)
+//	per address: length u32 · CRC-32C u32 · payload
+//
+// The payload is the 20-byte address, a uvarint row count, and the rows
+// in dataset.bin's tx column encoding. The checksum covers the length
+// field and the payload, so an all-zero record header never checks.
+//
+// Recovery contract: every record that checks is a finished address.
+// The first record that does not check is a torn tail — the footprint of
+// dying mid-append — when it runs to EOF or only zero bytes follow its
+// declared end (a file extended but never written, as power loss can
+// leave it). Resume truncates the spool at that record's start and
+// re-crawls its address. Damage anywhere else means a finished address
+// is gone while later ones survived, which no crash produces, so resume
+// fails with ErrSpoolCorrupt.
 
-// A spool snapshot (txspool.snap) accelerates that recovery: it holds
-// every transaction absorbed so far in binary columnar form plus the
-// spool byte offset those entries cover, so resume loads one file and
-// replays only the spool tail instead of re-parsing gigabytes of JSONL.
-// The spool stays the source of truth — a missing, torn, or stale
-// snapshot is never an error, just a slower resume.
+const spoolFile = "txspool.bin"
+
+// legacyResumeFiles are the resume state an older layout kept: a JSONL
+// spool and a checkpoint of finished addresses. A directory holding
+// either is refused, so an interrupted crawl is never silently
+// restarted from zero.
+var legacyResumeFiles = []string{"txspool.jsonl", "txcrawl.checkpoint"}
+
+var spoolMagic = []byte("ENSSPL1\n")
 
 const (
-	spoolFile      = "txspool.jsonl"
-	spoolSnapFile  = "txspool.snap"
-	checkpointFile = "txcrawl.checkpoint"
+	spoolHeaderLen  = 8 + 2 // magic, version
+	recordHeaderLen = 4 + 4 // length, checksum
 )
 
-var (
-	snapMagic  = []byte("ENSSNP1\n")
-	snapFooter = []byte("ENSSEND\n")
-)
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrSpoolCorrupt marks spool damage that resume cannot safely repair.
 var ErrSpoolCorrupt = errors.New("dataset: corrupt spool")
 
-// spoolEntry is one spooled per-address result.
-type spoolEntry struct {
-	Address string `json:"address"`
-	Txs     []*Tx  `json:"txs"`
+// spoolRecord is one record that checks: a finished address, its rows,
+// and the byte span [off, end) it occupies in the spool.
+type spoolRecord struct {
+	addr     ethtypes.Address
+	txs      []Tx
+	off, end int
+}
+
+// refuseLegacyResume fails when dir holds resume state of the older
+// layout, naming the file.
+func refuseLegacyResume(dir string) error {
+	for _, name := range legacyResumeFiles {
+		path := filepath.Join(dir, name)
+		if _, err := os.Stat(path); err == nil {
+			return fmt.Errorf("dataset: %s is resume state of an older spool layout; finish that crawl with the release that started it, or remove the file to restart", path)
+		} else if !os.IsNotExist(err) {
+			return fmt.Errorf("dataset: resume dir: %w", err)
+		}
+	}
+	return nil
 }
 
 // crawlTxsResumable crawls transaction lists for addrs with concurrency
-// workers, spooling results under dir. Completed addresses recorded in
-// the checkpoint are skipped and their transactions recovered from the
-// spool. onAddressDone is invoked once per covered address — including
-// addresses recovered from the checkpoint — so progress reporting sees
-// the full total. fsync additionally syncs the spool and checkpoint to
-// disk at every completed address. snapEvery > 0 writes a spool
-// snapshot every that many completed addresses (and once at the end),
-// so the next resume replays only the spool tail.
-func crawlTxsResumable(ctx context.Context, dir string, txs TxSource, addrs []ethtypes.Address, workers int, ds *Dataset, onAddressDone func(), fsync bool, snapEvery int, fsys vfs.FS) error {
+// workers, spooling one record per finished address under dir. Addresses
+// with a record in the spool are skipped and their transactions
+// recovered from it. onAddressDone is invoked once per covered address —
+// including recovered ones — so progress reporting sees the full total.
+// fsync additionally syncs the spool at every finished address.
+func crawlTxsResumable(ctx context.Context, dir string, txs TxSource, addrs []ethtypes.Address, workers int, ds *Dataset, onAddressDone func(), fsync bool, fsys vfs.FS) error {
 	if onAddressDone == nil {
 		onAddressDone = func() {}
 	}
@@ -80,92 +103,71 @@ func crawlTxsResumable(ctx context.Context, dir string, txs TxSource, addrs []et
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("dataset: resume dir: %w", err)
 	}
-	cpOpts := []crawler.CheckpointOption{crawler.WithFS(fsys)}
-	if fsync {
-		cpOpts = append(cpOpts, crawler.WithSync())
-	}
-	cp, err := crawler.OpenCheckpoint(filepath.Join(dir, checkpointFile), cpOpts...)
-	if err != nil {
-		return err
-	}
-	defer cp.Close()
 
-	seen := map[ethtypes.Hash]bool{}
+	path := filepath.Join(dir, spoolFile)
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("dataset: read spool: %w", err)
+	}
+	recs, end, err := replaySpool(data)
+	if err != nil {
+		return fmt.Errorf("dataset: %s: %w", path, err)
+	}
+	if end < len(data) {
+		// Drop the torn tail (or a header cut short) so the next append
+		// starts on a record boundary.
+		if err := os.Truncate(path, int64(end)); err != nil {
+			return fmt.Errorf("dataset: truncate torn spool tail: %w", err)
+		}
+		pm().spoolRecoveries.Inc()
+	}
+	recovered := 0
+	for _, rec := range recs {
+		recovered += len(rec.txs)
+	}
+	seen := make(map[ethtypes.Hash]bool, len(ds.Txs)+recovered)
 	for _, tx := range ds.Txs {
 		seen[tx.Hash] = true
 	}
 	var mu sync.Mutex
-	absorb := func(rows []*Tx) {
-		for _, tx := range rows {
-			if !seen[tx.Hash] {
-				seen[tx.Hash] = true
-				ds.Txs = append(ds.Txs, tx)
-			}
+	absorb := func(tx *Tx) {
+		if !seen[tx.Hash] {
+			seen[tx.Hash] = true
+			ds.Txs = append(ds.Txs, tx)
+		}
+	}
+	ds.Txs = slices.Grow(ds.Txs, recovered)
+	done := make(map[ethtypes.Address]bool, len(recs))
+	for _, rec := range recs {
+		done[rec.addr] = true
+		for i := range rec.txs {
+			absorb(&rec.txs[i])
 		}
 	}
 
-	spoolPath := filepath.Join(dir, spoolFile)
-	snapPath := filepath.Join(dir, spoolSnapFile)
-
-	// Fast resume: a valid snapshot pre-loads everything the spool held
-	// up to its covered offset, and recovery replays only the tail. Any
-	// snapshot anomaly — torn file, bad framing, offset past the spool —
-	// discards the snapshot and falls back to a full re-parse: the
-	// snapshot is a cache, the spool is the record.
-	var startOffset int64
-	snapTxs, covered, snapErr := loadSpoolSnapshot(snapPath)
-	if snapErr == nil {
-		if fi, err := os.Stat(spoolPath); err == nil && covered <= fi.Size() {
-			absorb(snapTxs)
-			startOffset = covered
-			pm().snapshotRestores.Inc()
-		} else {
-			discardSpoolSnapshot(snapPath)
-		}
-	} else if !os.IsNotExist(snapErr) {
-		discardSpoolSnapshot(snapPath)
-	}
-
-	if err := recoverSpool(spoolPath, startOffset, cp, absorb); err != nil {
-		return err
-	}
-
-	spool, err := fsys.OpenFile(spoolPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	spool, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("dataset: append spool: %w", err)
 	}
 	defer spool.Close()
 	if fsync {
-		// The spool and checkpoint may have just been created: fsync the
-		// containing directory so the *names* survive power loss too —
-		// fsyncing file contents alone does not make a fresh directory
-		// entry durable.
+		// The spool may have just been created: fsync the containing
+		// directory so its *name* survives power loss too — fsyncing file
+		// contents alone does not make a fresh directory entry durable.
 		if err := fsys.SyncDir(dir); err != nil {
 			return fmt.Errorf("dataset: sync resume dir: %w", err)
 		}
 	}
-	spoolEnc := json.NewEncoder(spool)
+	// A fresh (or reset) spool gets its header in the same Write as its
+	// first record.
+	needHeader := end == 0
+	enc := newSpoolEncoder()
 
-	// writeSnap persists the current absorbed state (mu must be held).
-	// Snapshot failures never fail the crawl — the next resume simply
-	// re-parses the spool.
-	writeSnap := func() {
-		fi, err := spool.Stat()
-		if err != nil {
-			return
-		}
-		if writeSpoolSnapshot(fsys, snapPath, ds.Txs, fi.Size(), fsync) != nil {
-			return
-		}
-		pm().snapshotWrites.Inc()
-	}
-	sinceSnap := 0
-
-	// Only crawl what is not checkpointed; recovered addresses count as
-	// done immediately.
+	// Only crawl addresses without a record; recovered ones count as done
+	// immediately.
 	var todo []ethtypes.Address
 	for _, a := range addrs {
-		if !cp.Done(strings0x(a)) {
+		if !done[a] {
 			todo = append(todo, a)
 		} else {
 			onAddressDone()
@@ -192,224 +194,162 @@ func crawlTxsResumable(ctx context.Context, dir string, txs TxSource, addrs []et
 			}
 			rows = append(rows, tx)
 		}
+		sortTxsForSave(rows)
 		mu.Lock()
 		defer mu.Unlock()
-		// Spool first, then checkpoint: a crash between the two re-crawls
-		// the address (safe), never loses data.
-		if err := spoolEnc.Encode(spoolEntry{Address: strings0x(addr), Txs: rows}); err != nil {
+		rec, err := enc.record(needHeader, addr, rows)
+		if err != nil {
 			return fmt.Errorf("spool %s: %w", addr, err)
 		}
+		if _, err := spool.Write(rec); err != nil {
+			return fmt.Errorf("spool %s: %w", addr, err)
+		}
+		needHeader = false
 		if fsync {
 			if err := spool.Sync(); err != nil {
 				return fmt.Errorf("sync spool %s: %w", addr, err)
 			}
 		}
-		// The crash-consistency contract's critical window: the entry is
-		// spooled but not yet checkpointed. A crash here re-crawls the
-		// address — chaos tests park a crash point on this seam to prove
-		// it.
-		if err := vfs.Hit(fsys, "dataset.spool.pre-mark"); err != nil {
+		// The record is whole on disk: from here on a crash must not
+		// re-crawl the address. Chaos tests park a crash point on this
+		// seam to prove it.
+		if err := vfs.Hit(fsys, "dataset.spool.post-append"); err != nil {
 			return fmt.Errorf("spool %s: %w", addr, err)
 		}
-		if err := cp.Mark(strings0x(addr)); err != nil {
-			return err
+		for _, tx := range rows {
+			absorb(tx)
 		}
-		absorb(rows)
 		onAddressDone()
-		if snapEvery > 0 {
-			sinceSnap++
-			if sinceSnap >= snapEvery {
-				sinceSnap = 0
-				writeSnap()
-			}
-		}
 		return nil
 	})
-	if err != nil {
-		return err
+	if cerr := spool.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("dataset: close spool: %w", cerr)
 	}
-	// A final snapshot makes the next resume of a finished (or cleanly
-	// stopped) crawl a single read with an empty tail.
-	if snapEvery > 0 && len(todo) > 0 {
-		mu.Lock()
-		writeSnap()
-		mu.Unlock()
-	}
-	return nil
+	return err
 }
 
-// writeSpoolSnapshot atomically persists the transactions absorbed so
-// far plus the spool byte offset they cover. The offset is always a
-// line boundary: snapshots are written under the same lock as spool
-// appends, after complete entries only.
-func writeSpoolSnapshot(fsys vfs.FS, path string, txs []*Tx, covered int64, sync bool) error {
-	sorted := append([]*Tx(nil), txs...)
-	sortTxsForSave(sorted)
-	return writeAtomic(fsys, path, sync, func(f vfs.File) error {
-		w := codec.NewWriter(f)
-		w.Raw(snapMagic)
-		w.U16(binVersion)
-		w.U64(uint64(covered))
-		w.U64(uint64(len(sorted)))
-		encodeTxColumns(w, sorted)
-		w.Raw(snapFooter)
-		return w.Flush()
-	})
+// spoolEncoder frames spool records into one reused buffer, so it is not
+// safe for concurrent use.
+type spoolEncoder struct {
+	buf bytes.Buffer
+	w   *codec.Writer
 }
 
-// loadSpoolSnapshot reads a spool snapshot. It is strict — any framing,
-// count, or decode anomaly (including truncation at any byte) is an
-// error — because the caller's response is to discard the snapshot and
-// re-parse the spool, never to trust a damaged cache.
-func loadSpoolSnapshot(path string) ([]*Tx, int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err // not-exist must stay recognizable to the caller
-	}
-	return decodeSpoolSnapshot(data)
+func newSpoolEncoder() *spoolEncoder {
+	e := &spoolEncoder{}
+	e.w = codec.NewWriter(&e.buf)
+	return e
 }
 
-// decodeSpoolSnapshot decodes the bytes of a spool snapshot file.
-func decodeSpoolSnapshot(data []byte) ([]*Tx, int64, error) {
-	r := codec.NewReader(data)
-	if magic := r.Raw(len(snapMagic)); r.Err() != nil || !bytes.Equal(magic, snapMagic) {
-		return nil, 0, fmt.Errorf("%w: bad spool snapshot magic", ErrCorrupt)
+// record returns addr's framed record, preceded by the spool header when
+// header is set. rows must be in sortTxsForSave order, as
+// encodeTxColumns requires. The result aliases the encoder's buffer
+// until the next call.
+func (e *spoolEncoder) record(header bool, addr ethtypes.Address, rows []*Tx) ([]byte, error) {
+	e.buf.Reset()
+	start := 0
+	if header {
+		e.w.Raw(spoolMagic)
+		e.w.U16(binVersion)
+		start = spoolHeaderLen
 	}
-	v := r.U16()
-	covered := r.U64()
-	rows := r.U64()
-	if r.Err() != nil {
-		return nil, 0, fmt.Errorf("%w: truncated spool snapshot header", ErrCorrupt)
+	var frame [recordHeaderLen]byte // length and checksum, patched below
+	e.w.Raw(frame[:])
+	e.w.Raw(addr[:])
+	e.w.Uvarint(uint64(len(rows)))
+	encodeTxColumns(e.w, rows)
+	if err := e.w.Flush(); err != nil {
+		return nil, err
 	}
-	if v != binVersion {
-		return nil, 0, fmt.Errorf("dataset: spool snapshot version %d not supported (want %d)", v, binVersion)
+	b := e.buf.Bytes()
+	payload := b[start+recordHeaderLen:]
+	if uint64(len(payload)) > math.MaxUint32 {
+		return nil, fmt.Errorf("dataset: %d-byte spool record exceeds the u32 length field", len(payload))
 	}
-	if covered > math.MaxInt64 {
-		return nil, 0, fmt.Errorf("%w: spool snapshot offset %d out of range", ErrCorrupt, covered)
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[start+4:], recordChecksum(b[start:start+4], payload))
+	return b, nil
+}
+
+// recordChecksum is the CRC-32C of a record's length field and payload.
+func recordChecksum(length, payload []byte) uint32 {
+	return crc32.Update(crc32.Checksum(length, castagnoli), castagnoli, payload)
+}
+
+// replaySpool decodes a spool file's bytes. It returns the records that
+// check, in file order, and the offset where the spool's valid prefix
+// ends: len(data) for an intact spool, the start of a torn final record
+// (which the caller truncates away and re-crawls), or 0 for a spool
+// shorter than its header (which the caller resets). Damage that is not
+// a torn tail fails with ErrSpoolCorrupt, and a spool of another version
+// with a version error. It reads nothing but data, so it can be fuzzed.
+func replaySpool(data []byte) ([]spoolRecord, int, error) {
+	if len(data) < spoolHeaderLen {
+		return nil, 0, nil
 	}
-	if rows > uint64(r.Remaining()) {
-		return nil, 0, fmt.Errorf("%w: spool snapshot declares %d rows in %d bytes", ErrCorrupt, rows, r.Remaining())
+	if !bytes.Equal(data[:len(spoolMagic)], spoolMagic) {
+		return nil, 0, fmt.Errorf("%w: bad magic", ErrSpoolCorrupt)
+	}
+	if v := binary.LittleEndian.Uint16(data[len(spoolMagic):]); v != binVersion {
+		return nil, 0, fmt.Errorf("dataset: spool version %d not supported (want %d)", v, binVersion)
+	}
+	var recs []spoolRecord
+	off := spoolHeaderLen
+	for off < len(data) {
+		rest := data[off:]
+		if len(rest) < recordHeaderLen {
+			return recs, off, nil // torn: short header
+		}
+		n := uint64(binary.LittleEndian.Uint32(rest))
+		if n > uint64(len(rest)-recordHeaderLen) {
+			return recs, off, nil // torn: length past EOF
+		}
+		end := off + recordHeaderLen + int(n)
+		addr, txs, err := decodeSpoolRecord(data[off:end])
+		if err != nil {
+			if allZero(data[end:]) {
+				return recs, off, nil // torn: checksum or payload, at the tail
+			}
+			return nil, 0, fmt.Errorf("%w: record at byte %d is followed by more data: %w", ErrSpoolCorrupt, off, err)
+		}
+		recs = append(recs, spoolRecord{addr: addr, txs: txs, off: off, end: end})
+		off = end
+	}
+	return recs, off, nil
+}
+
+// decodeSpoolRecord checks and decodes one record; b holds exactly its
+// header and its declared payload.
+func decodeSpoolRecord(b []byte) (ethtypes.Address, []Tx, error) {
+	var addr ethtypes.Address
+	payload := b[recordHeaderLen:]
+	if recordChecksum(b[:4], payload) != binary.LittleEndian.Uint32(b[4:]) {
+		return addr, nil, errors.New("checksum mismatch")
+	}
+	r := codec.NewReader(payload)
+	copy(addr[:], r.Raw(len(addr)))
+	rows := r.Uvarint()
+	if r.Err() == nil && rows > uint64(r.Remaining()) {
+		return addr, nil, fmt.Errorf("%d rows declared in %d bytes", rows, r.Remaining())
 	}
 	txs, err := decodeTxColumns(r, int(rows))
 	if err != nil {
-		return nil, 0, err
+		return addr, nil, err
 	}
-	if footer := r.Raw(len(snapFooter)); r.Err() != nil || !bytes.Equal(footer, snapFooter) {
-		return nil, 0, fmt.Errorf("%w: bad spool snapshot footer", ErrCorrupt)
+	if err := r.Err(); err != nil {
+		return addr, nil, err
 	}
 	if n := r.Remaining(); n != 0 {
-		return nil, 0, fmt.Errorf("%w: %d bytes after spool snapshot footer", ErrCorrupt, n)
+		return addr, nil, fmt.Errorf("%d bytes after the rows", n)
 	}
-	out := make([]*Tx, len(txs))
-	for i := range txs {
-		out[i] = &txs[i]
-	}
-	return out, int64(covered), nil
+	return addr, txs, nil
 }
 
-// discardSpoolSnapshot drops an unusable snapshot so it cannot mislead
-// the next resume either.
-func discardSpoolSnapshot(path string) {
-	pm().snapshotFallbacks.Inc()
-	_ = os.Remove(path) // best-effort: a lingering bad snapshot is re-discarded next resume
-}
-
-// recoverSpool replays the spool at path from startOffset (a line
-// boundary — 0, or the offset a snapshot already covers), absorbing
-// entries whose address the checkpoint confirms complete. A torn or
-// unparseable
-// *final* line whose address is not checkpointed is the footprint of a
-// crash mid-write: the line is truncated away (so appends start on a
-// clean boundary) and its address will simply be re-crawled. Corruption
-// anywhere else — a bad non-final line, or a bad final line for an
-// address the checkpoint claims durable — is unrecoverable data loss
-// and fails with ErrSpoolCorrupt.
-func recoverSpool(path string, startOffset int64, cp *crawler.Checkpoint, absorb func([]*Tx)) error {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("dataset: open spool: %w", err)
-	}
-	defer f.Close()
-
-	if startOffset > 0 {
-		if _, err := f.Seek(startOffset, io.SeekStart); err != nil {
-			return fmt.Errorf("dataset: seek spool: %w", err)
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
 		}
 	}
-	r := bufio.NewReaderSize(f, 1<<20)
-	offset := startOffset // start of the line being read
-	var bad []byte        // first undecodable line seen
-	badOffset := int64(-1)
-	for {
-		line, err := r.ReadBytes('\n')
-		if len(line) > 0 {
-			if bad != nil {
-				// The damage was not on the final line: entries written
-				// after it prove this is not a mid-write crash tail.
-				return fmt.Errorf("%w: undecodable entry at byte %d followed by more data", ErrSpoolCorrupt, badOffset)
-			}
-			lineStart := offset
-			offset += int64(len(line))
-			trimmed := bytes.TrimRight(line, "\n")
-			if len(trimmed) == 0 {
-				continue
-			}
-			var entry spoolEntry
-			// A line missing its trailing newline is torn even if its
-			// prefix happens to decode: the crash landed mid-write, and
-			// appending to it would corrupt the next entry too.
-			if json.Unmarshal(trimmed, &entry) != nil || err != nil {
-				bad = trimmed
-				badOffset = lineStart
-				continue
-			}
-			if cp.Done(entry.Address) {
-				absorb(entry.Txs)
-			}
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("dataset: read spool: %w", err)
-		}
-	}
-	if bad == nil {
-		return nil
-	}
-	if addr := partialSpoolAddress(bad); addr != "" && cp.Done(addr) {
-		return fmt.Errorf("%w: checkpointed entry for %s is undecodable", ErrSpoolCorrupt, addr)
-	}
-	// Drop the torn tail so the next append starts on a line boundary.
-	if err := os.Truncate(path, badOffset); err != nil {
-		return fmt.Errorf("dataset: truncate torn spool tail: %w", err)
-	}
-	pm().spoolRecoveries.Inc()
-	return nil
-}
-
-// partialSpoolAddress pulls the address field out of a possibly
-// truncated spool line. The encoder always writes address first, so any
-// tear long enough to matter still yields it; an empty result means the
-// tear landed inside the address itself.
-func partialSpoolAddress(line []byte) string {
-	const key = `"address":"`
-	i := bytes.Index(line, []byte(key))
-	if i < 0 {
-		return ""
-	}
-	rest := line[i+len(key):]
-	j := bytes.IndexByte(rest, '"')
-	if j < 0 {
-		return ""
-	}
-	return string(rest[:j])
-}
-
-func strings0x(a ethtypes.Address) string {
-	text, _ := a.MarshalText()
-	return string(text)
+	return true
 }

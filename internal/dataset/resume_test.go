@@ -72,7 +72,7 @@ func TestResumableCrawlRecoversFromFailure(t *testing.T) {
 	if len(ds.Txs) != len(want.Txs) {
 		t.Errorf("resumed crawl has %d txs, fresh crawl %d", len(ds.Txs), len(want.Txs))
 	}
-	// The resumed run must have skipped already-checkpointed addresses.
+	// The resumed run must have skipped already-spooled addresses.
 	addrSet := map[ethtypes.Address]bool{}
 	for _, d := range ds.Domains {
 		for _, e := range d.Events {
@@ -107,7 +107,7 @@ func TestResumableCrawlIdempotentWhenComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	if counting.calls.Load() != 0 {
-		t.Errorf("complete checkpoint still crawled %d addresses", counting.calls.Load())
+		t.Errorf("complete spool still crawled %d addresses", counting.calls.Load())
 	}
 	if len(first.Txs) != len(second.Txs) {
 		t.Errorf("tx counts differ: %d vs %d", len(first.Txs), len(second.Txs))

@@ -5,6 +5,11 @@
 // re-registered names. The same assembly code runs against in-process
 // sources (fast, for benchmarks) or the HTTP substrates (exercising the
 // crawl pipeline end to end).
+//
+// A dataset persists in one format, the versioned columnar snapshot
+// dataset.bin (persist.go, binary.go). A resumable crawl keeps one
+// file, the checksummed record log txspool.bin (resume.go), whose rows
+// use the same column encoding.
 package dataset
 
 import (

@@ -85,23 +85,32 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeRPC(w, response{JSONRPC: "2.0", Error: &rpcError{-32700, "parse error: " + err.Error()}})
+	if status, err := httpjson.DecodeRequest(w, r, &req); status == http.StatusRequestEntityTooLarge {
+		writeRPC(w, status, response{JSONRPC: "2.0", Error: &rpcError{-32600, "invalid request: " + err.Error()}})
+		return
+	} else if err != nil {
+		writeRPC(w, http.StatusOK, response{JSONRPC: "2.0", Error: &rpcError{-32700, "parse error: " + err.Error()}})
 		return
 	}
 	resp := response{JSONRPC: "2.0", ID: req.ID}
 	result, err := s.dispatch(r.Context(), &req)
-	if err != nil {
+	switch {
+	case err != nil:
 		resp.Error = &rpcError{-32000, err.Error()}
-	} else {
+	case result == nil:
+		// JSON-RPC 2.0 requires "result" on success, even when it is null.
+		resp.Result = jsonNull
+	default:
 		resp.Result = result
 	}
-	writeRPC(w, resp)
+	writeRPC(w, http.StatusOK, resp)
 }
 
-func writeRPC(w http.ResponseWriter, resp response) {
+var jsonNull = json.RawMessage("null")
+
+func writeRPC(w http.ResponseWriter, status int, resp response) {
 	// A failed response write means the client is gone; nothing to repair.
-	_ = httpjson.Write(w, http.StatusOK, &resp)
+	_ = httpjson.Write(w, status, &resp)
 }
 
 func (s *Server) dispatch(ctx context.Context, req *request) (any, error) {

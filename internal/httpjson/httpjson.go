@@ -11,12 +11,14 @@
 // It also exports AppendString, an encoding/json-compatible string
 // escaper (HTML escaping included), for handlers that serialize rows
 // manually instead of through reflection — the subgraph server's page
-// encoder is the heavy user.
+// encoder is the heavy user — and DecodeRequest, the size-capped body
+// decode of the POST routes.
 package httpjson
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 	"sync"
@@ -81,6 +83,31 @@ func GetSlice() *[]byte {
 func PutSlice(p *[]byte) {
 	if cap(*p) <= maxPooledBuf {
 		slicePool.Put(p)
+	}
+}
+
+// MaxRequestBody bounds the JSON request bodies the POST routes decode
+// (/subgraph, /rpc); the page cache buffers bodies up to the same bound
+// to key on.
+const MaxRequestBody = 1 << 20
+
+// DecodeRequest decodes r's JSON body into v, reading at most
+// MaxRequestBody bytes, and returns the status a failure maps to: 413
+// for a body over the cap (refused unread when its declared length
+// already says so), 400 for any other decode error.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	if r.ContentLength > MaxRequestBody {
+		return http.StatusRequestEntityTooLarge, &http.MaxBytesError{Limit: MaxRequestBody}
+	}
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return http.StatusOK, nil
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, err
+	default:
+		return http.StatusBadRequest, err
 	}
 }
 

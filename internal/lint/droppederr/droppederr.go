@@ -1,8 +1,7 @@
 // Package droppederr defines an analyzer that hunts silently dropped
 // errors on the paths where a swallowed failure corrupts data rather
-// than crashing: the spool/checkpoint machinery, the dataset
-// builder/persister, report emission, the crawl clients, and the
-// command binaries.
+// than crashing: the resume spool, the dataset builder/persister,
+// report emission, the crawl clients, and the command binaries.
 //
 // In those packages it flags:
 //
@@ -15,13 +14,13 @@
 //   - a call whose results are entirely discarded (expression
 //     statement) when the callee is a Write/Close/Encode-family
 //     function returning an error. A spool Write whose error vanishes
-//     is exactly how a torn checkpoint line becomes silent data loss.
+//     is exactly how a torn spool record becomes silent data loss.
 //     Deferred calls are exempt (the `defer f.Close()` read-side
 //     idiom), as are the never-failing writers strings.Builder,
 //     bytes.Buffer, and hash.Hash;
 //   - fmt.Errorf with an error among its arguments but no %w verb:
 //     wrapping with %v/%s severs the chain, so errors.Is against
-//     sentinels like crawler.ErrSpoolCorrupt or a *RetryAfterError
+//     sentinels like dataset.ErrSpoolCorrupt or a *RetryAfterError
 //     stops matching and retry/resume logic silently degrades.
 package droppederr
 
@@ -39,7 +38,7 @@ import (
 // data-integrity-critical paths.
 var Analyzer = &analysis.Analyzer{
 	Name: "droppederr",
-	Doc:  "forbid discarded errors from Write/Close/Encode and %w-less error wrapping in spool/checkpoint/report/client paths",
+	Doc:  "forbid discarded errors from Write/Close/Encode and %w-less error wrapping in spool/report/client paths",
 	Run:  run,
 }
 

@@ -9,7 +9,7 @@ import (
 
 func TestDroppederr(t *testing.T) {
 	linttest.Run(t, droppederr.Analyzer,
-		"ensdropcatch/internal/crawler", // positive: spool/checkpoint path
+		"ensdropcatch/internal/crawler", // positive: crawl-client path
 		"ensdropcatch/internal/trace",   // positive: trace store/debug handler path
 		"ensdropcatch/internal/stats",   // negative: pure computation
 	)

@@ -29,6 +29,7 @@ import (
 	"strings"
 	"sync"
 
+	"ensdropcatch/internal/httpjson"
 	"ensdropcatch/internal/obs"
 )
 
@@ -43,8 +44,9 @@ const (
 	// cache key; longer bodies key on their FNV-64a hash instead.
 	maxKeyBody = 1 << 10
 	// maxReqBody bounds how much request body the cache will buffer to
-	// key on; beyond it the request bypasses the cache entirely.
-	maxReqBody = 1 << 20
+	// key on; beyond it the request bypasses the cache entirely. It is
+	// the handlers' own body cap, so no cacheable request is cut short.
+	maxReqBody = httpjson.MaxRequestBody
 )
 
 // Config sizes a Cache.
@@ -186,6 +188,13 @@ func (c *Cache) Wrap(route string, next http.Handler) http.Handler {
 		}
 		var reqBody []byte
 		if r.Body != nil && r.Method == http.MethodPost {
+			if r.ContentLength > maxReqBody {
+				// Declared oversized: skip the cache without buffering
+				// any of it; the handler enforces its own bound.
+				bypass.Inc()
+				next.ServeHTTP(w, r)
+				return
+			}
 			var err error
 			reqBody, err = io.ReadAll(io.LimitReader(r.Body, maxReqBody+1))
 			if err != nil || len(reqBody) > maxReqBody {

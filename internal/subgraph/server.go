@@ -1,7 +1,6 @@
 package subgraph
 
 import (
-	"encoding/json"
 	"log/slog"
 	"net/http"
 
@@ -48,8 +47,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req gqlRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, &gqlResponse{Errors: []gqlError{{Message: "invalid request body: " + err.Error()}}})
+	if status, err := httpjson.DecodeRequest(w, r, &req); err != nil {
+		s.writeJSON(w, status, &gqlResponse{Errors: []gqlError{{Message: "invalid request body: " + err.Error()}}})
 		return
 	}
 	q, err := Parse(req.Query)

@@ -1,6 +1,6 @@
 // Package vfs is the injectable filesystem seam under the pipeline's
-// durability-critical writers: the crash-atomic dataset save, the
-// transaction spool, and the crawl checkpoint. Production code writes
+// two durability-critical writers: the crash-atomic dataset save and the
+// resumable crawl's transaction spool. Production code writes
 // through an FS value (OS in real runs); chaos tests substitute a
 // seeded Faulty wrapper that injects short writes, ENOSPC, fsync
 // errors, rename failures, and named crash points, so the
@@ -20,17 +20,13 @@ import (
 	"os"
 )
 
-// File is the subset of *os.File the persistence writers need. WriteAt
-// serves the binary encoder's length back-patching; Read and Seek serve
-// the checkpoint's load-then-append open mode.
+// File is the subset of *os.File the persistence writers need: they
+// only write. WriteAt serves the dataset encoder's length back-patching.
 type File interface {
-	io.Reader
 	io.Writer
 	io.WriterAt
-	io.Seeker
 	io.Closer
 	Sync() error
-	Stat() (fs.FileInfo, error)
 	Name() string
 }
 
