@@ -168,6 +168,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzLoadSnapshot -fuzztime=30s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz=FuzzReplaySpool -fuzztime=30s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz=FuzzTxListQuery -fuzztime=30s ./internal/etherscan/
+	$(GO) test -run '^$$' -fuzz=FuzzAPIKey -fuzztime=30s ./internal/etherscan/
 	$(GO) test -run '^$$' -fuzz=FuzzParsePlan -fuzztime=30s ./internal/chaos/plan/
 	$(GO) test -run '^$$' -fuzz=FuzzRPCRequest -fuzztime=30s ./internal/ethrpc/
 	$(GO) test -run '^$$' -fuzz=FuzzOpenSeaQuery -fuzztime=30s ./internal/opensea/
@@ -182,6 +183,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzLoadSnapshot -fuzztime=10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz=FuzzReplaySpool -fuzztime=10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz=FuzzTxListQuery -fuzztime=10s ./internal/etherscan/
+	$(GO) test -run '^$$' -fuzz=FuzzAPIKey -fuzztime=10s ./internal/etherscan/
 	$(GO) test -run '^$$' -fuzz=FuzzParsePlan -fuzztime=10s ./internal/chaos/plan/
 	$(GO) test -run '^$$' -fuzz=FuzzRPCRequest -fuzztime=10s ./internal/ethrpc/
 	$(GO) test -run '^$$' -fuzz=FuzzOpenSeaQuery -fuzztime=10s ./internal/opensea/

@@ -115,7 +115,7 @@ func BenchmarkDataCollection(b *testing.B) {
 	store := subgraph.BuildIndex(res.Chain)
 	sgSrv := httptest.NewServer(subgraph.NewServer(store, nil))
 	defer sgSrv.Close()
-	esSrv := httptest.NewServer(etherscan.NewServer(res.Chain, dataset.LabelsFromWorld(res), 1_000_000, nil))
+	esSrv := httptest.NewServer(etherscan.NewServer(res.Chain, dataset.LabelsFromWorld(res)))
 	defer esSrv.Close()
 	osSrv := httptest.NewServer(opensea.NewServer(res.OpenSea))
 	defer osSrv.Close()

@@ -81,13 +81,13 @@ func TestChaosCrawlConvergesToCleanDataset(t *testing.T) {
 	store := subgraph.BuildIndex(res.Chain)
 	labels := dataset.LabelsFromWorld(res)
 
-	// ensworld's mux; the server-side rate limit is set high so the only
-	// 429s in play are the injected ones.
+	// ensworld's mux without its per-key limit, so the only 429s in play
+	// are the injected ones.
 	newServer := func(faulty func(http.Handler) http.Handler) *httptest.Server {
 		mux := http.NewServeMux()
 		mux.Handle("/subgraph", faulty(subgraph.NewServer(store, nil)))
 		mux.Handle("/etherscan/", http.StripPrefix("/etherscan",
-			faulty(etherscan.NewServer(res.Chain, labels, 5000, nil))))
+			faulty(etherscan.NewServer(res.Chain, labels))))
 		mux.Handle("/opensea/", http.StripPrefix("/opensea", faulty(opensea.NewServer(res.OpenSea))))
 		srv := httptest.NewServer(mux)
 		t.Cleanup(srv.Close)

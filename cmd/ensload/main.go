@@ -119,7 +119,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "ensload: generate world: %v\n", err)
 			return 1
 		}
-		stack := serve.New(res, nil, serve.Config{Seed: o.worldSeed, Registry: obs.NewRegistry()})
+		// Every planned Etherscan request carries apikey=ensload, so the
+		// per-key limit is lifted: a refusal rides on HTTP 200 and would
+		// count as ok.
+		stack := serve.New(res, nil, serve.Config{Seed: o.worldSeed, Registry: obs.NewRegistry(), EtherscanRate: 1 << 20})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			fmt.Fprintf(stderr, "ensload: listen: %v\n", err)

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ensdropcatch/internal/obs"
 )
 
 func testPlanConfig(seed int64) planConfig {
@@ -175,6 +177,10 @@ func TestRunSelfhostSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins a world and a 2s load run")
 	}
+	// A per-key refusal is an HTTP 200 the report counts as ok, so it is
+	// read from the quota's own counter.
+	refused := obs.Default.CounterVec("overload_quota_denied_total", "", "client").With("ensload")
+	before := refused.Value()
 	var out, errb bytes.Buffer
 	code := run([]string{
 		"-selfhost", "-domains", "200", "-world-seed", "3",
@@ -183,6 +189,9 @@ func TestRunSelfhostSmoke(t *testing.T) {
 	}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
+	}
+	if n := refused.Value() - before; n != 0 {
+		t.Errorf("%d Etherscan requests refused by the per-key limit, want 0", n)
 	}
 	for _, route := range append(append([]string{}, dataRoutes...), routeHealthz) {
 		if !strings.Contains(out.String(), "BenchmarkLoad/"+route+" ") {

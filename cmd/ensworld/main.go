@@ -27,10 +27,13 @@
 // Data routes additionally run behind overload protection
 // (internal/overload): a bounded-concurrency admission gate with a
 // deadline-aware wait queue (-max-inflight, -queue-depth, -queue-wait),
-// optional per-client token-bucket quotas keyed by X-Client-ID
-// (-quota-rate), and per-route deadlines that X-Request-Deadline-Ms can
-// shorten (-route-timeout). Shed requests get 503/429 with a computed
-// Retry-After; health, metrics, and debug routes are never shed.
+// one token-bucket quota per route — per apikey on /etherscan/api
+// (-etherscan-rate), per X-Client-ID on /subgraph, /opensea/ and /rpc
+// (-quota-rate, off by default) — and per-route deadlines that
+// X-Request-Deadline-Ms can shorten (-route-timeout). Sheds get 503 and
+// quota refusals 429, each with a computed Retry-After, but Etherscan's
+// refusal is its own NOTOK on HTTP 200. Health, metrics, and debug
+// routes are never shed.
 //
 // Example:
 //
@@ -63,7 +66,7 @@ func main() {
 		domains   = flag.Int("domains", 10000, "number of domains to simulate")
 		seed      = flag.Int64("seed", 1, "deterministic generation seed")
 		listen    = flag.String("listen", "127.0.0.1:8080", "listen address")
-		rate      = flag.Int("etherscan-rate", etherscan.DefaultRatePerSecond, "etherscan requests/second/key (0 = default)")
+		rate      = flag.Int("etherscan-rate", etherscan.DefaultRatePerSecond, "requests/second per apikey on /etherscan/api, cache hits included (0 = default)")
 		drain     = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown deadline")
 		chaosRate = flag.Float64("chaos-rate", 0, "per-request fault injection probability in [0,1] on the API routes (0 = off)")
 		chaosSeed = flag.Int64("chaos-seed", 1, "deterministic fault schedule seed")
@@ -72,12 +75,11 @@ func main() {
 		maxInflight  = flag.Int("max-inflight", 64, "data-route requests served concurrently before new arrivals queue")
 		queueDepth   = flag.Int("queue-depth", 128, "queued data-route requests beyond which arrivals are shed with 503 + Retry-After")
 		queueWait    = flag.Duration("queue-wait", 2*time.Second, "longest a data-route request may queue before being shed")
-		quotaRate    = flag.Float64("quota-rate", 0, "per-client requests/second quota on data routes, keyed by X-Client-ID (0 = off)")
+		quotaRate    = flag.Float64("quota-rate", 0, "per-client requests/second quota on /subgraph, /opensea/ and /rpc, keyed by X-Client-ID (0 = off)")
 		quotaBurst   = flag.Float64("quota-burst", 0, "per-client quota burst size (0 = max(quota-rate, 1))")
 		routeTimeout = flag.Duration("route-timeout", 30*time.Second, "default handler deadline on data routes; X-Request-Deadline-Ms may shorten it (0 = none)")
 
-		cacheOff     = flag.Bool("no-page-cache", false, "disable the data-route response cache")
-		cacheEntries = flag.Int("page-cache-entries", 0, "page cache entry bound (0 = default)")
+		cacheOff = flag.Bool("no-page-cache", false, "disable the data-route response cache")
 	)
 	traceFlags := registerTraceFlags(flag.CommandLine, true)
 	flag.Parse()
@@ -165,7 +167,6 @@ func main() {
 		QuotaBurst:    *quotaBurst,
 		RouteTimeout:  *routeTimeout,
 		CacheDisabled: *cacheOff,
-		CacheEntries:  *cacheEntries,
 		Tracer:        tracer,
 	})
 

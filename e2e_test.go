@@ -1,13 +1,12 @@
 package ensdropcatch
 
 // End-to-end pipeline test: the exact topology of the command-line tools —
-// ensworld's single-listener mux serving all three APIs, enscrawl's
-// rate-limited resumable crawl, persistence to disk, and ensanalyze's full
-// analysis pass over the reloaded dataset.
+// ensworld's serve stack answering all three APIs on one listener,
+// enscrawl's rate-limited resumable crawl, persistence to disk, and
+// ensanalyze's full analysis pass over the reloaded dataset.
 
 import (
 	"context"
-	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
@@ -16,7 +15,9 @@ import (
 	"ensdropcatch/internal/core"
 	"ensdropcatch/internal/dataset"
 	"ensdropcatch/internal/etherscan"
+	"ensdropcatch/internal/obs"
 	"ensdropcatch/internal/opensea"
+	"ensdropcatch/internal/serve"
 	"ensdropcatch/internal/subgraph"
 	"ensdropcatch/internal/world"
 )
@@ -25,20 +26,16 @@ func TestEndToEndPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline")
 	}
-	// 1. Generate the world and stand up the ensworld mux.
+	// 1. Generate the world and stand up ensworld's stack, with a
+	// 200/s limit per apikey.
 	cfg := world.DefaultConfig(1200)
 	cfg.Seed = 11
 	res, err := world.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := subgraph.BuildIndex(res.Chain)
-	mux := http.NewServeMux()
-	mux.Handle("/subgraph", subgraph.NewServer(store, nil))
-	mux.Handle("/etherscan/", http.StripPrefix("/etherscan",
-		etherscan.NewServer(res.Chain, dataset.LabelsFromWorld(res), 200, nil)))
-	mux.Handle("/opensea/", http.StripPrefix("/opensea", opensea.NewServer(res.OpenSea)))
-	srv := httptest.NewServer(mux)
+	stack := serve.New(res, nil, serve.Config{Registry: obs.NewRegistry(), EtherscanRate: 200})
+	srv := httptest.NewServer(stack.Handler)
 	defer srv.Close()
 
 	// 2. Crawl it like enscrawl, with resume enabled and real (if fast)

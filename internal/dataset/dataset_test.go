@@ -157,7 +157,7 @@ func TestRemoteEqualsLocal(t *testing.T) {
 	store := subgraph.BuildIndex(res.Chain)
 	sgSrv := httptest.NewServer(subgraph.NewServer(store, nil))
 	defer sgSrv.Close()
-	esSrv := httptest.NewServer(etherscan.NewServer(res.Chain, LabelsFromWorld(res), 1_000_000, nil))
+	esSrv := httptest.NewServer(etherscan.NewServer(res.Chain, LabelsFromWorld(res)))
 	defer esSrv.Close()
 	osSrv := httptest.NewServer(opensea.NewServer(res.OpenSea))
 	defer osSrv.Close()

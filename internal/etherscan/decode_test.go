@@ -91,7 +91,7 @@ func nested(n int) string { return strings.Repeat("[", n) + strings.Repeat("]", 
 // deep nesting and long values.
 func decodeSeeds(t testing.TB) [][]byte {
 	c, addrs := buildChain(t, 12)
-	srv := httptest.NewServer(NewServer(c, Labels{}, 1_000_000, nil))
+	srv := httptest.NewServer(NewServer(c, Labels{}))
 	defer srv.Close()
 	var seeds [][]byte
 	for _, q := range []string{

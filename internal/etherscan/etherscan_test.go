@@ -14,6 +14,7 @@ import (
 	"ensdropcatch/internal/chain"
 	"ensdropcatch/internal/crawler"
 	"ensdropcatch/internal/ethtypes"
+	"ensdropcatch/internal/overload"
 )
 
 const genesis = 1580515200
@@ -51,8 +52,7 @@ func newTestServer(t *testing.T, c *chain.Chain) *httptest.Server {
 		Coinbase:       []string{"0x1111111111111111111111111111111111111111"},
 		OtherCustodial: []string{"0x2222222222222222222222222222222222222222"},
 	}
-	// Very high rate so ordinary tests never trip the limiter.
-	srv := httptest.NewServer(NewServer(c, labels, 1_000_000, nil))
+	srv := httptest.NewServer(NewServer(c, labels))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -140,14 +140,19 @@ func TestStartBlockWindowPaging(t *testing.T) {
 	}
 }
 
+// TestServerRateLimit fronts the server with the per-key limiter the
+// serve stack builds from APIKey and RefuseRateLimit: a burst of 10 on
+// one key at 2 rps draws Etherscan's NOTOK answer, and another key is
+// not charged for it.
 func TestServerRateLimit(t *testing.T) {
 	c, addrs := buildChain(t, 1)
-	labels := Labels{}
-	srv := httptest.NewServer(NewServer(c, labels, 2, nil))
+	frozen := time.Unix(genesis, 0)
+	keys := overload.NewQuotas(overload.QuotaConfig{Rate: 2, Burst: 2, Now: func() time.Time { return frozen }})
+	srv := httptest.NewServer(keys.Wrap(APIKey, RefuseRateLimit, NewServer(c, Labels{})))
 	defer srv.Close()
 
-	get := func() *envelope {
-		resp, err := http.Get(srv.URL + "/api?module=account&action=txlist&address=0x" + hexLower(addrs[0]) + "&apikey=K")
+	get := func(key string) (*http.Response, *envelope) {
+		resp, err := http.Get(srv.URL + "/api?module=account&action=txlist&address=0x" + hexLower(addrs[0]) + "&apikey=" + key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,17 +161,23 @@ func TestServerRateLimit(t *testing.T) {
 		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 			t.Fatal(err)
 		}
-		return &env
+		return resp, &env
 	}
-	limited := false
-	for i := 0; i < 10; i++ {
-		if env := get(); env.Message == "NOTOK" {
-			limited = true
-			break
+	var refused *http.Response
+	for i := 0; i < 10 && refused == nil; i++ {
+		if resp, env := get("K"); env.Message == "NOTOK" {
+			refused = resp
 		}
 	}
-	if !limited {
-		t.Error("burst of 10 requests never rate-limited at 2 rps")
+	if refused == nil {
+		t.Fatal("burst of 10 requests never rate-limited at 2 rps")
+	}
+	if refused.StatusCode != http.StatusOK || refused.Header.Get("Cache-Control") != "no-store" || refused.Header.Get("Retry-After") != "" {
+		t.Errorf("refusal: status %d, Cache-Control %q, Retry-After %q; want 200, no-store, none",
+			refused.StatusCode, refused.Header.Get("Cache-Control"), refused.Header.Get("Retry-After"))
+	}
+	if _, env := get("other"); env.Status != "1" {
+		t.Errorf("another key got %s/%s, want OK", env.Status, env.Message)
 	}
 }
 

@@ -13,7 +13,6 @@ type metricSet struct {
 	clientRateLimited *obs.Counter
 	clientPages       *obs.Counter
 	clientRows        *obs.Counter
-	serverRateLimited *obs.Counter
 }
 
 var metrics atomic.Pointer[metricSet]
@@ -37,8 +36,6 @@ func InitMetrics(reg *obs.Registry) {
 			"txlist pages fetched."),
 		clientRows: reg.Counter("etherscan_client_rows_total",
 			"Transaction rows received (before dedup)."),
-		serverRateLimited: reg.Counter("etherscan_server_ratelimited_total",
-			"Requests rejected by the server's per-key token bucket."),
 	})
 }
 

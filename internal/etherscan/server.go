@@ -1,21 +1,22 @@
 // Package etherscan reimplements the slice of the Etherscan API the paper's
 // transaction crawl depends on: the account txlist endpoint with
-// startblock/page/offset paging, per-key rate limiting, and the label lists
-// (Coinbase and other custodial addresses) the paper sources from
-// Etherscan. The client side implements the polite-crawler loop: token
-// bucket pacing, retry on rate-limit errors, and startblock cursor paging
-// past the result-window cap.
+// startblock/page/offset paging, and the label lists (Coinbase and other
+// custodial addresses) the paper sources from Etherscan. The server is
+// stateless; its per-key rate limit is an overload.Quotas that the serve
+// stack charges to APIKey and answers with RefuseRateLimit. The client
+// side implements the polite-crawler loop: token bucket pacing, retry on
+// rate-limit errors, and startblock cursor paging past the result-window
+// cap.
 package etherscan
 
 import (
 	"cmp"
 	"encoding/hex"
-	"log/slog"
 	"net/http"
 	"net/url"
 	"slices"
 	"strconv"
-	"sync"
+	"strings"
 	"time"
 
 	"ensdropcatch/internal/chain"
@@ -32,12 +33,6 @@ const (
 	MaxWindow = 10000
 	// DefaultRatePerSecond is the per-key request budget.
 	DefaultRatePerSecond = 5
-	// maxBuckets caps the rate-limiter table. API keys are
-	// client-chosen strings, so without a cap a key-churning client
-	// grows the table without limit; at the cap the stalest bucket is
-	// recycled, which only ever hands tokens back to a key idle longer
-	// than every active one.
-	maxBuckets = 4096
 )
 
 // TxRecord is one row of a txlist response, JSON-shaped like Etherscan's.
@@ -68,75 +63,58 @@ type Labels struct {
 type Server struct {
 	chain  *chain.Chain
 	labels Labels
-	rate   int
-	log    *slog.Logger
-
-	mu      sync.Mutex
-	buckets map[string]*bucket // guarded by mu
-}
-
-type bucket struct {
-	tokens float64
-	last   time.Time
 }
 
 // errWindowTooLarge is formatted once: the message is constant per
 // build, and the paging-validation path is hit by every deep crawl.
 var errWindowTooLarge = "Result window is too large, PageNo x Offset size must be less than or equal to " + strconv.Itoa(MaxWindow)
 
-// NewServer wraps a chain. rate is requests/second/key; <= 0 uses the
-// default. The labels are served verbatim on /labels.
-func NewServer(c *chain.Chain, labels Labels, rate int, logger *slog.Logger) *Server {
-	if rate <= 0 {
-		rate = DefaultRatePerSecond
-	}
-	if logger == nil {
-		logger = slog.New(slog.DiscardHandler)
-	}
-	return &Server{chain: c, labels: labels, rate: rate, log: logger, buckets: map[string]*bucket{}}
+// NewServer wraps a chain. The labels are served verbatim on /labels.
+func NewServer(c *chain.Chain, labels Labels) *Server {
+	return &Server{chain: c, labels: labels}
 }
 
-// allow consumes one token from the key's bucket.
-func (s *Server) allow(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.buckets[key]
-	now := time.Now()
-	if !ok {
-		if len(s.buckets) >= maxBuckets {
-			s.evictStalestLocked()
+// APIKey is the rate-limit identity of an /api request: its first
+// apikey query value, as r.URL.Query().Get("apikey") reads it for every
+// query, but without building the map, so a plain query allocates
+// nothing.
+func APIKey(r *http.Request) string {
+	q := r.URL.RawQuery
+	for q != "" {
+		var pair string
+		pair, q, _ = strings.Cut(q, "&")
+		if strings.Contains(pair, ";") {
+			continue // url.ParseQuery rejects the pair
 		}
-		b = &bucket{tokens: float64(s.rate), last: now}
-		s.buckets[key] = b
+		k, v, _ := strings.Cut(pair, "=")
+		if k, ok := queryUnescape(k); !ok || k != "apikey" {
+			continue
+		}
+		if v, ok := queryUnescape(v); ok {
+			return v
+		}
 	}
-	b.tokens += now.Sub(b.last).Seconds() * float64(s.rate)
-	b.last = now
-	if b.tokens > float64(s.rate) {
-		b.tokens = float64(s.rate)
-	}
-	if b.tokens < 1 {
-		m().serverRateLimited.Inc()
-		return false
-	}
-	b.tokens--
-	return true
+	return ""
 }
 
-// evictStalestLocked drops the bucket with the oldest refill time.
-// Called with s.mu held, only on the new-key path at capacity, so the
-// linear scan prices the attack (key churn), not the steady state.
-func (s *Server) evictStalestLocked() {
-	var stalest string
-	var stalestAt time.Time
-	first := true
-	for key, b := range s.buckets {
-		if first || b.last.Before(stalestAt) {
-			stalest, stalestAt, first = key, b.last, false
-		}
+// queryUnescape is url.QueryUnescape with its error as !ok; a string
+// with nothing to unescape comes back as itself.
+func queryUnescape(s string) (string, bool) {
+	if !strings.ContainsAny(s, "%+") {
+		return s, true
 	}
-	if !first {
-		delete(s.buckets, stalest)
-	}
+	u, err := url.QueryUnescape(s)
+	return u, err == nil
+}
+
+// RefuseRateLimit writes Etherscan's answer to a key over its rate
+// limit: HTTP 200 with a NOTOK envelope and no Retry-After. It has the
+// shape of an overload.Refusal; the key and the wait go unused.
+func RefuseRateLimit(w http.ResponseWriter, _ string, _ time.Duration) {
+	// The answer rides on HTTP 200, so a response cache downstream
+	// would replay "NOTOK" to a key whose budget has long refilled.
+	w.Header().Set("Cache-Control", "no-store")
+	writeEnvelope(w, "0", "NOTOK", "Max rate limit reached")
 }
 
 // ServeHTTP implements http.Handler for /api and /labels.
@@ -154,15 +132,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	key := q.Get("apikey")
-	if !s.allow(key) {
-		// Rate-limit answers ride on HTTP 200 (Etherscan's quirk), so a
-		// naive response cache would happily serve "NOTOK" to clients
-		// whose budget has long refilled. no-store keeps them out.
-		w.Header().Set("Cache-Control", "no-store")
-		writeEnvelope(w, "0", "NOTOK", "Max rate limit reached")
-		return
-	}
 	if q.Get("module") != "account" {
 		writeEnvelope(w, "0", "NOTOK", "Error! Missing or invalid module")
 		return

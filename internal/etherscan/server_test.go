@@ -5,9 +5,9 @@ import (
 	"cmp"
 	"encoding/json"
 	"errors"
-	"math"
 	"math/big"
 	"math/bits"
+	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"slices"
@@ -54,7 +54,7 @@ func TestTxListMatchesEncoder(t *testing.T) {
 	pages := []struct{ page, offset int }{{1, 100}, {2, 7}, {1, 1}, {3, 2}, {1, MaxOffset}, {50, 200}}
 	checked := 0
 	for _, c := range []*chain.Chain{res.Chain, odd} {
-		srv := NewServer(c, Labels{}, 1_000_000_000, nil)
+		srv := NewServer(c, Labels{})
 		for _, addr := range c.AddressesWithActivity() {
 			txs := c.TxsByAddress(addr)
 			slices.SortStableFunc(txs, func(x, y *chain.Transaction) int { return int(x.BlockNumber) - int(y.BlockNumber) })
@@ -140,7 +140,7 @@ func refTxList(txs []*chain.Transaction, q url.Values) (string, []string) {
 // against refTxList: the same error, or the same rows in order.
 func FuzzTxListQuery(f *testing.F) {
 	c, addrs := buildChain(f, 30)
-	srv := NewServer(c, Labels{}, math.MaxInt32, nil)
+	srv := NewServer(c, Labels{})
 	txs := slices.Clone(c.TxsByAddress(addrs[0]))
 	slices.SortStableFunc(txs, func(a, b *chain.Transaction) int { return cmp.Compare(a.BlockNumber, b.BlockNumber) })
 
@@ -187,6 +187,47 @@ func FuzzTxListQuery(f *testing.F) {
 		}
 		if !slices.Equal(got, wantHashes) {
 			t.Fatalf("page rows %v, want %v", got, wantHashes)
+		}
+	})
+}
+
+// crawlQuery is the query Client.TxList sends for a first page, as
+// testdata/crawl_wire.golden records it.
+const crawlQuery = "action=txlist&address=0x0032bd6ccee89be348d3794e4fa00f4543f9ff54&apikey=wire&module=account&offset=1000&page=1&sort=asc&startblock=0"
+
+// TestAPIKeyAllocFree: charging the per-key quota adds no allocation
+// to a crawl request.
+func TestAPIKeyAllocFree(t *testing.T) {
+	r := httptest.NewRequest(http.MethodGet, "/etherscan/api?"+crawlQuery, nil)
+	if got := APIKey(r); got != "wire" {
+		t.Fatalf("APIKey = %q, want wire", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { APIKey(r) }); n != 0 {
+		t.Errorf("APIKey allocates %.0f times per call on a plain query, want 0", n)
+	}
+}
+
+// FuzzAPIKey holds the quota's key reader to the map the handler once
+// read the key from: for any raw query, APIKey returns the first
+// apikey value of url.ParseQuery, the parse error ignored as
+// r.URL.Query() ignores it.
+func FuzzAPIKey(f *testing.F) {
+	for _, seed := range []string{
+		crawlQuery,
+		"apikey=first&apikey=second",
+		"apikey=%zz&apikey=K",
+		"api%6Bey=K",
+		"apikey=a+b",
+		"apikey=a;b&apikey=c",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		v, _ := url.ParseQuery(raw)
+		want := v.Get("apikey")
+		if got := APIKey(&http.Request{URL: &url.URL{RawQuery: raw}}); got != want {
+			t.Fatalf("APIKey(%q) = %q, want %q", raw, got, want)
 		}
 	})
 }

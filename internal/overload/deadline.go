@@ -9,8 +9,9 @@ import (
 
 // DeadlineHeader carries the client's remaining budget for one request
 // in whole milliseconds. The server bounds the handler's context by it
-// (clamped to the route's maximum), so work the client has already given
-// up on stops consuming CPU instead of running to completion for nobody.
+// (never past the route's own budget), so work the client has already
+// given up on stops consuming CPU instead of running to completion for
+// nobody.
 const DeadlineHeader = "X-Request-Deadline-Ms"
 
 // SetRequestHeaders stamps the overload-protocol headers onto an
@@ -30,27 +31,24 @@ func SetRequestHeaders(req *http.Request, clientID string) {
 	}
 }
 
-// Deadline bounds each request's context: def is the route's default
-// budget (<= 0 means none), and a valid X-Request-Deadline-Ms header
-// overrides it, clamped to max (<= 0 means uncapped). The gate, running
-// inside this middleware, sheds queued requests whose budget the
-// estimated wait would blow.
-func Deadline(def, max time.Duration, next http.Handler) http.Handler {
+// Deadline bounds each request's context by budget (<= 0 means no
+// deadline). A valid X-Request-Deadline-Ms header may shorten the
+// budget but never extend it. The gate, running inside this middleware,
+// sheds queued requests whose budget the estimated wait would blow.
+func Deadline(budget time.Duration, next http.Handler) http.Handler {
+	if budget <= 0 {
+		return next
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		budget := def
+		d := budget
 		if v := r.Header.Get(DeadlineHeader); v != "" {
-			if ms, err := strconv.ParseInt(v, 10, 64); err == nil && ms > 0 {
-				budget = time.Duration(ms) * time.Millisecond
+			// Compared in milliseconds, before any multiplication: a huge
+			// header must not overflow into a negative budget.
+			if ms, err := strconv.ParseInt(v, 10, 64); err == nil && ms > 0 && ms < budget.Milliseconds() {
+				d = time.Duration(ms) * time.Millisecond
 			}
 		}
-		if max > 0 && budget > max {
-			budget = max
-		}
-		if budget <= 0 {
-			next.ServeHTTP(w, r)
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), budget)
+		ctx, cancel := context.WithTimeout(r.Context(), d)
 		defer cancel()
 		next.ServeHTTP(w, r.WithContext(ctx))
 	})

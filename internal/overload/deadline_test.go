@@ -7,15 +7,15 @@ import (
 	"time"
 )
 
-// deadlineOf runs one request through Deadline(def, max) with the given
+// deadlineOf runs one request through Deadline(budget) with the given
 // header value ("" omits it) and reports the handler context's budget
 // (0 when no deadline was set).
-func deadlineOf(t *testing.T, def, max time.Duration, header string) time.Duration {
+func deadlineOf(t *testing.T, budget time.Duration, header string) time.Duration {
 	t.Helper()
-	var budget time.Duration
-	h := Deadline(def, max, http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+	var got time.Duration
+	h := Deadline(budget, http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
 		if dl, ok := r.Context().Deadline(); ok {
-			budget = time.Until(dl)
+			got = time.Until(dl)
 		}
 	}))
 	r := httptest.NewRequest(http.MethodGet, "/", nil)
@@ -23,7 +23,7 @@ func deadlineOf(t *testing.T, def, max time.Duration, header string) time.Durati
 		r.Header.Set(DeadlineHeader, header)
 	}
 	h.ServeHTTP(httptest.NewRecorder(), r)
-	return budget
+	return got
 }
 
 // near reports whether got is within 100ms below want (deadlines are
@@ -33,40 +33,46 @@ func near(got, want time.Duration) bool {
 }
 
 func TestDeadlineDefaultApplies(t *testing.T) {
-	if got := deadlineOf(t, 5*time.Second, 0, ""); !near(got, 5*time.Second) {
+	if got := deadlineOf(t, 5*time.Second, ""); !near(got, 5*time.Second) {
 		t.Errorf("budget = %v, want ~5s default", got)
 	}
 }
 
 func TestDeadlineHeaderOverridesDefault(t *testing.T) {
-	if got := deadlineOf(t, 30*time.Second, 0, "1500"); !near(got, 1500*time.Millisecond) {
+	if got := deadlineOf(t, 30*time.Second, "1500"); !near(got, 1500*time.Millisecond) {
 		t.Errorf("budget = %v, want ~1.5s from header", got)
 	}
 }
 
 func TestDeadlineHeaderClampedToMax(t *testing.T) {
-	if got := deadlineOf(t, 2*time.Second, 4*time.Second, "60000"); !near(got, 4*time.Second) {
-		t.Errorf("budget = %v, want clamped to 4s max", got)
+	// The header only shortens: a longer one, or one too large to fit a
+	// Duration, leaves the route's budget in force.
+	for _, long := range []string{"60000", "9223372036854775807"} {
+		if got := deadlineOf(t, 4*time.Second, long); !near(got, 4*time.Second) {
+			t.Errorf("header %q: budget = %v, want clamped to 4s", long, got)
+		}
 	}
 }
 
 func TestDeadlineInvalidHeaderIgnored(t *testing.T) {
 	for _, bad := range []string{"soon", "-5", "0", "1.5"} {
-		if got := deadlineOf(t, time.Second, 0, bad); !near(got, time.Second) {
+		if got := deadlineOf(t, time.Second, bad); !near(got, time.Second) {
 			t.Errorf("header %q: budget = %v, want ~1s default", bad, got)
 		}
 	}
 }
 
 func TestDeadlineAbsentLeavesContextUnbounded(t *testing.T) {
-	if got := deadlineOf(t, 0, 0, ""); got != 0 {
-		t.Errorf("budget = %v, want none", got)
+	for _, header := range []string{"", "1500"} {
+		if got := deadlineOf(t, 0, header); got != 0 {
+			t.Errorf("header %q: budget = %v, want none", header, got)
+		}
 	}
 }
 
 func TestDeadlineCancelsSlowHandler(t *testing.T) {
 	done := make(chan error, 1)
-	h := Deadline(20*time.Millisecond, 0, http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+	h := Deadline(20*time.Millisecond, http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			done <- r.Context().Err()

@@ -17,11 +17,11 @@ type metricSet struct {
 	quotaDenied *obs.BoundedCounterVec
 }
 
-// maxQuotaClients caps the distinct client-id label values on
-// overload_quota_denied_total. The id is caller-controlled
-// (X-Client-ID), so an adversarial or buggy client could otherwise
-// mint unbounded series; past the cap, denials collapse into the
-// "_other" series and obs_label_overflow_total counts them.
+// maxQuotaClients caps the distinct client label values on
+// overload_quota_denied_total. The identity is caller-controlled
+// (X-Client-ID, apikey), so an adversarial or buggy client could
+// otherwise mint unbounded series; past the cap, denials collapse into
+// the "_other" series and obs_label_overflow_total counts them.
 const maxQuotaClients = 128
 
 var metrics atomic.Pointer[metricSet]
@@ -50,7 +50,7 @@ func InitMetrics(reg *obs.Registry) {
 		shed: reg.CounterVec("overload_shed_total",
 			"Requests shed by the admission gate, by route and reason.", "route", "reason"),
 		quotaDenied: reg.BoundedCounterVec("overload_quota_denied_total",
-			"Requests denied by per-client quotas, by client id (capped cardinality).",
+			"Requests denied by quotas, by client id or API key (capped cardinality).",
 			maxQuotaClients, "client"),
 	})
 }

@@ -1,22 +1,22 @@
 // Package overload is the server half of the pipeline's fault-tolerance
-// story: admission control, load shedding, per-client quotas, and
+// story: admission control, load shedding, per-identity quotas, and
 // deadline propagation for the ensworld API server.
 //
-// PR 2 hardened the *clients* — retries, Retry-After, circuit breakers,
-// resumable crawls — against a faulty server. This package protects the
-// server from its clients: a bounded concurrency gate with a bounded,
-// deadline-aware wait queue keeps an unbounded burst of crawlers from
-// queueing unboundedly and starving /healthz; requests the server cannot
-// serve in time are shed early with 503 + a computed Retry-After, the
-// exact signal the PR 2 retry loop (and the PR 5 adaptive controller)
-// already honors. Priority classes keep health, metrics, and debug
-// routes outside the gate entirely: an overloaded server must still be
-// observable.
+// The crawl clients are hardened against a faulty server — retries,
+// Retry-After, circuit breakers, resumable crawls. This package
+// protects the server from its clients: a bounded concurrency gate with
+// a bounded, deadline-aware wait queue keeps an unbounded burst of
+// crawlers from queueing unboundedly; requests the server cannot serve
+// in time are shed early with 503 + a computed Retry-After, the exact
+// signal the client retry loop and adaptive controller already honor.
+// Only the routes a caller wraps are gated: health, metrics and debug
+// routes are left unwrapped, so an overloaded server stays observable.
 //
 // The three pieces compose as HTTP middleware, outermost first:
 //
 //	Deadline (bound the handler context)
-//	→ Quotas (per-client token buckets, 429 + Retry-After)
+//	→ Quotas (per-identity token buckets; the caller names the
+//	          identity and writes the refusal)
 //	→ Gate   (bounded concurrency + bounded queue, 503 + Retry-After)
 //	→ handler
 //
@@ -36,31 +36,6 @@ import (
 
 	"ensdropcatch/internal/trace"
 )
-
-// Priority classifies a route for admission control.
-type Priority int
-
-const (
-	// Critical routes (health, metrics, debug) bypass the gate: they are
-	// never queued and never shed, so an overloaded server stays
-	// observable and load balancers can still probe it.
-	Critical Priority = iota
-	// Data routes (the crawled APIs) are admitted through the bounded
-	// gate and shed first under overload.
-	Data
-)
-
-// String renders the priority for logs.
-func (p Priority) String() string {
-	switch p {
-	case Critical:
-		return "critical"
-	case Data:
-		return "data"
-	default:
-		return fmt.Sprintf("Priority(%d)", int(p))
-	}
-}
 
 // Shed reasons recorded in overload_shed_total{route,reason}.
 const (
@@ -84,6 +59,10 @@ func (e *ShedError) Error() string {
 	return fmt.Sprintf("overload: shed (%s, retry after %v)", e.Reason, e.RetryAfter)
 }
 
+// defaultServiceTime seeds the wait estimator before any request has
+// completed.
+const defaultServiceTime = 100 * time.Millisecond
+
 // GateConfig tunes a Gate. Zero values pick production-shaped defaults.
 type GateConfig struct {
 	// MaxInflight bounds concurrently admitted data requests; <= 0 uses 64.
@@ -92,9 +71,6 @@ type GateConfig struct {
 	QueueDepth int
 	// MaxWait caps how long one request may queue; <= 0 uses 2s.
 	MaxWait time.Duration
-	// DefaultServiceTime seeds the wait estimator before any request has
-	// completed; <= 0 uses 100ms.
-	DefaultServiceTime time.Duration
 	// Now is the injectable clock for tests; nil uses time.Now.
 	Now func() time.Time
 }
@@ -124,9 +100,6 @@ func NewGate(cfg GateConfig) *Gate {
 	if cfg.MaxWait <= 0 {
 		cfg.MaxWait = 2 * time.Second
 	}
-	if cfg.DefaultServiceTime <= 0 {
-		cfg.DefaultServiceTime = 100 * time.Millisecond
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -140,7 +113,7 @@ func NewGate(cfg GateConfig) *Gate {
 func (g *Gate) estimateLocked(pos int) time.Duration {
 	base := g.ewmaSec
 	if base == 0 {
-		base = g.cfg.DefaultServiceTime.Seconds()
+		base = defaultServiceTime.Seconds()
 	}
 	est := time.Duration(base * float64(pos) / float64(g.cfg.MaxInflight) * float64(time.Second))
 	if est < 10*time.Millisecond {
@@ -270,14 +243,9 @@ func (g *Gate) releaseFunc() func() {
 	}
 }
 
-// Wrap returns next behind the gate under the given route label.
-// Critical routes pass through untouched — an overloaded server must
-// still answer its health checks. Shed data requests get 503 with a
-// computed Retry-After.
-func (g *Gate) Wrap(route string, pri Priority, next http.Handler) http.Handler {
-	if pri == Critical {
-		return next
-	}
+// Wrap returns next behind the gate under the given route label. Shed
+// requests get 503 with a computed Retry-After.
+func (g *Gate) Wrap(route string, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		release, err := g.Admit(r.Context())
 		if err != nil {

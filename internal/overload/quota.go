@@ -28,21 +28,23 @@ func ClientID(r *http.Request) string {
 	return host
 }
 
-// QuotaConfig tunes per-client token buckets.
+// maxClients bounds the buckets of one Quotas. Identities are
+// caller-chosen strings, so past it the least-recently-seen one is
+// evicted.
+const maxClients = 4096
+
+// QuotaConfig tunes per-identity token buckets.
 type QuotaConfig struct {
-	// Rate is the sustained request budget per client in requests/second.
-	// <= 0 disables quotas (Allow always admits).
+	// Rate is the sustained request budget per identity in
+	// requests/second. <= 0 disables quotas (Allow always admits).
 	Rate float64
 	// Burst is the bucket capacity; <= 0 uses max(Rate, 1).
 	Burst float64
-	// MaxClients bounds the tracked buckets; when exceeded the
-	// least-recently-seen client is evicted. <= 0 uses 4096.
-	MaxClients int
 	// Now is the injectable clock for tests; nil uses time.Now.
 	Now func() time.Time
 }
 
-// Quotas enforces a deterministic token-bucket budget per client id.
+// Quotas enforces a deterministic token-bucket budget per identity.
 // Safe for concurrent use.
 type Quotas struct {
 	cfg QuotaConfig
@@ -66,9 +68,6 @@ func NewQuotas(cfg QuotaConfig) *Quotas {
 			cfg.Burst = 1
 		}
 	}
-	if cfg.MaxClients <= 0 {
-		cfg.MaxClients = 4096
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -78,21 +77,21 @@ func NewQuotas(cfg QuotaConfig) *Quotas {
 // Enabled reports whether a positive rate was configured.
 func (q *Quotas) Enabled() bool { return q.cfg.Rate > 0 }
 
-// Allow consumes one token from client's bucket. A denial returns the
+// Allow consumes one token from the identity's bucket. A denial returns the
 // time until the next token accrues, the Retry-After hint the client
 // should honor.
-func (q *Quotas) Allow(client string) (bool, time.Duration) {
+func (q *Quotas) Allow(id string) (bool, time.Duration) {
 	if !q.Enabled() {
 		return true, 0
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	now := q.cfg.Now()
-	b, ok := q.buckets[client]
+	b, ok := q.buckets[id]
 	if !ok {
 		q.evictLocked()
 		b = &qbucket{tokens: q.cfg.Burst, last: now}
-		q.buckets[client] = b
+		q.buckets[id] = b
 	}
 	b.tokens += now.Sub(b.last).Seconds() * q.cfg.Rate
 	if b.tokens > q.cfg.Burst {
@@ -107,16 +106,18 @@ func (q *Quotas) Allow(client string) (bool, time.Duration) {
 }
 
 // evictLocked drops the least-recently-seen bucket once the table is
-// full, bounding memory against client-id churn. Callers hold q.mu.
+// full. Callers hold q.mu. "" is a valid identity (an Etherscan caller
+// without an apikey), so a flag, not an empty key, marks the first.
 func (q *Quotas) evictLocked() {
-	if len(q.buckets) < q.cfg.MaxClients {
+	if len(q.buckets) < maxClients {
 		return
 	}
 	var oldestKey string
 	var oldest time.Time
+	first := true
 	for k, b := range q.buckets {
-		if oldestKey == "" || b.last.Before(oldest) {
-			oldestKey, oldest = k, b.last
+		if first || b.last.Before(oldest) {
+			oldestKey, oldest, first = k, b.last, false
 		}
 	}
 	delete(q.buckets, oldestKey)
@@ -125,35 +126,47 @@ func (q *Quotas) evictLocked() {
 // Denied returns how many requests the quota set has rejected in total.
 func (q *Quotas) Denied() uint64 { return q.denied.Load() }
 
-// Clients returns the number of tracked client buckets.
+// Clients returns the number of tracked identity buckets.
 func (q *Quotas) Clients() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.buckets)
 }
 
-// Wrap returns next behind the quota. Denied requests get 429 with the
-// computed Retry-After and are counted per client; quotas that are
+// Refusal answers a request its quota denied: id is the identity it
+// was charged to and wait the time until that identity's next token.
+type Refusal func(w http.ResponseWriter, id string, wait time.Duration)
+
+// TooManyRequests is the generic refusal: 429 with the wait as
+// Retry-After.
+func TooManyRequests(w http.ResponseWriter, id string, wait time.Duration) {
+	writeRetryAfter(w, wait)
+	http.Error(w, "quota exceeded for client "+id, http.StatusTooManyRequests)
+}
+
+// Wrap returns next behind the quota: each request is charged to the
+// identity id reads from it, and a denied one is counted per identity,
+// named on the request's trace and answered by refuse. Quotas that are
 // disabled pass everything through.
-func (q *Quotas) Wrap(route string, next http.Handler) http.Handler {
+func (q *Quotas) Wrap(id func(*http.Request) string, refuse Refusal, next http.Handler) http.Handler {
 	if !q.Enabled() {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		client := ClientID(r)
+		client := id(r)
 		ok, wait := q.Allow(client)
 		if !ok {
 			q.denied.Add(1)
 			m().quotaDenied.With(client).Inc()
-			// Name the denying layer on the request's trace so a stored
-			// 429 trace identifies the quota, not just the status code.
+			// Name the denying layer on the request's trace: a refusal
+			// need not carry an error status (Etherscan's rides on 200),
+			// and this event is what keeps its trace past tail sampling.
 			if sp := trace.FromContext(r.Context()); sp != nil {
 				sp.Error("overload.quota_denied",
 					trace.A("client", client),
 					trace.A("retry_after", wait.String()))
 			}
-			writeRetryAfter(w, wait)
-			http.Error(w, "quota exceeded for client "+client, http.StatusTooManyRequests)
+			refuse(w, client, wait)
 			return
 		}
 		next.ServeHTTP(w, r)

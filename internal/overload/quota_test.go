@@ -49,25 +49,55 @@ func TestQuotaDisabledAdmitsEverything(t *testing.T) {
 	}
 }
 
+// fillQuotas admits first at the current time, then enough other
+// identities one second later to fill the table, and then advances the
+// clock one more second.
+func fillQuotas(q *Quotas, now *time.Time, first string) {
+	q.Allow(first)
+	*now = now.Add(time.Second)
+	for i := 1; i < maxClients; i++ {
+		q.Allow("fill-" + strconv.Itoa(i))
+	}
+	*now = now.Add(time.Second)
+}
+
 func TestQuotaEvictsLeastRecentClient(t *testing.T) {
 	withTestMetrics(t)
 	now := time.Unix(0, 0)
-	q := NewQuotas(QuotaConfig{Rate: 100, MaxClients: 2, Now: func() time.Time { return now }})
-	q.Allow("a")
-	now = now.Add(time.Second)
-	q.Allow("b")
-	now = now.Add(time.Second)
+	q := NewQuotas(QuotaConfig{Rate: 100, Now: func() time.Time { return now }})
+	fillQuotas(q, &now, "a")
 	q.Allow("c") // table full: "a" (stalest) is evicted
-	if n := q.Clients(); n != 2 {
-		t.Fatalf("tracked clients = %d, want 2", n)
+	if n := q.Clients(); n != maxClients {
+		t.Fatalf("tracked clients = %d, want %d", n, maxClients)
 	}
 	q.mu.Lock()
 	_, hasA := q.buckets["a"]
-	_, hasB := q.buckets["b"]
+	_, hasB := q.buckets["fill-1"]
 	_, hasC := q.buckets["c"]
 	q.mu.Unlock()
 	if hasA || !hasB || !hasC {
-		t.Fatalf("buckets after eviction: a=%v b=%v c=%v, want only b and c", hasA, hasB, hasC)
+		t.Fatalf("buckets after eviction: a=%v fill-1=%v c=%v, want only fill-1 and c", hasA, hasB, hasC)
+	}
+}
+
+// TestQuotaEvictsEmptyIdentity: "" is a real identity (an Etherscan
+// caller with no apikey), so when it is the least recently seen it is
+// the one evicted, not whichever bucket the map visits after it.
+func TestQuotaEvictsEmptyIdentity(t *testing.T) {
+	withTestMetrics(t)
+	now := time.Unix(0, 0)
+	q := NewQuotas(QuotaConfig{Rate: 100, Now: func() time.Time { return now }})
+	fillQuotas(q, &now, "")
+	q.Allow("c")
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if _, ok := q.buckets[""]; ok {
+		t.Error(`the stalest identity "" survived eviction`)
+	}
+	for i := 1; i < maxClients; i++ {
+		if _, ok := q.buckets["fill-"+strconv.Itoa(i)]; !ok {
+			t.Fatalf("fill-%d evicted in place of the stalest identity", i)
+		}
 	}
 }
 
@@ -87,7 +117,7 @@ func TestQuotaWrapDenies429WithRetryAfterAndCounter(t *testing.T) {
 	reg := withTestMetrics(t)
 	now := time.Unix(0, 0)
 	q := NewQuotas(QuotaConfig{Rate: 1, Burst: 1, Now: func() time.Time { return now }})
-	h := q.Wrap("/etherscan/", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	h := q.Wrap(ClientID, TooManyRequests, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	}))
 
@@ -118,7 +148,7 @@ func TestQuotaDeniedLabelCardinalityBounded(t *testing.T) {
 	reg := withTestMetrics(t)
 	now := time.Unix(0, 0)
 	// Rate 1, Burst 1: every client's second request is denied.
-	q := NewQuotas(QuotaConfig{Rate: 1, Burst: 1, MaxClients: 4096, Now: func() time.Time { return now }})
+	q := NewQuotas(QuotaConfig{Rate: 1, Burst: 1, Now: func() time.Time { return now }})
 
 	denied := 0
 	for i := 0; i < maxQuotaClients+50; i++ {

@@ -8,12 +8,11 @@ import (
 
 // metricSet holds the package's instrumentation handles.
 type metricSet struct {
-	hits        *obs.CounterVec
-	misses      *obs.CounterVec
-	bypass      *obs.CounterVec
-	notModified *obs.CounterVec
-	evictions   *obs.Counter
-	entries     *obs.Gauge
+	hits      *obs.CounterVec
+	misses    *obs.CounterVec
+	bypass    *obs.CounterVec
+	evictions *obs.Counter
+	entries   *obs.Gauge
 }
 
 var metrics atomic.Pointer[metricSet]
@@ -33,8 +32,6 @@ func InitMetrics(reg *obs.Registry) {
 			"Requests that fell through to the handler, by route.", "route"),
 		bypass: reg.CounterVec("pagecache_bypass_total",
 			"Requests the cache refused to key (method, oversized body), by route.", "route"),
-		notModified: reg.CounterVec("pagecache_not_modified_total",
-			"304 answers to matching If-None-Match validators, by route.", "route"),
 		evictions: reg.Counter("pagecache_evictions_total",
 			"Entries dropped by the LRU bound."),
 		entries: reg.Gauge("pagecache_entries",

@@ -5,18 +5,15 @@
 // repeated crawler queries (the same subgraph page, the same txlist
 // window) into a map lookup plus one write.
 //
-// Entries carry a strong ETag (FNV-64a of the body); requests with a
-// matching If-None-Match get 304 Not Modified with no body at all.
-// Handlers opt out per-response with Cache-Control: no-store — the
-// etherscan simulation uses this for its rate-limit answers, which
-// ride on HTTP 200 and must never be replayed to clients whose budget
-// has refilled.
+// A stored page carries X-Cache: MISS when just rendered and HIT when
+// replayed. Only complete 200 answers up to 1 MiB are stored; handlers
+// opt out per-response with Cache-Control: no-store.
 //
 // Placement matters: the cache wraps the innermost handler, inside the
-// admission gate and quota middleware (so shed accounting still sees
-// every request, hit or miss) and inside the chaos campaign (so fault
-// drills keep firing on cache hits, and injected faults are never
-// stored).
+// quotas and the admission gate (so a hit is still charged to its
+// identity and still takes a gate slot) and inside the chaos campaign
+// (so fault drills keep firing on cache hits, and injected faults are
+// never stored).
 package pagecache
 
 import (
@@ -30,16 +27,16 @@ import (
 	"sync"
 
 	"ensdropcatch/internal/httpjson"
-	"ensdropcatch/internal/obs"
 )
 
-// Defaults and caps.
+// Bounds.
 const (
-	// DefaultMaxEntries bounds the cache when Config.MaxEntries is 0.
-	DefaultMaxEntries = 4096
-	// DefaultMaxBody is the largest response body cached when
-	// Config.MaxBody is 0. Larger responses stream through uncached.
-	DefaultMaxBody = 1 << 20
+	// maxEntries bounds the entry count; the least recently used entry
+	// is evicted past it.
+	maxEntries = 4096
+	// maxBody is the largest response body stored. Larger responses
+	// stream through uncached.
+	maxBody = 1 << 20
 	// maxKeyBody is the largest request body embedded verbatim in the
 	// cache key; longer bodies key on their FNV-64a hash instead.
 	maxKeyBody = 1 << 10
@@ -49,18 +46,9 @@ const (
 	maxReqBody = httpjson.MaxRequestBody
 )
 
-// Config sizes a Cache.
-type Config struct {
-	// MaxEntries bounds the entry count; the least recently used entry
-	// is evicted past it. <= 0 uses DefaultMaxEntries.
-	MaxEntries int
-	// MaxBody is the largest response body stored. <= 0 uses
-	// DefaultMaxBody.
-	MaxBody int
-}
-
 // Cache is a concurrency-safe LRU of rendered responses.
 type Cache struct {
+	// The package bounds, as fields so in-package tests can lower them.
 	maxEntries int
 	maxBody    int
 
@@ -71,22 +59,16 @@ type Cache struct {
 
 type entry struct {
 	key         string
-	etag        string
 	contentType string
 	body        []byte
 }
 
-// New returns an empty cache.
-func New(cfg Config) *Cache {
-	if cfg.MaxEntries <= 0 {
-		cfg.MaxEntries = DefaultMaxEntries
-	}
-	if cfg.MaxBody <= 0 {
-		cfg.MaxBody = DefaultMaxBody
-	}
+// New returns an empty cache of at most 4096 entries, each body at most
+// 1 MiB.
+func New() *Cache {
 	return &Cache{
-		maxEntries: cfg.MaxEntries,
-		maxBody:    cfg.MaxBody,
+		maxEntries: maxEntries,
+		maxBody:    maxBody,
 		lru:        list.New(),
 		m:          make(map[string]*list.Element),
 	}
@@ -149,28 +131,6 @@ func key(method, uri string, body []byte) string {
 	return method + "\x00" + uri + "\x00#" + strconv.FormatUint(h.Sum64(), 16)
 }
 
-func etagFor(body []byte) string {
-	h := fnv.New64a()
-	h.Write(body)
-	return `"` + strconv.FormatUint(h.Sum64(), 16) + `"`
-}
-
-// etagMatch reports whether an If-None-Match header value matches etag.
-// Weak validators and multi-valued lists are handled the simple way:
-// split on commas, compare each member (ignoring a W/ prefix), honor *.
-func etagMatch(header, etag string) bool {
-	if header == "" {
-		return false
-	}
-	for _, part := range strings.Split(header, ",") {
-		part = strings.TrimSpace(part)
-		if part == "*" || strings.TrimPrefix(part, "W/") == etag {
-			return true
-		}
-	}
-	return false
-}
-
 // Wrap returns next with response caching under the given route label.
 // Only GET and POST requests participate; everything else passes
 // through untouched. Only complete 200 responses without
@@ -179,7 +139,6 @@ func (c *Cache) Wrap(route string, next http.Handler) http.Handler {
 	hits := m().hits.With(route)
 	misses := m().misses.With(route)
 	bypass := m().bypass.With(route)
-	notModified := m().notModified.With(route)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodPost {
 			bypass.Inc()
@@ -210,7 +169,7 @@ func (c *Cache) Wrap(route string, next http.Handler) http.Handler {
 		k := key(r.Method, r.URL.RequestURI(), reqBody)
 		if e := c.get(k); e != nil {
 			hits.Inc()
-			serve(w, r, e, "HIT", notModified)
+			serve(w, e, "HIT")
 			return
 		}
 		misses.Inc()
@@ -225,26 +184,18 @@ func (c *Cache) Wrap(route string, next http.Handler) http.Handler {
 		}
 		e := &entry{
 			key:         k,
-			etag:        etagFor(rec.buf.Bytes()),
 			contentType: rec.w.Header().Get("Content-Type"),
 			body:        append([]byte(nil), rec.buf.Bytes()...),
 		}
 		c.put(e)
-		serve(w, r, e, "MISS", notModified)
+		serve(w, e, "MISS")
 	})
 }
 
-// serve writes a cached entry, answering 304 to a matching
-// If-None-Match.
-func serve(w http.ResponseWriter, r *http.Request, e *entry, state string, notModified *obs.Counter) {
+// serve writes a cached entry.
+func serve(w http.ResponseWriter, e *entry, state string) {
 	h := w.Header()
-	h.Set("ETag", e.etag)
 	h.Set("X-Cache", state)
-	if etagMatch(r.Header.Get("If-None-Match"), e.etag) {
-		notModified.Inc()
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
 	if e.contentType != "" {
 		h.Set("Content-Type", e.contentType)
 	}
@@ -264,7 +215,8 @@ type readCloser struct {
 // recorder buffers a response so the cache can inspect and store it
 // before anything reaches the wire. If the body outgrows maxBody the
 // recorder flushes what it has and degrades to pass-through streaming —
-// the response stays correct, it just isn't cached.
+// the response stays correct, it just isn't cached. It offers no
+// http.Flusher: no handler behind the cache streams.
 type recorder struct {
 	w          http.ResponseWriter
 	status     int
@@ -321,20 +273,3 @@ func (r *recorder) finish() {
 		_, _ = r.w.Write(r.buf.Bytes())
 	}
 }
-
-// Flush on a still-buffering recorder forces pass-through first; a
-// handler that flushes is streaming and must not be held back.
-func (r *recorder) Flush() {
-	if !r.wroteHdr {
-		r.WriteHeader(http.StatusOK)
-	}
-	if !r.overflowed {
-		r.overflow()
-	}
-	if f, ok := r.w.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// Unwrap lets http.ResponseController reach the underlying writer.
-func (r *recorder) Unwrap() http.ResponseWriter { return r.w }

@@ -29,7 +29,7 @@ func countingHandler(calls *atomic.Int64) http.Handler {
 
 func TestHitServesIdenticalBytes(t *testing.T) {
 	var calls atomic.Int64
-	c := New(Config{})
+	c := New()
 	h := c.Wrap("/t", countingHandler(&calls))
 
 	first := httptest.NewRecorder()
@@ -49,9 +49,6 @@ func TestHitServesIdenticalBytes(t *testing.T) {
 	if got := first.Header().Get("X-Cache"); got != "MISS" {
 		t.Errorf("X-Cache = %q, want MISS", got)
 	}
-	if first.Header().Get("ETag") == "" || first.Header().Get("ETag") != second.Header().Get("ETag") {
-		t.Errorf("etags differ or missing: %q vs %q", first.Header().Get("ETag"), second.Header().Get("ETag"))
-	}
 	if cl := second.Header().Get("Content-Length"); cl != strconv.Itoa(second.Body.Len()) {
 		t.Errorf("Content-Length %q, body %d bytes", cl, second.Body.Len())
 	}
@@ -59,7 +56,7 @@ func TestHitServesIdenticalBytes(t *testing.T) {
 
 func TestPostBodyKeysCache(t *testing.T) {
 	var calls atomic.Int64
-	c := New(Config{})
+	c := New()
 	h := c.Wrap("/t", countingHandler(&calls))
 
 	do := func(body string) *httptest.ResponseRecorder {
@@ -88,42 +85,9 @@ func TestPostBodyKeysCache(t *testing.T) {
 	}
 }
 
-func TestIfNoneMatch304(t *testing.T) {
-	var calls atomic.Int64
-	c := New(Config{})
-	h := c.Wrap("/t", countingHandler(&calls))
-
-	first := httptest.NewRecorder()
-	h.ServeHTTP(first, httptest.NewRequest(http.MethodGet, "/t", nil))
-	etag := first.Header().Get("ETag")
-	if etag == "" {
-		t.Fatal("no ETag on first response")
-	}
-
-	for _, header := range []string{etag, "W/" + etag, `"zzz", ` + etag, "*"} {
-		req := httptest.NewRequest(http.MethodGet, "/t", nil)
-		req.Header.Set("If-None-Match", header)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusNotModified {
-			t.Errorf("If-None-Match %q: status %d, want 304", header, rec.Code)
-		}
-		if rec.Body.Len() != 0 {
-			t.Errorf("If-None-Match %q: 304 carried %d body bytes", header, rec.Body.Len())
-		}
-	}
-	req := httptest.NewRequest(http.MethodGet, "/t", nil)
-	req.Header.Set("If-None-Match", `"not-it"`)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK || rec.Body.Len() == 0 {
-		t.Errorf("stale validator: got %d with %d bytes, want 200 with body", rec.Code, rec.Body.Len())
-	}
-}
-
 func TestNoStoreNeverCached(t *testing.T) {
 	var calls atomic.Int64
-	c := New(Config{})
+	c := New()
 	h := c.Wrap("/t", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		w.Header().Set("Cache-Control", "no-store")
@@ -139,14 +103,14 @@ func TestNoStoreNeverCached(t *testing.T) {
 	if r1.Body.String() == r2.Body.String() {
 		t.Error("no-store response was replayed")
 	}
-	if r2.Header().Get("ETag") != "" {
-		t.Error("no-store response carried an ETag")
+	if r2.Header().Get("X-Cache") != "" {
+		t.Error("no-store response carried X-Cache")
 	}
 }
 
 func TestNon200NotCached(t *testing.T) {
 	var calls atomic.Int64
-	c := New(Config{})
+	c := New()
 	h := c.Wrap("/t", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		http.Error(w, "boom", http.StatusInternalServerError)
@@ -165,7 +129,8 @@ func TestNon200NotCached(t *testing.T) {
 
 func TestOversizedResponseStreamsThrough(t *testing.T) {
 	var calls atomic.Int64
-	c := New(Config{MaxBody: 64})
+	c := New()
+	c.maxBody = 64
 	big := strings.Repeat("y", 200)
 	h := c.Wrap("/t", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
@@ -190,7 +155,8 @@ func TestOversizedResponseStreamsThrough(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	var calls atomic.Int64
-	c := New(Config{MaxEntries: 2})
+	c := New()
+	c.maxEntries = 2
 	h := c.Wrap("/t", countingHandler(&calls))
 	get := func(path string) {
 		rec := httptest.NewRecorder()
@@ -216,7 +182,7 @@ func TestLRUEviction(t *testing.T) {
 
 func TestOtherMethodsBypass(t *testing.T) {
 	var calls atomic.Int64
-	c := New(Config{})
+	c := New()
 	h := c.Wrap("/t", countingHandler(&calls))
 	for i := 0; i < 2; i++ {
 		rec := httptest.NewRecorder()
@@ -232,7 +198,8 @@ func TestOtherMethodsBypass(t *testing.T) {
 
 func TestConcurrentMixedTraffic(t *testing.T) {
 	var calls atomic.Int64
-	c := New(Config{MaxEntries: 8})
+	c := New()
+	c.maxEntries = 8
 	h := c.Wrap("/t", countingHandler(&calls))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -259,7 +226,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 
 func TestPurge(t *testing.T) {
 	var calls atomic.Int64
-	c := New(Config{})
+	c := New()
 	h := c.Wrap("/t", countingHandler(&calls))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/t", nil))

@@ -38,7 +38,8 @@ type indexHealth struct {
 	Subdomains         int `json:"subdomains"`
 }
 
-// overloadHealth snapshots the admission gate and quota set.
+// overloadHealth snapshots the admission gate and both quota tables
+// (per client and per Etherscan key), summed.
 type overloadHealth struct {
 	Inflight     int    `json:"inflight"`
 	Queued       int    `json:"queued"`
@@ -96,8 +97,8 @@ func newHealthHandler(start time.Time, seed int64, summary world.Summary, st *St
 				Inflight:     st.Gate.Inflight(),
 				Queued:       st.Gate.Queued(),
 				Sheds:        st.Gate.ShedCount(),
-				QuotaDenied:  st.Quotas.Denied(),
-				QuotaClients: st.Quotas.Clients(),
+				QuotaDenied:  st.Quotas.Denied() + st.Keys.Denied(),
+				QuotaClients: st.Quotas.Clients() + st.Keys.Clients(),
 			},
 			Trace: traceHealth{
 				Enabled:  st.Tracer != nil,

@@ -10,16 +10,18 @@
 //	trace.Middleware        one server span per request, tail-sampled
 //	obs.HTTPMetrics         per-route counts + latency histograms
 //	overload.Deadline       per-route budget, shrinkable by the client
-//	overload.Quotas         per-client token buckets (cheap rejection)
+//	overload.Quotas         token buckets: per apikey on /etherscan/api,
+//	                        per X-Client-ID on the rest (optional)
 //	overload.Gate           bounded concurrency + shed queue
 //	chaos campaign          seeded fault drills (optional)
 //	pagecache               rendered-response cache (optional)
 //	handler                 subgraph / etherscan / opensea / rpc
 //
-// The cache sits innermost on purpose: a cache hit still consumes a
-// gate slot (sheds stay honest under overload), still burns quota, and
+// The cache sits innermost on purpose: a cache hit still burns quota,
+// still consumes a gate slot (sheds stay honest under overload), and
 // still rolls the chaos dice — and a chaos fault can never be written
-// into the cache.
+// into the cache. A refusal takes no gate slot and no chaos tick.
+// Health and debug routes are never gated.
 package serve
 
 import (
@@ -44,16 +46,15 @@ import (
 type Config struct {
 	// Logger defaults to a discard logger.
 	Logger *slog.Logger
-	// Namespace prefixes the HTTP metric names; default "ensworld".
-	Namespace string
 	// Registry receives the HTTP metrics and the /metrics exposition;
 	// nil uses obs.Default. Tests give each stack its own registry so
 	// request counts don't bleed across instances.
 	Registry *obs.Registry
 	// Seed is reported on /healthz as the world's generation seed.
 	Seed int64
-	// EtherscanRate is requests/second/key on /etherscan/api (0 = the
-	// etherscan package default).
+	// EtherscanRate is requests/second per apikey on /etherscan/api,
+	// with a burst of the same size (<= 0 = the etherscan package
+	// default).
 	EtherscanRate int
 	// Chaos, when set, wraps the data routes in a fault layer, in
 	// practice (*chaos.Campaign).Wrap. The wrap sits between the page
@@ -67,8 +68,8 @@ type Config struct {
 	QueueDepth int
 	// QueueWait bounds time spent queued (0 = 2s).
 	QueueWait time.Duration
-	// QuotaRate is per-client requests/second keyed by X-Client-ID
-	// (0 = quotas off).
+	// QuotaRate is per-client requests/second keyed by X-Client-ID on
+	// /subgraph, /opensea/ and /rpc (0 = quotas off).
 	QuotaRate float64
 	// QuotaBurst is the per-client burst (0 = max(QuotaRate, 1)).
 	QuotaBurst float64
@@ -77,10 +78,6 @@ type Config struct {
 	// CacheDisabled turns the page cache off; by default data routes
 	// are cached.
 	CacheDisabled bool
-	// CacheEntries bounds the page cache (0 = pagecache default).
-	CacheEntries int
-	// CacheMaxBody bounds cacheable body size (0 = pagecache default).
-	CacheMaxBody int
 	// Tracer, when non-nil, traces every request and serves the store
 	// on /debug/traces.
 	Tracer *trace.Tracer
@@ -92,7 +89,8 @@ type Stack struct {
 	Handler http.Handler
 	Mux     *http.ServeMux
 	Gate    *overload.Gate
-	Quotas  *overload.Quotas
+	Quotas  *overload.Quotas // per X-Client-ID
+	Keys    *overload.Quotas // per Etherscan apikey
 	Cache   *pagecache.Cache // nil when disabled
 	Metrics *obs.HTTPMetrics
 	Store   *subgraph.Store
@@ -107,9 +105,6 @@ func New(res *world.Result, store *subgraph.Store, cfg Config) *Stack {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
-	if cfg.Namespace == "" {
-		cfg.Namespace = "ensworld"
-	}
 	if cfg.MaxInflight == 0 {
 		cfg.MaxInflight = 64
 	}
@@ -122,6 +117,9 @@ func New(res *world.Result, store *subgraph.Store, cfg Config) *Stack {
 	if cfg.RouteTimeout == 0 {
 		cfg.RouteTimeout = 30 * time.Second
 	}
+	if cfg.EtherscanRate <= 0 {
+		cfg.EtherscanRate = etherscan.DefaultRatePerSecond
+	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.Default
 	}
@@ -133,12 +131,13 @@ func New(res *world.Result, store *subgraph.Store, cfg Config) *Stack {
 		Mux:     http.NewServeMux(),
 		Gate:    overload.NewGate(overload.GateConfig{MaxInflight: cfg.MaxInflight, QueueDepth: cfg.QueueDepth, MaxWait: cfg.QueueWait}),
 		Quotas:  overload.NewQuotas(overload.QuotaConfig{Rate: cfg.QuotaRate, Burst: cfg.QuotaBurst}),
-		Metrics: obs.NewHTTPMetrics(cfg.Registry, cfg.Namespace),
+		Keys:    overload.NewQuotas(overload.QuotaConfig{Rate: float64(cfg.EtherscanRate), Burst: float64(cfg.EtherscanRate)}),
+		Metrics: obs.NewHTTPMetrics(cfg.Registry, "ensworld"),
 		Store:   store,
 		Tracer:  cfg.Tracer,
 	}
 	if !cfg.CacheDisabled {
-		st.Cache = pagecache.New(pagecache.Config{MaxEntries: cfg.CacheEntries, MaxBody: cfg.CacheMaxBody})
+		st.Cache = pagecache.New()
 	}
 
 	faulty := func(h http.Handler) http.Handler { return h }
@@ -149,22 +148,37 @@ func New(res *world.Result, store *subgraph.Store, cfg Config) *Stack {
 	handle := func(route string, h http.Handler) {
 		st.Mux.Handle(route, st.Metrics.Wrap(route, h))
 	}
-	handleData := func(route string, h http.Handler) {
+	handleData := func(route string, h http.Handler, quota func(http.Handler) http.Handler) {
 		if st.Cache != nil {
 			h = st.Cache.Wrap(route, h)
 		}
 		h = faulty(h)
-		h = st.Gate.Wrap(route, overload.Data, h)
-		h = st.Quotas.Wrap(route, h)
-		h = overload.Deadline(cfg.RouteTimeout, cfg.RouteTimeout, h)
+		h = st.Gate.Wrap(route, h)
+		h = quota(h)
+		h = overload.Deadline(cfg.RouteTimeout, h)
 		handle(route, h)
 	}
+	perClient := func(h http.Handler) http.Handler {
+		return st.Quotas.Wrap(overload.ClientID, overload.TooManyRequests, h)
+	}
+	// Only /etherscan/api is charged to its key; /labels answers no
+	// NOTOK envelope its client could read as a refusal.
+	perKey := func(h http.Handler) http.Handler {
+		api := st.Keys.Wrap(etherscan.APIKey, etherscan.RefuseRateLimit, h)
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/etherscan/api" {
+				api.ServeHTTP(w, r)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
 
-	handleData("/subgraph", subgraph.NewServer(store, logger))
+	handleData("/subgraph", subgraph.NewServer(store, logger), perClient)
 	handleData("/etherscan/", http.StripPrefix("/etherscan",
-		etherscan.NewServer(res.Chain, dataset.LabelsFromWorld(res), cfg.EtherscanRate, logger)))
-	handleData("/opensea/", http.StripPrefix("/opensea", opensea.NewServer(res.OpenSea)))
-	handleData("/rpc", ethrpc.NewServer(res.Chain))
+		etherscan.NewServer(res.Chain, dataset.LabelsFromWorld(res))), perKey)
+	handleData("/opensea/", http.StripPrefix("/opensea", opensea.NewServer(res.OpenSea)), perClient)
+	handleData("/rpc", ethrpc.NewServer(res.Chain), perClient)
 	handle("/healthz", newHealthHandler(time.Now(), cfg.Seed, res.Summarize(), st))
 	obs.RegisterDebug(st.Mux, cfg.Registry)
 	if cfg.Tracer != nil {

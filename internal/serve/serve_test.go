@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -79,7 +81,7 @@ func TestStackRoutes(t *testing.T) {
 }
 
 // TestStackCacheServesIdenticalPages: a repeated query must hit the
-// cache and return byte-identical pages with a validator.
+// cache and return byte-identical pages.
 func TestStackCacheServesIdenticalPages(t *testing.T) {
 	st := newTestStack(t, Config{})
 	first := post(st.Handler, "/subgraph", subgraphQuery)
@@ -92,15 +94,6 @@ func TestStackCacheServesIdenticalPages(t *testing.T) {
 	}
 	if st.Cache.Len() == 0 {
 		t.Error("cache empty after cacheable traffic")
-	}
-
-	etag := second.Header().Get("ETag")
-	req := httptest.NewRequest(http.MethodPost, "/subgraph", strings.NewReader(subgraphQuery))
-	req.Header.Set("If-None-Match", etag)
-	rec := httptest.NewRecorder()
-	st.Handler.ServeHTTP(rec, req)
-	if rec.Code != http.StatusNotModified {
-		t.Errorf("If-None-Match: %d, want 304", rec.Code)
 	}
 }
 
@@ -119,40 +112,111 @@ func TestStackCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestStackEtherscanRateLimitNotCached: the etherscan NOTOK rate-limit
-// answer rides on HTTP 200 but must never be served from cache —
-// otherwise one exhausted bucket poisons the URL forever. Distinct
-// URLs force cache misses so each request really hits the bucket.
+const balancePath = "/etherscan/api?module=account&action=balance&address=0x0000000000000000000000000000000000000001&apikey=k"
+
+// TestStackEtherscanRateLimitNotCached: the per-key limit is charged
+// before the page cache, so repeating one cached URL still drains the
+// key's bucket. The NOTOK answer rides on HTTP 200 but must never be
+// stored, or one exhausted bucket would poison the URL for good.
 func TestStackEtherscanRateLimitNotCached(t *testing.T) {
 	st := newTestStack(t, Config{EtherscanRate: 2})
-	path := func(i int) string {
-		return fmt.Sprintf("/etherscan/api?module=account&action=balance&address=0x0000000000000000000000000000000000000001&apikey=k&i=%d", i)
-	}
-	limited := -1
+	limited, hits := false, 0
 	for i := 0; i < 10; i++ {
-		rec := get(st.Handler, path(i))
+		rec := get(st.Handler, balancePath)
 		if strings.Contains(rec.Body.String(), "Max rate limit reached") {
-			limited = i
+			limited = true
 			if cc := rec.Header().Get("Cache-Control"); !strings.Contains(cc, "no-store") {
 				t.Fatalf("rate-limit answer missing no-store: %q", cc)
 			}
 			break
 		}
+		if rec.Header().Get("X-Cache") == "HIT" {
+			hits++
+		}
 	}
-	if limited < 0 {
-		t.Fatal("never hit the rate limit")
+	if !limited {
+		t.Fatal("a burst of 10 on one cached URL never hit the 2/s key limit")
+	}
+	if hits == 0 {
+		t.Fatal("the URL was never served from the cache before the refusal")
 	}
 	// The bucket refills at 2/s; after a pause the same URL must answer
 	// OK again, which it cannot if the NOTOK body was cached.
 	time.Sleep(600 * time.Millisecond)
-	rec := get(st.Handler, path(limited))
+	rec := get(st.Handler, balancePath)
 	if strings.Contains(rec.Body.String(), "Max rate limit reached") {
 		t.Errorf("refilled bucket still rate-limited: %q (cached NOTOK?)", rec.Body.String())
 	}
 }
 
+// TestStackEtherscanRefusalBytes pins the refusal to the answer the
+// simulated Etherscan has always given: HTTP 200, a NOTOK envelope,
+// Cache-Control: no-store and no Retry-After, with or without the cache.
+func TestStackEtherscanRefusalBytes(t *testing.T) {
+	for _, off := range []bool{false, true} {
+		st := newTestStack(t, Config{EtherscanRate: 1, CacheDisabled: off})
+		get(st.Handler, balancePath)
+		rec := get(st.Handler, balancePath)
+		if rec.Code != http.StatusOK {
+			t.Errorf("cache off=%v: status %d, want 200", off, rec.Code)
+		}
+		want := http.Header{
+			"Cache-Control":  {"no-store"},
+			"Content-Length": {"67"},
+			"Content-Type":   {"application/json"},
+		}
+		if !reflect.DeepEqual(rec.Header(), want) {
+			t.Errorf("cache off=%v: headers %v, want %v", off, rec.Header(), want)
+		}
+		if got := rec.Body.String(); got != `{"status":"0","message":"NOTOK","result":"Max rate limit reached"}`+"\n" {
+			t.Errorf("cache off=%v: body %q", off, got)
+		}
+	}
+}
+
+// TestStackOneQuotaPerRoute: /etherscan/api is limited per apikey only,
+// the other data routes per X-Client-ID only, and /etherscan/labels by
+// neither.
+func TestStackOneQuotaPerRoute(t *testing.T) {
+	st := newTestStack(t, Config{QuotaRate: 0.001, QuotaBurst: 1, EtherscanRate: 1})
+	do := func(method, path, body, client string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
+		req.Header.Set(overload.ClientIDHeader, client)
+		st.Handler.ServeHTTP(rec, req)
+		return rec
+	}
+	for i := 0; i < 5; i++ {
+		if rec := do(http.MethodGet, "/etherscan/labels", "", "c1"); rec.Code != http.StatusOK ||
+			!strings.Contains(rec.Body.String(), "coinbase") {
+			t.Fatalf("labels request %d: %d %q", i, rec.Code, rec.Body.String())
+		}
+	}
+	// Distinct keys from one client: neither bucket binds.
+	for i := 0; i < 5; i++ {
+		if rec := do(http.MethodGet, balancePath+strconv.Itoa(i), "", "c1"); rec.Code != http.StatusOK ||
+			!strings.Contains(rec.Body.String(), `"OK"`) {
+			t.Fatalf("api request with key k%d: %d %q", i, rec.Code, rec.Body.String())
+		}
+	}
+	if rec := do(http.MethodPost, "/subgraph", subgraphQuery, "c1"); rec.Code != http.StatusOK {
+		t.Fatalf("first subgraph request: %d", rec.Code)
+	}
+	rec := do(http.MethodPost, "/subgraph", subgraphQuery, "c1")
+	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" {
+		t.Errorf("second subgraph request: %d with Retry-After %q, want 429 with a hint",
+			rec.Code, rec.Header().Get("Retry-After"))
+	}
+	if rec := do(http.MethodGet, balancePath+"0", "", "c2"); !strings.Contains(rec.Body.String(), "Max rate limit reached") ||
+		rec.Header().Get("Retry-After") != "" {
+		t.Errorf("second request on key k0: %q, Retry-After %q; want NOTOK without a hint",
+			rec.Body.String(), rec.Header().Get("Retry-After"))
+	}
+}
+
 // TestStackShedsCountOnCachedRoute: overload sheds must keep working
-// with the cache in the path — a hit still consumes a gate slot.
+// with the cache in the path — a hit still consumes a gate slot — while
+// /healthz, which serve.New never gates, still answers.
 func TestStackShedsCountOnCachedRoute(t *testing.T) {
 	st := newTestStack(t, Config{MaxInflight: 1, QueueDepth: -1, QueueWait: time.Millisecond})
 	// Prime the cache.
@@ -162,7 +226,7 @@ func TestStackShedsCountOnCachedRoute(t *testing.T) {
 	// Saturate the single slot with a request parked inside the gate.
 	release := make(chan struct{})
 	inside := make(chan struct{})
-	st.Mux.Handle("/slow", st.Gate.Wrap("/slow", overload.Data, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	st.Mux.Handle("/slow", st.Gate.Wrap("/slow", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		close(inside)
 		<-release
 	})))
@@ -176,6 +240,9 @@ func TestStackShedsCountOnCachedRoute(t *testing.T) {
 	}
 	if st.Gate.ShedCount() == 0 {
 		t.Error("shed not counted with cache in the path")
+	}
+	if rec := get(st.Handler, "/healthz"); rec.Code != http.StatusOK {
+		t.Errorf("/healthz under a saturated gate: %d, want 200", rec.Code)
 	}
 }
 
@@ -234,6 +301,28 @@ func TestHealthzJSON(t *testing.T) {
 	}
 	if sub.P99Ms < sub.P50Ms || sub.P999Ms < sub.P99Ms {
 		t.Errorf("quantiles not monotonic: %+v", *sub)
+	}
+}
+
+// TestHealthzCountsEtherscanRefusals: /healthz's quota block covers the
+// per-key table as well as the per-client one.
+func TestHealthzCountsEtherscanRefusals(t *testing.T) {
+	st := newTestStack(t, Config{EtherscanRate: 1, Registry: obs.NewRegistry()})
+	refused := 0
+	for i := 0; i < 4; i++ {
+		if strings.Contains(get(st.Handler, balancePath).Body.String(), "Max rate limit reached") {
+			refused++
+		}
+	}
+	if refused == 0 {
+		t.Fatal("four back-to-back requests at 1/s drew no refusal")
+	}
+	var got healthStatus
+	if err := json.Unmarshal(get(st.Handler, "/healthz").Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Overload.QuotaDenied != uint64(refused) || got.Overload.QuotaClients != 1 {
+		t.Errorf("overload block %+v, want quota_denied %d and quota_clients 1", got.Overload, refused)
 	}
 }
 

@@ -87,7 +87,7 @@ func BenchmarkServeEtherscanTxlist(b *testing.B) {
 		b.Skip("world has no transactions")
 	}
 	addr := txs[0].From.Hex()
-	srv := etherscan.NewServer(res.Chain, dataset.LabelsFromWorld(res), 1<<30, nil)
+	srv := etherscan.NewServer(res.Chain, dataset.LabelsFromWorld(res))
 	url := "/api?module=account&action=txlist&address=" + addr + "&page=1&offset=100&apikey=bench"
 	benchHandler(b, srv, func() *http.Request {
 		return httptest.NewRequest(http.MethodGet, url, nil)

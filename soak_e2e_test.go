@@ -82,15 +82,15 @@ func TestSoakOverloadConvergence(t *testing.T) {
 		mux := http.NewServeMux()
 		handleData := func(route string, h http.Handler) {
 			if protected {
-				h = gate.Wrap(route, overload.Data, camp.Wrap(h))
-				h = quotas.Wrap(route, h)
-				h = overload.Deadline(5*time.Second, 5*time.Second, h)
+				h = gate.Wrap(route, camp.Wrap(h))
+				h = quotas.Wrap(overload.ClientID, overload.TooManyRequests, h)
+				h = overload.Deadline(5*time.Second, h)
 			}
 			mux.Handle(route, h)
 		}
 		handleData("/subgraph", subgraph.NewServer(store, nil))
 		handleData("/etherscan/", http.StripPrefix("/etherscan",
-			etherscan.NewServer(res.Chain, labels, 5000, nil)))
+			etherscan.NewServer(res.Chain, labels)))
 		handleData("/opensea/", http.StripPrefix("/opensea", opensea.NewServer(res.OpenSea)))
 		// Health never runs through the gate: it must answer while data
 		// routes shed.
@@ -260,8 +260,8 @@ func TestSoakAdaptiveBeatsFixedRate(t *testing.T) {
 	quotas := overload.NewQuotas(overload.QuotaConfig{Rate: 50, Burst: 2})
 	mux := http.NewServeMux()
 	mux.Handle("/subgraph", subgraph.NewServer(store, nil))
-	mux.Handle("/etherscan/", quotas.Wrap("/etherscan/", http.StripPrefix("/etherscan",
-		etherscan.NewServer(res.Chain, labels, 5000, nil))))
+	mux.Handle("/etherscan/", quotas.Wrap(overload.ClientID, overload.TooManyRequests,
+		http.StripPrefix("/etherscan", etherscan.NewServer(res.Chain, labels))))
 	mux.Handle("/opensea/", http.StripPrefix("/opensea", opensea.NewServer(res.OpenSea)))
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)

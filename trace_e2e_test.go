@@ -2,7 +2,8 @@ package ensdropcatch
 
 // Tracing attribution drill: every rejection class the overload and
 // chaos stacks can produce — gate shed (503), quota denial (429),
-// chaos-injected fault, client-side breaker rejection — must correspond
+// Etherscan's per-key refusal (NOTOK on HTTP 200), chaos-injected
+// fault, client-side breaker rejection — must correspond
 // to a stored trace whose span tree names the responsible layer, and
 // the server-side traces must be retrievable over HTTP via
 // /debug/traces/{id} using the trace id the client propagated in its
@@ -31,9 +32,11 @@ import (
 	"ensdropcatch/internal/crawler"
 	"ensdropcatch/internal/dataset"
 	"ensdropcatch/internal/etherscan"
+	"ensdropcatch/internal/obs"
 	"ensdropcatch/internal/opensea"
 	"ensdropcatch/internal/overload"
 	"ensdropcatch/internal/pricing"
+	"ensdropcatch/internal/serve"
 	"ensdropcatch/internal/subgraph"
 	"ensdropcatch/internal/trace"
 )
@@ -159,7 +162,7 @@ func TestTraceAttributionGateShed(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 	})
 	srv, _ := tracedServer(t, 41, func(mux *http.ServeMux) {
-		mux.Handle("/data", gate.Wrap("/data", overload.Data, slow))
+		mux.Handle("/data", gate.Wrap("/data", slow))
 	})
 
 	// Fill the one service slot and the one queue position, then wait
@@ -222,7 +225,7 @@ func TestTraceAttributionQuotaDenial(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 	})
 	srv, _ := tracedServer(t, 43, func(mux *http.ServeMux) {
-		mux.Handle("/data", quotas.Wrap("/data", ok))
+		mux.Handle("/data", quotas.Wrap(overload.ClientID, overload.TooManyRequests, ok))
 	})
 
 	ctracer, _ := clientTracer(44)
@@ -246,6 +249,77 @@ func TestTraceAttributionQuotaDenial(t *testing.T) {
 	}
 	if client := attrValue(attrs, "client"); client != "drill-client" {
 		t.Errorf("denied client = %q, want drill-client", client)
+	}
+}
+
+// errorEvents lists every error-class event of a stored trace.
+func errorEvents(tr *trace.Trace) []trace.Event {
+	var out []trace.Event
+	var walk func(sd *trace.SpanData)
+	walk = func(sd *trace.SpanData) {
+		for _, ev := range sd.Events {
+			if ev.Error {
+				out = append(out, ev)
+			}
+		}
+		for _, c := range sd.Children {
+			walk(c)
+		}
+	}
+	for _, root := range tr.Roots {
+		walk(root)
+	}
+	return out
+}
+
+// TestTraceAttributionEtherscanRateLimit: Etherscan's per-key refusal
+// rides on HTTP 200, which the trace middleware does not mark errored,
+// so the quota layer's own event must keep the trace and name the key.
+// The refused URL is one the page cache already holds: the key is
+// charged before the cache.
+func TestTraceAttributionEtherscanRateLimit(t *testing.T) {
+	withOverloadMetrics(t)
+	res, _, store, _ := soakWorld(t, 60, 19)
+	tstore := trace.NewStore(trace.StoreConfig{Capacity: 256, SampleRate: 0, Seed: 49})
+	st := serve.New(res, store, serve.Config{
+		Registry:      obs.NewRegistry(),
+		EtherscanRate: 1,
+		Tracer:        trace.New(trace.Config{Store: tstore, Seed: 49}),
+	})
+	srv := httptest.NewServer(st.Handler)
+	t.Cleanup(srv.Close)
+
+	addr := res.Chain.AddressesWithActivity()[0]
+	url := srv.URL + "/etherscan/api?module=account&action=txlist&address=" +
+		strings.ToLower(addr.Hex()) + "&apikey=drill-key"
+	ctracer, _ := clientTracer(50)
+	traceID := ""
+	for i := 0; i < 10 && traceID == ""; i++ {
+		status, id := tracedGet(t, ctracer, url, nil)
+		if status != http.StatusOK {
+			t.Fatalf("request %d = %d, want 200", i, status)
+		}
+		if st.Keys.Denied() > 0 {
+			traceID = id
+		}
+	}
+	if traceID == "" {
+		t.Fatal("ten back-to-back requests at 1/s per key were never refused")
+	}
+	if n := st.Cache.Len(); n != 1 {
+		t.Errorf("cache holds %d entries, want the refused URL's page", n)
+	}
+
+	tr := fetchTrace(t, srv.URL, traceID)
+	if !tr.Error {
+		t.Error("refusal trace not classified as errored (would be tail-sampled away)")
+	}
+	evs := errorEvents(tr)
+	if len(evs) != 1 || evs[0].Name != "overload.quota_denied" {
+		t.Fatalf("refusal trace error events = %+v, want exactly one overload.quota_denied", evs)
+	}
+	if client := attrValue(evs[0].Attrs, "client"); client != "drill-key" {
+		t.Errorf("denied client = %q, want the apikey drill-key", client)
 	}
 }
 
@@ -332,7 +406,7 @@ func TestTracingDoesNotChangeFingerprint(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.Handle("/subgraph", subgraph.NewServer(store, nil))
 	mux.Handle("/etherscan/", http.StripPrefix("/etherscan",
-		etherscan.NewServer(res.Chain, labels, 5000, nil)))
+		etherscan.NewServer(res.Chain, labels)))
 	mux.Handle("/opensea/", http.StripPrefix("/opensea", opensea.NewServer(res.OpenSea)))
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)

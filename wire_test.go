@@ -40,7 +40,7 @@ func TestCrawlWireGolden(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.Handle("/subgraph", subgraph.NewServer(store, nil))
 	mux.Handle("/etherscan/", http.StripPrefix("/etherscan",
-		etherscan.NewServer(res.Chain, labels, 1<<20, nil)))
+		etherscan.NewServer(res.Chain, labels)))
 	mux.Handle("/opensea/", http.StripPrefix("/opensea", opensea.NewServer(res.OpenSea)))
 
 	var mu sync.Mutex
