@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-diff lint-sarif test bench-test race race-all soak-smoke trace-smoke persist-smoke chaos-smoke bench bench-persist bench-serve bench-smoke bench-compare bench-load load-smoke fuzz fuzz-smoke clean tools report
+.PHONY: all build vet fmt-check lint lint-diff lint-sarif test bench-test race race-all soak-smoke trace-smoke persist-smoke chaos-smoke bench bench-persist bench-smoke bench-load load-smoke fuzz fuzz-smoke clean tools report
 
 all: build vet lint test race
 
@@ -122,30 +122,12 @@ bench-persist:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# Archives the serve-path per-request numbers (and the keccak hot loop)
-# that the regression gate below diffs against. These benchmarks run on
-# a fixed in-package world, so their allocs/op are stable run to run
-# and machine to machine.
-bench-serve:
-	$(GO) test -bench='^BenchmarkServe' -benchmem -benchtime=100x -run=^$$ . | tee bench_serve.txt
-	$(GO) test -bench='^BenchmarkSum256' -benchtime=100x -run=^$$ ./internal/keccak/ | tee -a bench_serve.txt
-	$(GO) run ./cmd/benchjson -o BENCH_SERVE.json bench_serve.txt
-
-# Serve-path regression gate: re-run the serve benchmarks and diff
-# allocs/op against the committed BENCH_SERVE.json archive. Timings are
-# machine-dependent noise in CI, allocation counts are exact — a blown
-# alloc budget anywhere on the serve path fails the build.
-bench-compare:
-	$(GO) test -bench='^BenchmarkServe' -benchmem -benchtime=100x -run=^$$ . | $(GO) run ./cmd/benchjson -o bench_serve_now.json
-	$(GO) run ./cmd/benchjson -compare BENCH_SERVE.json bench_serve_now.json -tolerance 0.15 -fields allocs_per_op
-
 # Full load run: 30s of seeded open-loop traffic against a self-hosted
 # 20k-domain world, archived as BENCH_LOAD.json next to the
 # micro-benchmark archives (per-route p50/p99/p999, shed and error
 # rates). The serve-path and keccak micro-benchmarks ride along so the
-# archive holds latency AND allocs/request in one document; diff against
-# the committed pre-optimization BENCH_SERVE_BASELINE.json to see the
-# PR 8 hot-path delta.
+# archive holds latency AND allocs/request in one document; the
+# allocation gate itself is TestServeHandlerAllocBudgets.
 bench-load:
 	$(GO) build -o bin/ ./cmd/ensload ./cmd/benchjson
 	./bin/ensload -selfhost -domains 20000 -rps 300 -duration 30s -clients 8 | tee bench_load.txt

@@ -9,17 +9,6 @@
 // Example:
 //
 //	go test -bench=. -benchmem . | benchjson -o BENCH_PR3.json
-//
-// With -compare it instead diffs two archived documents and exits
-// non-zero when any shared metric moved the wrong way by more than
-// -tolerance — the CI regression gate:
-//
-//	benchjson -compare BENCH_SERVE.json bench_now.json -tolerance 0.15
-//	benchjson -compare old.json new.json -fields allocs_per_op
-//
-// Times, bytes, allocations, and bad-outcome rates regress upward;
-// MB/s and rps regress downward. Benchmarks or metrics present on only
-// one side are skipped, so renames and additions never trip the gate.
 package main
 
 import (
@@ -45,27 +34,7 @@ type Entry struct {
 
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
-	compare := flag.Bool("compare", false, "compare two archived JSON documents: benchjson -compare old.json new.json")
-	tolerance := flag.Float64("tolerance", 0.15, "allowed fractional drift per metric in -compare mode")
-	fields := flag.String("fields", "", "comma-separated metric names to compare (default all shared metrics)")
 	flag.Parse()
-
-	if *compare {
-		args := flag.Args()
-		if len(args) > 2 {
-			// Accept trailing flags after the two file operands
-			// (`-compare old.json new.json -tolerance 0.2`), which the
-			// flag package alone stops parsing at the first operand.
-			if err := flag.CommandLine.Parse(args[2:]); err != nil {
-				os.Exit(2)
-			}
-		}
-		if len(args) < 2 {
-			fmt.Fprintln(os.Stderr, "benchjson: -compare needs two files: old.json new.json")
-			os.Exit(2)
-		}
-		os.Exit(runCompare(args[0], args[1], *tolerance, *fields, os.Stdout))
-	}
 
 	in := io.Reader(os.Stdin)
 	if flag.NArg() > 0 {

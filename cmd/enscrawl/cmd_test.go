@@ -5,17 +5,15 @@ import (
 	"flag"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestTraceFlagsInHelp(t *testing.T) {
-	fs := flag.NewFlagSet("enscrawl", flag.ContinueOnError)
-	o := registerTraceFlags(fs, false)
 	var help bytes.Buffer
-	fs.SetOutput(&help)
-	fs.PrintDefaults()
+	flag.CommandLine.SetOutput(&help)
+	defer flag.CommandLine.SetOutput(nil)
+	flag.CommandLine.PrintDefaults()
 	for _, name := range []string{"trace", "trace-sample", "trace-store", "trace-slow", "trace-seed"} {
-		f := fs.Lookup(name)
+		f := flag.CommandLine.Lookup(name)
 		if f == nil {
 			t.Errorf("flag -%s not registered", name)
 			continue
@@ -27,22 +25,22 @@ func TestTraceFlagsInHelp(t *testing.T) {
 			t.Errorf("help output does not mention -%s", name)
 		}
 	}
-	if o.enabled {
+	if traceFlags.Enabled {
 		t.Error("crawl tracing should default off (zero-allocation hot path)")
 	}
 }
 
 func TestTracerConstruction(t *testing.T) {
-	off := &traceOpts{}
-	if off.tracer() != nil {
-		t.Fatal("disabled opts built a tracer")
+	if traceFlags.Tracer() != nil {
+		t.Fatal("default enscrawl flags built a tracer")
 	}
-	on := &traceOpts{enabled: true, sample: 0.5, capacity: 32, slow: 100 * time.Millisecond, seed: 7}
-	tr := on.tracer()
+	on := *traceFlags
+	on.Enabled = true
+	tr := on.Tracer()
 	if tr == nil {
-		t.Fatal("enabled opts built no tracer")
+		t.Fatal("-trace built no tracer")
 	}
-	if got := tr.Store().Capacity(); got != 32 {
-		t.Errorf("store capacity = %d, want 32", got)
+	if got := tr.Store().Capacity(); got != 512 {
+		t.Errorf("store capacity = %d, want the -trace-store default 512", got)
 	}
 }

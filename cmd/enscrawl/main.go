@@ -34,6 +34,11 @@ import (
 	"ensdropcatch/internal/trace"
 )
 
+// traceFlags is registered at package level so the command's -trace
+// default (off: the crawl's hot path stays zero-allocation unless the
+// operator asks for span attribution) is pinned by a test.
+var traceFlags = trace.RegisterFlags(flag.CommandLine, false)
+
 func main() {
 	var (
 		base        = flag.String("base", "http://127.0.0.1:8080", "ensworld base URL")
@@ -52,7 +57,6 @@ func main() {
 		budgetBurst = flag.Float64("retry-budget", 10, "per-source retry-budget burst: retries beyond this bucket fail fast instead of storming an outage (0 = unbounded retries)")
 		budgetRatio = flag.Float64("retry-ratio", 0.1, "fraction of a retry token deposited per successful first attempt")
 	)
-	traceFlags := registerTraceFlags(flag.CommandLine, false)
 	flag.Parse()
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
@@ -63,11 +67,11 @@ func main() {
 	// installing it is all the wiring the crawl needs; each page fetch,
 	// retry attempt, and backoff becomes a span in the local store and a
 	// traceparent header on the wire.
-	tracer := traceFlags.tracer()
+	tracer := traceFlags.Tracer()
 	if tracer != nil {
 		trace.SetDefault(tracer)
 		logger.Info("tracing enabled",
-			"sample", traceFlags.sample, "store", traceFlags.capacity, "slow", traceFlags.slow)
+			"sample", traceFlags.Sample, "store", traceFlags.Capacity, "slow", traceFlags.Slow)
 	}
 
 	if *metricsAddr != "" {

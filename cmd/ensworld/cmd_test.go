@@ -5,7 +5,6 @@ import (
 	"flag"
 	"strings"
 	"testing"
-	"time"
 )
 
 // traceFlagNames is the flag set every ens command must expose for
@@ -13,13 +12,12 @@ import (
 var traceFlagNames = []string{"trace", "trace-sample", "trace-store", "trace-slow", "trace-seed"}
 
 func TestTraceFlagsInHelp(t *testing.T) {
-	fs := flag.NewFlagSet("ensworld", flag.ContinueOnError)
-	o := registerTraceFlags(fs, true)
 	var help bytes.Buffer
-	fs.SetOutput(&help)
-	fs.PrintDefaults()
+	flag.CommandLine.SetOutput(&help)
+	defer flag.CommandLine.SetOutput(nil)
+	flag.CommandLine.PrintDefaults()
 	for _, name := range traceFlagNames {
-		f := fs.Lookup(name)
+		f := flag.CommandLine.Lookup(name)
 		if f == nil {
 			t.Errorf("flag -%s not registered", name)
 			continue
@@ -31,25 +29,25 @@ func TestTraceFlagsInHelp(t *testing.T) {
 			t.Errorf("help output does not mention -%s", name)
 		}
 	}
-	if !o.enabled {
+	if !traceFlags.Enabled {
 		t.Error("server tracing should default on")
 	}
-	if o.capacity != 512 || o.sample != 0.01 {
-		t.Errorf("unexpected defaults: capacity=%d sample=%v", o.capacity, o.sample)
+	if traceFlags.Capacity != 512 || traceFlags.Sample != 0.01 {
+		t.Errorf("unexpected defaults: capacity=%d sample=%v", traceFlags.Capacity, traceFlags.Sample)
 	}
 }
 
 func TestTracerConstruction(t *testing.T) {
-	off := &traceOpts{}
-	if off.tracer() != nil {
-		t.Fatal("disabled opts built a tracer")
+	off := *traceFlags
+	off.Enabled = false
+	if off.Tracer() != nil {
+		t.Fatal("-trace=false built a tracer")
 	}
-	on := &traceOpts{enabled: true, sample: 1, capacity: 8, slow: time.Second, seed: 42}
-	tr := on.tracer()
+	tr := traceFlags.Tracer()
 	if tr == nil {
-		t.Fatal("enabled opts built no tracer")
+		t.Fatal("default ensworld flags built no tracer")
 	}
-	if got := tr.Store().Capacity(); got != 8 {
-		t.Errorf("store capacity = %d, want 8", got)
+	if got := tr.Store().Capacity(); got != 512 {
+		t.Errorf("store capacity = %d, want the -trace-store default 512", got)
 	}
 }

@@ -13,10 +13,12 @@
 //	GET  /debug/pprof/*      runtime profiles
 //	GET  /debug/vars         expvar JSON
 //
-// Every route is instrumented: per-route request counts by status
-// class, latency histograms, and an in-flight gauge, exposed under the
-// ensworld_http_* metric names. SIGINT/SIGTERM drain in-flight requests
-// before exit.
+// Every API route and /healthz is measured: per-route request counts
+// by status class, latency histograms, and an in-flight gauge, exposed
+// under the ensworld_http_* metric names. With tracing on (-trace, the
+// default) each of those requests also opens a server span, kept by the
+// tail-sampled store on /debug/traces. SIGINT/SIGTERM drain in-flight
+// requests before exit.
 //
 // With -chaos-rate > 0, a seeded chaos campaign (internal/chaos, on the
 // always-on plan.Steady plan) wraps the API routes (including /rpc),
@@ -58,8 +60,14 @@ import (
 	"ensdropcatch/internal/etherscan"
 	"ensdropcatch/internal/serve"
 	"ensdropcatch/internal/subgraph"
+	"ensdropcatch/internal/trace"
 	"ensdropcatch/internal/world"
 )
+
+// traceFlags is registered at package level so the command's -trace
+// default (on: the tail-sampled store is how a shed or slow request is
+// explained after the fact) is pinned by a test.
+var traceFlags = trace.RegisterFlags(flag.CommandLine, true)
 
 func main() {
 	var (
@@ -81,7 +89,6 @@ func main() {
 
 		cacheOff = flag.Bool("no-page-cache", false, "disable the data-route response cache")
 	)
-	traceFlags := registerTraceFlags(flag.CommandLine, true)
 	flag.Parse()
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
@@ -143,10 +150,10 @@ func main() {
 			"elapsed", time.Since(snapStart).Round(time.Millisecond))
 	}
 
-	tracer := traceFlags.tracer()
+	tracer := traceFlags.Tracer()
 	if tracer != nil {
 		logger.Info("tracing enabled",
-			"sample", traceFlags.sample, "store", traceFlags.capacity, "slow", traceFlags.slow)
+			"sample", traceFlags.Sample, "store", traceFlags.Capacity, "slow", traceFlags.Slow)
 	}
 	logger.Info("overload protection",
 		"max_inflight", *maxInflight, "queue_depth", *queueDepth, "queue_wait", *queueWait,

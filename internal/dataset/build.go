@@ -61,9 +61,6 @@ type BuildOptions struct {
 	FS vfs.FS
 	// Logger receives progress; nil disables logging.
 	Logger *slog.Logger
-	// Obs receives stage timers, item counters, and crawl-progress
-	// gauges; nil uses obs.Default.
-	Obs *obs.Registry
 	// ProgressEvery is the interval between progress summaries (with
 	// ETA) during the transaction crawl; <= 0 defaults to 10s.
 	ProgressEvery time.Duration
@@ -79,9 +76,6 @@ func (o *BuildOptions) defaults() {
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)
 	}
-	if o.Obs == nil {
-		o.Obs = obs.Default
-	}
 	if o.ProgressEvery <= 0 {
 		o.ProgressEvery = 10 * time.Second
 	}
@@ -96,15 +90,17 @@ type buildMetrics struct {
 	txTotal      *obs.Gauge
 }
 
-func newBuildMetrics(reg *obs.Registry) *buildMetrics {
+// newBuildMetrics registers the stage metrics on obs.Default, like the
+// rest of the package's instrumentation.
+func newBuildMetrics() *buildMetrics {
 	return &buildMetrics{
-		stageSeconds: reg.GaugeVec("dataset_stage_seconds",
+		stageSeconds: obs.Default.GaugeVec("dataset_stage_seconds",
 			"Wall-clock seconds the last run spent in each build stage.", "stage"),
-		stageItems: reg.CounterVec("dataset_stage_items_total",
+		stageItems: obs.Default.CounterVec("dataset_stage_items_total",
 			"Items produced by each build stage.", "stage"),
-		txDone: reg.Gauge("dataset_tx_addresses_done",
+		txDone: obs.Default.Gauge("dataset_tx_addresses_done",
 			"Addresses whose transaction lists have been crawled."),
-		txTotal: reg.Gauge("dataset_tx_addresses_total",
+		txTotal: obs.Default.Gauge("dataset_tx_addresses_total",
 			"Addresses the transaction crawl must cover."),
 	}
 }
@@ -134,7 +130,7 @@ func Build(ctx context.Context, regs RegistrationSource, txs TxSource, market Ma
 			return nil, err
 		}
 	}
-	bm := newBuildMetrics(opts.Obs)
+	bm := newBuildMetrics()
 	ds := New(opts.Start, opts.End)
 
 	// 1. Registration event history.

@@ -4,10 +4,12 @@
 // PR 8 cut the subgraph page handler from 2562 to 162 allocs/request
 // by replacing map[string]any responses with typed structs pooled
 // through internal/httpjson, unrolling keccak, and caching rendered
-// pages. Those wins are currently guarded by AllocsPerRun budgets in
-// internal/serve — runtime tests that fire only when the benchmarks
-// run. This analyzer rejects the offending *constructs* at lint time,
-// in the packages that are on the serve hot path:
+// pages. Those wins are guarded at run time by AllocsPerRun budgets
+// (TestRouteAllocBudgets through the assembled stack in internal/serve,
+// TestServeHandlerAllocBudgets on the bare handlers) — tests that fire
+// only when the code runs. This analyzer rejects the offending
+// *constructs* at lint time, in the packages that are on the serve hot
+// path:
 //
 //   - map[string]any (or map[string]interface{}) composite literals
 //     and make calls — ad-hoc JSON responses; every response must be a

@@ -37,7 +37,7 @@ var DeterministicPkgs = []string{
 	"internal/ens",
 	"internal/auction",
 	// PR 9: pure transform and serving-support packages added since —
-	// hashing, JSON encoding, response caching, and the bench-compare
+	// hashing, JSON encoding, response caching, and the bench-archive
 	// tool must all be reproducible byte for byte.
 	"internal/keccak",
 	"internal/httpjson",

@@ -1,14 +1,9 @@
 package obs
 
 import (
-	"context"
-	"io"
 	"math"
 	"net/http"
-	"sort"
-	"strconv"
 	"strings"
-	"sync/atomic"
 )
 
 // OpenMetricsContentType is the OpenMetrics exposition content type;
@@ -23,9 +18,9 @@ type Exemplar struct {
 	Value   float64
 }
 
-// ObserveExemplar records v like Observe and, when traceID is
-// non-empty, pins it as the bucket's exemplar (latest observation
-// wins). With an empty traceID it is exactly Observe.
+// ObserveExemplar records v and, when traceID is non-empty, pins it as
+// the bucket's exemplar (latest observation wins). It is
+// allocation-free with an empty traceID, which is all Observe is.
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	i := 0
 	for i < len(h.upper) && v > h.upper[i] {
@@ -53,98 +48,8 @@ func (h *Histogram) BucketExemplar(i int) *Exemplar {
 	return h.exemplars[i].Load()
 }
 
-// WriteOpenMetrics writes the registry in OpenMetrics text format:
-// the same families as WriteTo plus per-bucket exemplars and the
-// closing "# EOF" marker. Output is deterministic for fixed metric
-// values (families in registration order, series sorted).
-func (r *Registry) WriteOpenMetrics(w io.Writer) (int64, error) {
-	r.mu.Lock()
-	families := make([]*family, len(r.families))
-	copy(families, r.families)
-	r.mu.Unlock()
-
-	cw := &countWriter{w: w}
-	for _, f := range families {
-		f.mu.RLock()
-		keys := make([]string, 0, len(f.cells))
-		for k := range f.cells {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		cells := make([]*cell, len(keys))
-		for i, k := range keys {
-			cells[i] = f.cells[k]
-		}
-		f.mu.RUnlock()
-		if len(cells) == 0 {
-			continue
-		}
-
-		cw.str("# HELP " + f.name + " " + escapeHelp(f.help) + "\n")
-		cw.str("# TYPE " + f.name + " " + f.kind.String() + "\n")
-		for _, c := range cells {
-			switch m := c.m.(type) {
-			case *Counter:
-				cw.str(f.name + labelString(f.labels, c.values, "", "") + " " + strconv.FormatUint(m.Value(), 10) + "\n")
-			case *Gauge:
-				cw.str(f.name + labelString(f.labels, c.values, "", "") + " " + formatFloat(m.Value()) + "\n")
-			case *Histogram:
-				var cum uint64
-				for i := 0; i <= len(m.upper); i++ {
-					cum += m.counts[i].Load()
-					le := "+Inf"
-					if i < len(m.upper) {
-						le = formatFloat(m.upper[i])
-					}
-					line := f.name + "_bucket" + labelString(f.labels, c.values, "le", le) + " " + strconv.FormatUint(cum, 10)
-					if ex := m.exemplars[i].Load(); ex != nil {
-						line += " # {trace_id=\"" + escapeLabel(ex.TraceID) + "\"} " + formatFloat(ex.Value)
-					}
-					cw.str(line + "\n")
-				}
-				cw.str(f.name + "_sum" + labelString(f.labels, c.values, "", "") + " " + formatFloat(m.Sum()) + "\n")
-				cw.str(f.name + "_count" + labelString(f.labels, c.values, "", "") + " " + strconv.FormatUint(cum, 10) + "\n")
-			}
-		}
-		if cw.err != nil {
-			break
-		}
-	}
-	cw.str("# EOF\n")
-	return cw.n, cw.err
-}
-
 // AcceptsOpenMetrics reports whether the request's Accept header asks
 // for the OpenMetrics exposition format.
 func AcceptsOpenMetrics(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text")
-}
-
-// traceIDExtractor pulls the active trace id out of a request context
-// for exemplar attachment. It lives behind a settable seam because the
-// tracing package imports obs for its own metrics — obs importing it
-// back would cycle.
-type traceIDExtractor func(context.Context) string
-
-var exemplarExtractor atomic.Pointer[traceIDExtractor]
-
-// SetTraceIDExtractor installs fn as the context→trace-id bridge used
-// by the HTTP middleware to attach exemplars; nil uninstalls it.
-func SetTraceIDExtractor(fn func(context.Context) string) {
-	if fn == nil {
-		exemplarExtractor.Store(nil)
-		return
-	}
-	e := traceIDExtractor(fn)
-	exemplarExtractor.Store(&e)
-}
-
-// ContextTraceID returns the active trace id per the installed
-// extractor, "" when no extractor is installed or no trace is active.
-func ContextTraceID(ctx context.Context) string {
-	fn := exemplarExtractor.Load()
-	if fn == nil {
-		return ""
-	}
-	return (*fn)(ctx)
 }

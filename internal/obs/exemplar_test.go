@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"context"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -92,42 +90,6 @@ func TestHandlerContentNegotiation(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "# EOF") {
 		t.Fatalf("OpenMetrics response missing EOF")
-	}
-}
-
-func TestMiddlewareAttachesExemplar(t *testing.T) {
-	reg := NewRegistry()
-	hm := NewHTTPMetrics(reg, "testsvc")
-	SetTraceIDExtractor(func(ctx context.Context) string {
-		if v, _ := ctx.Value(ctxKeyTest{}).(string); v != "" {
-			return v
-		}
-		return ""
-	})
-	t.Cleanup(func() { SetTraceIDExtractor(nil) })
-
-	wrapped := hm.Wrap("/data", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	}))
-	req := httptest.NewRequest("GET", "/data", nil)
-	req = req.WithContext(context.WithValue(req.Context(), ctxKeyTest{}, "tr-123"))
-	wrapped.ServeHTTP(httptest.NewRecorder(), req)
-
-	var b strings.Builder
-	if _, err := reg.WriteOpenMetrics(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), `{trace_id="tr-123"}`) {
-		t.Fatalf("middleware did not attach exemplar:\n%s", b.String())
-	}
-}
-
-type ctxKeyTest struct{}
-
-func TestContextTraceIDWithoutExtractor(t *testing.T) {
-	SetTraceIDExtractor(nil)
-	if got := ContextTraceID(context.Background()); got != "" {
-		t.Fatalf("no extractor should mean empty id, got %q", got)
 	}
 }
 

@@ -1,8 +1,11 @@
 // Package obs is a dependency-free observability toolkit for the
 // reproduction pipeline: a concurrent-safe metrics registry (counters,
 // gauges, and fixed-bucket histograms, all with optional label pairs)
-// with Prometheus text-format exposition, HTTP server middleware, and
-// debug-endpoint wiring (/metrics, /debug/pprof/*, /debug/vars).
+// with Prometheus text and OpenMetrics exposition (the latter carrying
+// per-bucket exemplar trace ids), and debug-endpoint wiring (/metrics,
+// /debug/pprof/*, /debug/vars). It has no server middleware: request
+// measurement lives with the server that owns the routes
+// (internal/serve).
 //
 // The paper's crawl is a multi-hour, rate-limited walk over three APIs;
 // the ROADMAP's north star is a service under heavy traffic. Both need
@@ -107,20 +110,7 @@ func newHistogram(buckets []float64) *Histogram {
 }
 
 // Observe records one value. It is allocation-free.
-func (h *Histogram) Observe(v float64) {
-	i := 0
-	for i < len(h.upper) && v > h.upper[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	for {
-		old := h.sumBits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
+func (h *Histogram) Observe(v float64) { h.ObserveExemplar(v, "") }
 
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 {
@@ -353,7 +343,16 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 // WriteTo writes the registry in Prometheus text exposition format.
 // Families appear in registration order, series sorted by label values,
 // so output is deterministic.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
+func (r *Registry) WriteTo(w io.Writer) (int64, error) { return r.write(w, false) }
+
+// WriteOpenMetrics writes the registry in OpenMetrics text format: the
+// same lines as WriteTo, plus each histogram bucket's exemplar and the
+// closing "# EOF" marker.
+func (r *Registry) WriteOpenMetrics(w io.Writer) (int64, error) { return r.write(w, true) }
+
+// write is the one exposition writer; openMetrics adds the bucket
+// exemplars and the EOF marker.
+func (r *Registry) write(w io.Writer, openMetrics bool) (int64, error) {
 	r.mu.Lock()
 	families := make([]*family, len(r.families))
 	copy(families, r.families)
@@ -386,12 +385,20 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 				cw.str(f.name + labelString(f.labels, c.values, "", "") + " " + formatFloat(m.Value()) + "\n")
 			case *Histogram:
 				var cum uint64
-				for i := range m.upper {
+				for i := 0; i <= len(m.upper); i++ {
 					cum += m.counts[i].Load()
-					cw.str(f.name + "_bucket" + labelString(f.labels, c.values, "le", formatFloat(m.upper[i])) + " " + strconv.FormatUint(cum, 10) + "\n")
+					le := "+Inf"
+					if i < len(m.upper) {
+						le = formatFloat(m.upper[i])
+					}
+					line := f.name + "_bucket" + labelString(f.labels, c.values, "le", le) + " " + strconv.FormatUint(cum, 10)
+					if openMetrics {
+						if ex := m.exemplars[i].Load(); ex != nil {
+							line += " # {trace_id=\"" + escapeLabel(ex.TraceID) + "\"} " + formatFloat(ex.Value)
+						}
+					}
+					cw.str(line + "\n")
 				}
-				cum += m.counts[len(m.upper)].Load()
-				cw.str(f.name + "_bucket" + labelString(f.labels, c.values, "le", "+Inf") + " " + strconv.FormatUint(cum, 10) + "\n")
 				cw.str(f.name + "_sum" + labelString(f.labels, c.values, "", "") + " " + formatFloat(m.Sum()) + "\n")
 				cw.str(f.name + "_count" + labelString(f.labels, c.values, "", "") + " " + strconv.FormatUint(cum, 10) + "\n")
 			}
@@ -399,6 +406,9 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		if cw.err != nil {
 			break
 		}
+	}
+	if openMetrics {
+		cw.str("# EOF\n")
 	}
 	return cw.n, cw.err
 }
@@ -418,9 +428,6 @@ func (r *Registry) Handler() http.Handler {
 		r.WriteTo(w)
 	})
 }
-
-// Handler serves the Default registry.
-func Handler() http.Handler { return Default.Handler() }
 
 type countWriter struct {
 	w   io.Writer

@@ -104,13 +104,13 @@ func TestExpositionGolden(t *testing.T) {
 	r.Gauge("crawl_inflight", "Requests in flight.").Set(2.5)
 	h := r.Histogram("crawl_wait_seconds", "Rate-limit wait.", []float64{0.1, 1})
 	h.Observe(0.05)
-	h.Observe(0.05)
+	h.ObserveExemplar(0.05, "0af7651916cd43dd8448eb211c80319c")
 	h.Observe(0.5)
-	h.Observe(30)
+	h.ObserveExemplar(30, "4bf92f3577b34da6a3ce929d0e0e4736")
 
 	var b strings.Builder
-	if _, err := r.WriteTo(&b); err != nil {
-		t.Fatal(err)
+	if n, err := r.WriteTo(&b); err != nil || n != int64(b.Len()) {
+		t.Fatalf("WriteTo = %d, %v; wrote %d bytes", n, err, b.Len())
 	}
 	want := `# HELP crawl_requests_total API requests issued.
 # TYPE crawl_requests_total counter
@@ -129,6 +129,32 @@ crawl_wait_seconds_count 4
 `
 	if got := b.String(); got != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+
+	// The OpenMetrics form of the same registry differs only in the
+	// bucket exemplars and the closing marker.
+	b.Reset()
+	if n, err := r.WriteOpenMetrics(&b); err != nil || n != int64(b.Len()) {
+		t.Fatalf("WriteOpenMetrics = %d, %v; wrote %d bytes", n, err, b.Len())
+	}
+	want = `# HELP crawl_requests_total API requests issued.
+# TYPE crawl_requests_total counter
+crawl_requests_total{api="etherscan",code="2xx"} 12
+crawl_requests_total{api="etherscan",code="5xx"} 1
+# HELP crawl_inflight Requests in flight.
+# TYPE crawl_inflight gauge
+crawl_inflight 2.5
+# HELP crawl_wait_seconds Rate-limit wait.
+# TYPE crawl_wait_seconds histogram
+crawl_wait_seconds_bucket{le="0.1"} 2 # {trace_id="0af7651916cd43dd8448eb211c80319c"} 0.05
+crawl_wait_seconds_bucket{le="1"} 3
+crawl_wait_seconds_bucket{le="+Inf"} 4 # {trace_id="4bf92f3577b34da6a3ce929d0e0e4736"} 30
+crawl_wait_seconds_sum 30.6
+crawl_wait_seconds_count 4
+# EOF
+`
+	if got := b.String(); got != want {
+		t.Errorf("OpenMetrics mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 

@@ -34,10 +34,10 @@ type allocRoute struct {
 }
 
 // allocRoutes are one representative request per data route. The
-// budgets are allocations per request through the WHOLE stack — trace
-// middleware, metrics, deadline, quota, gate, cache, handler — so a
-// regression anywhere on the serve path trips them. Values are ~2x the
-// measured steady state to absorb map rehashes and pool misses, and the
+// budgets are allocations per request through the WHOLE stack —
+// observer, deadline, quota, gate, cache, handler — so a regression
+// anywhere on the serve path trips them. Values are ~2x the measured
+// steady state to absorb map rehashes and pool misses, and the
 // subgraph miss budget additionally enforces the PR acceptance floor:
 // at most half the pre-optimization 2562 allocs/request. The etherscan
 // request is a full 100-row txlist page of res's busiest address, so

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ensdropcatch/internal/httpjson"
+	"ensdropcatch/internal/obs"
 	"ensdropcatch/internal/subgraph"
 	"ensdropcatch/internal/world"
 )
@@ -78,7 +79,7 @@ type routeHealth struct {
 // world's seed and headline counts, the subgraph index sizes, live
 // overload-gate / cache / trace-store occupancy, and per-route latency
 // quantiles (p50/p99/p999, interpolated from the histogram buckets).
-func newHealthHandler(start time.Time, seed int64, summary world.Summary, st *Stack) http.Handler {
+func newHealthHandler(start time.Time, seed int64, summary world.Summary, st *Stack, latency *obs.HistogramVec) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		status := healthStatus{
 			Status:        "ok",
@@ -111,8 +112,8 @@ func newHealthHandler(start time.Time, seed int64, summary world.Summary, st *St
 		if st.Cache != nil {
 			status.Cache = cacheHealth{Enabled: true, Entries: st.Cache.Len()}
 		}
-		for _, route := range st.Metrics.Routes() {
-			h := st.Metrics.RouteLatency(route)
+		for _, route := range measuredRoutes {
+			h := latency.With(route)
 			status.Routes = append(status.Routes, routeHealth{
 				Route:    route,
 				Requests: h.Count(),

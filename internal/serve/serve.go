@@ -7,8 +7,9 @@
 //
 // Middleware order, outermost first:
 //
-//	trace.Middleware        one server span per request, tail-sampled
-//	obs.HTTPMetrics         per-route counts + latency histograms
+//	observer                one per measured route: the server span
+//	                        (tail-sampled), per-route counts, latency
+//	                        histograms with trace-id exemplars
 //	overload.Deadline       per-route budget, shrinkable by the client
 //	overload.Quotas         token buckets: per apikey on /etherscan/api,
 //	                        per X-Client-ID on the rest (optional)
@@ -22,6 +23,11 @@
 // still rolls the chaos dice — and a chaos fault can never be written
 // into the cache. A refusal takes no gate slot and no chaos tick.
 // Health and debug routes are never gated.
+//
+// The measured routes are the four data routes and /healthz. The
+// observer is the only ResponseWriter wrapper in front of them and the
+// only place a request's span starts and ends; /metrics, /debug/* and
+// unmatched paths are neither measured nor traced.
 package serve
 
 import (
@@ -78,13 +84,14 @@ type Config struct {
 	// CacheDisabled turns the page cache off; by default data routes
 	// are cached.
 	CacheDisabled bool
-	// Tracer, when non-nil, traces every request and serves the store
-	// on /debug/traces.
+	// Tracer, when non-nil, opens a server span for every measured
+	// request and serves the store on /debug/traces.
 	Tracer *trace.Tracer
 }
 
-// Stack is an assembled server: Handler is ready for http.Server, and
-// the components are exposed for health checks and tests.
+// Stack is an assembled server: Handler, which is Mux itself, is ready
+// for http.Server, and the components are exposed for health checks and
+// tests.
 type Stack struct {
 	Handler http.Handler
 	Mux     *http.ServeMux
@@ -92,7 +99,6 @@ type Stack struct {
 	Quotas  *overload.Quotas // per X-Client-ID
 	Keys    *overload.Quotas // per Etherscan apikey
 	Cache   *pagecache.Cache // nil when disabled
-	Metrics *obs.HTTPMetrics
 	Store   *subgraph.Store
 	Tracer  *trace.Tracer
 }
@@ -128,14 +134,15 @@ func New(res *world.Result, store *subgraph.Store, cfg Config) *Stack {
 	}
 
 	st := &Stack{
-		Mux:     http.NewServeMux(),
-		Gate:    overload.NewGate(overload.GateConfig{MaxInflight: cfg.MaxInflight, QueueDepth: cfg.QueueDepth, MaxWait: cfg.QueueWait}),
-		Quotas:  overload.NewQuotas(overload.QuotaConfig{Rate: cfg.QuotaRate, Burst: cfg.QuotaBurst}),
-		Keys:    overload.NewQuotas(overload.QuotaConfig{Rate: float64(cfg.EtherscanRate), Burst: float64(cfg.EtherscanRate)}),
-		Metrics: obs.NewHTTPMetrics(cfg.Registry, "ensworld"),
-		Store:   store,
-		Tracer:  cfg.Tracer,
+		Mux:    http.NewServeMux(),
+		Gate:   overload.NewGate(overload.GateConfig{MaxInflight: cfg.MaxInflight, QueueDepth: cfg.QueueDepth, MaxWait: cfg.QueueWait}),
+		Quotas: overload.NewQuotas(overload.QuotaConfig{Rate: cfg.QuotaRate, Burst: cfg.QuotaBurst}),
+		Keys:   overload.NewQuotas(overload.QuotaConfig{Rate: float64(cfg.EtherscanRate), Burst: float64(cfg.EtherscanRate)}),
+		Store:  store,
+		Tracer: cfg.Tracer,
 	}
+	st.Handler = st.Mux
+	metrics := newRouteMetrics(cfg.Registry)
 	if !cfg.CacheDisabled {
 		st.Cache = pagecache.New()
 	}
@@ -146,7 +153,7 @@ func New(res *world.Result, store *subgraph.Store, cfg Config) *Stack {
 		logger.Info("chaos campaign enabled")
 	}
 	handle := func(route string, h http.Handler) {
-		st.Mux.Handle(route, st.Metrics.Wrap(route, h))
+		st.Mux.Handle(route, metrics.observe(route, cfg.Tracer, h))
 	}
 	handleData := func(route string, h http.Handler, quota func(http.Handler) http.Handler) {
 		if st.Cache != nil {
@@ -179,13 +186,12 @@ func New(res *world.Result, store *subgraph.Store, cfg Config) *Stack {
 		etherscan.NewServer(res.Chain, dataset.LabelsFromWorld(res))), perKey)
 	handleData("/opensea/", http.StripPrefix("/opensea", opensea.NewServer(res.OpenSea)), perClient)
 	handleData("/rpc", ethrpc.NewServer(res.Chain), perClient)
-	handle("/healthz", newHealthHandler(time.Now(), cfg.Seed, res.Summarize(), st))
+	handle("/healthz", newHealthHandler(time.Now(), cfg.Seed, res.Summarize(), st, metrics.latency))
 	obs.RegisterDebug(st.Mux, cfg.Registry)
 	if cfg.Tracer != nil {
 		th := trace.Handler(cfg.Tracer.Store())
 		st.Mux.Handle("/debug/traces", th)
 		st.Mux.Handle("/debug/traces/", th)
 	}
-	st.Handler = trace.Middleware(cfg.Tracer, st.Mux)
 	return st
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"context"
 	"sync/atomic"
 
 	"ensdropcatch/internal/obs"
@@ -19,18 +18,7 @@ type metricSet struct {
 
 var metrics atomic.Pointer[metricSet]
 
-func init() {
-	InitMetrics(obs.Default)
-	// Bridge for histogram exemplars: obs cannot import this package
-	// (we import it for metrics), so it reaches trace ids through this
-	// seam. Costs nothing when no span is active.
-	obs.SetTraceIDExtractor(func(ctx context.Context) string {
-		if sp := FromContext(ctx); sp != nil {
-			return sp.traceID.String()
-		}
-		return ""
-	})
-}
+func init() { InitMetrics(obs.Default) }
 
 // InitMetrics points the package's instrumentation at reg (nil resets
 // to obs.Default). Tests hand in a private registry to assert on

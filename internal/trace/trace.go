@@ -2,7 +2,9 @@
 // reproduction pipeline: spans with parent/child links and typed
 // events, W3C traceparent propagation between the crawl clients and
 // the ensworld server, and a bounded in-memory tail-sampling store
-// behind /debug/traces.
+// behind /debug/traces. It has no server middleware: the server that
+// owns the routes (internal/serve) opens each request's span from
+// Extract and StartRemote.
 //
 // The metrics layer (internal/obs) says how *many* requests were slow,
 // retried, or shed; this package says *why one particular request*
@@ -62,8 +64,8 @@ type Event struct {
 }
 
 // Span is one timed operation in a trace. Spans form a tree: the root
-// is created by a Tracer (Start on a fresh context, or the server
-// middleware continuing a remote parent), children by Start on a
+// is created by a Tracer (Start on a fresh context, or StartRemote
+// continuing a remote parent), children by Start on a
 // context already carrying a span. All methods are safe on a nil
 // receiver (no-ops), so call sites need no enabled-check. Safe for
 // concurrent use.

@@ -65,8 +65,8 @@ func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span
 // StartRemote begins a root span continuing a trace whose parent span
 // lives in another process (the client side of a traceparent header):
 // the span keeps the remote trace id and records the remote span as
-// its parent. A zero SpanContext starts a fresh trace, so server
-// middleware can call it unconditionally.
+// its parent. A zero SpanContext starts a fresh trace, so a server can
+// call it unconditionally for every request.
 func (t *Tracer) StartRemote(ctx context.Context, name string, sc SpanContext) (context.Context, *Span) {
 	if t == nil {
 		return ctx, nil

@@ -1,10 +1,11 @@
 package ensdropcatch
 
 // Serve-path benchmarks: per-request cost of each data-route handler on
-// an in-process world, without network or multiplexer overhead. These
-// are the numbers the PR 8 hot-path work is gated on — allocs/op here is
-// allocs/request on the serve path — and cmd/benchjson folds them into
-// BENCH_LOAD.json next to the ensload latency report (make bench-load).
+// an in-process world, without network or multiplexer overhead.
+// allocs/op here is allocs/request on the serve path:
+// TestServeHandlerAllocBudgets bounds it, and cmd/benchjson folds the
+// benchmarks into BENCH_LOAD.json next to the ensload latency report
+// (make bench-load).
 
 import (
 	"bytes"
@@ -53,8 +54,12 @@ func (d *discardWriter) Write(p []byte) (int, error) { d.n += len(p); return len
 
 func (d *discardWriter) WriteHeader(code int) { d.code = code }
 
-func benchHandler(b *testing.B, h http.Handler, newReq func() *http.Request) {
-	b.Helper()
+// serveHandler builds one data-route handler and the request it is
+// measured with.
+type serveHandler func(tb testing.TB) (http.Handler, func() *http.Request)
+
+func benchHandler(b *testing.B, setup serveHandler) {
+	h, newReq := setup(b)
 	w := &discardWriter{}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -68,49 +73,92 @@ func benchHandler(b *testing.B, h http.Handler, newReq func() *http.Request) {
 	}
 }
 
-func BenchmarkServeSubgraphPage(b *testing.B) {
+func subgraphPage(tb testing.TB) (http.Handler, func() *http.Request) {
 	res := serveWorld()
 	store := subgraph.BuildIndex(res.Chain)
 	srv := subgraph.NewServer(store, nil)
 	body := []byte(`{"query": "{ registrationEvents(first: 100) { id type label labelName registrant expiryDate costWei timestamp blockNumber txHash } }"}`)
-	benchHandler(b, srv, func() *http.Request {
+	return srv, func() *http.Request {
 		return httptest.NewRequest(http.MethodPost, "/subgraph", bytes.NewReader(body))
-	})
+	}
 }
 
-func BenchmarkServeEtherscanTxlist(b *testing.B) {
+func etherscanTxlist(tb testing.TB) (http.Handler, func() *http.Request) {
 	res := serveWorld()
 	// Pick a busy address deterministically: the registrar controller sees
 	// every registration, so use the From of the first transaction.
 	txs := res.Chain.Transactions()
 	if len(txs) == 0 {
-		b.Skip("world has no transactions")
+		tb.Skip("world has no transactions")
 	}
 	addr := txs[0].From.Hex()
 	srv := etherscan.NewServer(res.Chain, dataset.LabelsFromWorld(res))
 	url := "/api?module=account&action=txlist&address=" + addr + "&page=1&offset=100&apikey=bench"
-	benchHandler(b, srv, func() *http.Request {
+	return srv, func() *http.Request {
 		return httptest.NewRequest(http.MethodGet, url, nil)
-	})
+	}
 }
 
-func BenchmarkServeOpenSeaEvents(b *testing.B) {
-	res := serveWorld()
-	srv := opensea.NewServer(res.OpenSea)
-	benchHandler(b, srv, func() *http.Request {
+func openSeaEvents(tb testing.TB) (http.Handler, func() *http.Request) {
+	srv := opensea.NewServer(serveWorld().OpenSea)
+	return srv, func() *http.Request {
 		return httptest.NewRequest(http.MethodGet, "/events?limit=50", nil)
-	})
+	}
 }
 
-func BenchmarkServeRPCGetBalance(b *testing.B) {
+func rpcGetBalance(tb testing.TB) (http.Handler, func() *http.Request) {
 	res := serveWorld()
 	txs := res.Chain.Transactions()
 	if len(txs) == 0 {
-		b.Skip("world has no transactions")
+		tb.Skip("world has no transactions")
 	}
 	srv := ethrpc.NewServer(res.Chain)
 	body := `{"jsonrpc":"2.0","id":1,"method":"eth_getBalance","params":["` + strings.ToLower(txs[0].From.Hex()) + `"]}`
-	benchHandler(b, srv, func() *http.Request {
+	return srv, func() *http.Request {
 		return httptest.NewRequest(http.MethodPost, "/rpc", strings.NewReader(body))
-	})
+	}
+}
+
+func BenchmarkServeSubgraphPage(b *testing.B)    { benchHandler(b, subgraphPage) }
+func BenchmarkServeEtherscanTxlist(b *testing.B) { benchHandler(b, etherscanTxlist) }
+func BenchmarkServeOpenSeaEvents(b *testing.B)   { benchHandler(b, openSeaEvents) }
+func BenchmarkServeRPCGetBalance(b *testing.B)   { benchHandler(b, rpcGetBalance) }
+
+// TestServeHandlerAllocBudgets bounds the allocations per request of
+// the four BenchmarkServe* handlers. Each budget is the smaller of 2x
+// the measured count and 1.15x the count archived when these handlers
+// were last optimized; allocation counts are exact across machines,
+// timings are not, so only allocations gate.
+func TestServeHandlerAllocBudgets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	for _, c := range []struct {
+		name   string
+		setup  serveHandler
+		budget float64
+	}{
+		{"subgraph", subgraphPage, 186},    // measured 164
+		{"etherscan", etherscanTxlist, 42}, // measured 21
+		{"opensea", openSeaEvents, 25},     // measured 22
+		{"rpc", rpcGetBalance, 41},         // measured 37
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h, newReq := c.setup(t)
+			w := &discardWriter{}
+			fire := func() {
+				w.code = 0
+				h.ServeHTTP(w, newReq())
+			}
+			fire() // warm encoder pools
+			if w.code != 0 && w.code != http.StatusOK {
+				t.Fatalf("status %d", w.code)
+			}
+			got := testing.AllocsPerRun(100, fire)
+			t.Logf("%s: %.0f allocs/req (budget %.0f)", c.name, got, c.budget)
+			if got > c.budget {
+				t.Errorf("%s handler allocates %.0f/req, budget %.0f", c.name, got, c.budget)
+			}
+		})
+	}
 }

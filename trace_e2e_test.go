@@ -96,21 +96,35 @@ func fetchTrace(t *testing.T, baseURL, id string) *trace.Trace {
 	return &tr
 }
 
-// tracedServer wires handler behind the trace middleware with a
-// SampleRate-0 store: only errored or slow traces survive, which is
-// exactly the tail the attribution assertions are about.
-func tracedServer(t *testing.T, seed int64, mount func(mux *http.ServeMux)) (*httptest.Server, *trace.Store) {
+// tracedServer serves a serve.New stack built from cfg over a small
+// world, traced into a SampleRate-0 store: only errored or slow traces
+// survive, which is exactly the tail the attribution assertions are
+// about.
+func tracedServer(t *testing.T, seed int64, cfg serve.Config) (*httptest.Server, *serve.Stack) {
 	t.Helper()
-	store := trace.NewStore(trace.StoreConfig{Capacity: 256, SampleRate: 0, Seed: seed})
-	tracer := trace.New(trace.Config{Store: store, Seed: seed})
-	mux := http.NewServeMux()
-	mount(mux)
-	th := trace.Handler(store)
-	mux.Handle("/debug/traces", th)
-	mux.Handle("/debug/traces/", th)
-	srv := httptest.NewServer(trace.Middleware(tracer, mux))
+	res, _, store, _ := soakWorld(t, 60, 19)
+	cfg.Registry = obs.NewRegistry()
+	cfg.Tracer = trace.New(trace.Config{
+		Store: trace.NewStore(trace.StoreConfig{Capacity: 256, SampleRate: 0, Seed: seed}),
+		Seed:  seed,
+	})
+	st := serve.New(res, store, cfg)
+	srv := httptest.NewServer(st.Handler)
 	t.Cleanup(srv.Close)
-	return srv, store
+	return srv, st
+}
+
+// assertServerRoot checks that a stored trace's server root links back
+// to the client's span (remote parent, same trace id) and that the
+// trace is classified errored, so the tail sampler keeps it.
+func assertServerRoot(t *testing.T, tr *trace.Trace) {
+	t.Helper()
+	if len(tr.Roots) == 0 || !tr.Roots[0].Remote {
+		t.Error("server root span does not record a remote (client) parent")
+	}
+	if !tr.Error {
+		t.Error("trace not classified as errored (would be tail-sampled away)")
+	}
 }
 
 // clientTracer builds the crawl-side tracer whose spans carry the trace
@@ -151,47 +165,43 @@ func tracedGet(t *testing.T, tracer *trace.Tracer, url string, header http.Heade
 
 func TestTraceAttributionGateShed(t *testing.T) {
 	withOverloadMetrics(t)
-	gate := overload.NewGate(overload.GateConfig{
-		MaxInflight: 1, QueueDepth: 1, MaxWait: 2 * time.Second})
+	srv, st := tracedServer(t, 41, serve.Config{MaxInflight: 1, QueueDepth: 1})
+	// Park requests on a gated side route, so the data route below
+	// finds the gate's one slot and one queue position taken.
 	release := make(chan struct{})
-	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	st.Mux.Handle("/slow", st.Gate.Wrap("/slow", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-release:
 		case <-r.Context().Done():
 		}
 		w.WriteHeader(http.StatusOK)
-	})
-	srv, _ := tracedServer(t, 41, func(mux *http.ServeMux) {
-		mux.Handle("/data", gate.Wrap("/data", slow))
-	})
-
-	// Fill the one service slot and the one queue position, then wait
-	// until the gate confirms both are occupied so the third request is
-	// deterministically shed with queue_full.
+	})))
 	for i := 0; i < 2; i++ {
 		go func() {
-			resp, err := http.Get(srv.URL + "/data")
+			resp, err := http.Get(srv.URL + "/slow")
 			if err == nil {
 				_, _ = io.Copy(io.Discard, resp.Body)
 				_ = resp.Body.Close()
 			}
 		}()
 	}
+	// Wait until the gate confirms both are occupied, so the data
+	// request is deterministically shed with queue_full.
 	deadline := time.Now().Add(5 * time.Second)
-	for gate.Inflight() < 1 || gate.Queued() < 1 {
+	for st.Gate.Inflight() < 1 || st.Gate.Queued() < 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("gate never saturated: inflight=%d queued=%d", gate.Inflight(), gate.Queued())
+			t.Fatalf("gate never saturated: inflight=%d queued=%d", st.Gate.Inflight(), st.Gate.Queued())
 		}
 		time.Sleep(time.Millisecond)
 	}
 
 	ctracer, _ := clientTracer(42)
-	status, traceID := tracedGet(t, ctracer, srv.URL+"/data", nil)
+	status, traceID := tracedGet(t, ctracer, srv.URL+"/opensea/events?limit=5", nil)
 	close(release)
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("saturated gate answered %d, want 503", status)
 	}
-	if got := gate.ShedCount(); got == 0 {
+	if got := st.Gate.ShedCount(); got == 0 {
 		t.Error("gate.ShedCount() = 0 after a shed")
 	}
 
@@ -203,53 +213,42 @@ func TestTraceAttributionGateShed(t *testing.T) {
 	if reason := attrValue(attrs, "reason"); reason != overload.ReasonQueueFull {
 		t.Errorf("shed reason = %q, want %q", reason, overload.ReasonQueueFull)
 	}
-	if route := attrValue(attrs, "route"); route != "/data" {
-		t.Errorf("shed route = %q, want /data", route)
+	if route := attrValue(attrs, "route"); route != "/opensea/" {
+		t.Errorf("shed route = %q, want /opensea/", route)
 	}
-	// The server root must link back to the client's span: remote
-	// parent, same trace id.
-	if len(tr.Roots) == 0 || !tr.Roots[0].Remote {
-		t.Error("server root span does not record a remote (client) parent")
-	}
-	if !tr.Error {
-		t.Error("shed trace not classified as errored (would be tail-sampled away)")
-	}
+	assertServerRoot(t, tr)
 }
 
 func TestTraceAttributionQuotaDenial(t *testing.T) {
 	withOverloadMetrics(t)
 	// Burst 1 with a near-zero refill rate: the first request consumes
 	// the only token, the second is denied.
-	quotas := overload.NewQuotas(overload.QuotaConfig{Rate: 0.0001, Burst: 1})
-	ok := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	})
-	srv, _ := tracedServer(t, 43, func(mux *http.ServeMux) {
-		mux.Handle("/data", quotas.Wrap(overload.ClientID, overload.TooManyRequests, ok))
-	})
+	srv, st := tracedServer(t, 43, serve.Config{QuotaRate: 0.0001, QuotaBurst: 1})
 
 	ctracer, _ := clientTracer(44)
 	hdr := http.Header{}
 	hdr.Set(overload.ClientIDHeader, "drill-client")
-	if status, _ := tracedGet(t, ctracer, srv.URL+"/data", hdr); status != http.StatusOK {
+	url := srv.URL + "/opensea/events?limit=5"
+	if status, _ := tracedGet(t, ctracer, url, hdr); status != http.StatusOK {
 		t.Fatalf("first request = %d, want 200", status)
 	}
-	status, traceID := tracedGet(t, ctracer, srv.URL+"/data", hdr)
+	status, traceID := tracedGet(t, ctracer, url, hdr)
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("second request = %d, want 429", status)
 	}
-	if quotas.Denied() == 0 {
+	if st.Quotas.Denied() == 0 {
 		t.Error("quotas.Denied() = 0 after a denial")
 	}
 
 	tr := fetchTrace(t, srv.URL, traceID)
-	attrs, ok2 := traceEvent(tr, "overload.quota_denied")
-	if !ok2 {
+	attrs, ok := traceEvent(tr, "overload.quota_denied")
+	if !ok {
 		t.Fatalf("trace %s has no overload.quota_denied event", traceID)
 	}
 	if client := attrValue(attrs, "client"); client != "drill-client" {
 		t.Errorf("denied client = %q, want drill-client", client)
 	}
+	assertServerRoot(t, tr)
 }
 
 // errorEvents lists every error-class event of a stored trace.
@@ -273,7 +272,7 @@ func errorEvents(tr *trace.Trace) []trace.Event {
 }
 
 // TestTraceAttributionEtherscanRateLimit: Etherscan's per-key refusal
-// rides on HTTP 200, which the trace middleware does not mark errored,
+// rides on HTTP 200, which the server observer does not mark errored,
 // so the quota layer's own event must keep the trace and name the key.
 // The refused URL is one the page cache already holds: the key is
 // charged before the cache.
@@ -328,25 +327,74 @@ func TestTraceAttributionChaosFault(t *testing.T) {
 	// injected 429 and the span must say chaos did it.
 	camp := chaos.NewCampaign(plan.Steady(1, string(chaos.FaultRateLimit)),
 		chaos.Config{Seed: 9, RetryAfter: 5 * time.Millisecond})
-	ok := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	})
-	srv, _ := tracedServer(t, 45, func(mux *http.ServeMux) {
-		mux.Handle("/data", camp.Wrap(ok))
-	})
+	srv, _ := tracedServer(t, 45, serve.Config{Chaos: camp.Wrap})
 
 	ctracer, _ := clientTracer(46)
-	status, traceID := tracedGet(t, ctracer, srv.URL+"/data", nil)
+	status, traceID := tracedGet(t, ctracer, srv.URL+"/opensea/events?limit=5", nil)
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("chaos route = %d, want 429", status)
 	}
 	tr := fetchTrace(t, srv.URL, traceID)
-	attrs, ok2 := traceEvent(tr, "chaos.fault")
-	if !ok2 {
+	attrs, ok := traceEvent(tr, "chaos.fault")
+	if !ok {
 		t.Fatalf("trace %s has no chaos.fault event", traceID)
 	}
 	if kind := attrValue(attrs, "kind"); kind != string(chaos.FaultRateLimit) {
 		t.Errorf("fault kind = %q, want %q", kind, chaos.FaultRateLimit)
+	}
+	assertServerRoot(t, tr)
+}
+
+// TestTraceAttributionExemplarLinksStoredTrace follows the operator's
+// path from a latency bucket to a stored trace through the assembled
+// stack: under OpenMetrics negotiation, /metrics pins a traced
+// request's id to its route's latency bucket, and /debug/traces/{id}
+// returns that request's trace.
+func TestTraceAttributionExemplarLinksStoredTrace(t *testing.T) {
+	res, _, store, _ := soakWorld(t, 60, 19)
+	tstore := trace.NewStore(trace.StoreConfig{Capacity: 16, SampleRate: 1, Seed: 51})
+	st := serve.New(res, store, serve.Config{
+		Registry: obs.NewRegistry(),
+		Tracer:   trace.New(trace.Config{Store: tstore, Seed: 51}),
+	})
+	srv := httptest.NewServer(st.Handler)
+	t.Cleanup(srv.Close)
+
+	ctracer, _ := clientTracer(52)
+	status, traceID := tracedGet(t, ctracer, srv.URL+"/opensea/events?limit=1", nil)
+	if status != http.StatusOK {
+		t.Fatalf("traced request = %d, want 200", status)
+	}
+
+	req, err := http.NewRequest(http.MethodGet, srv.URL+"/metrics", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "application/openmetrics-text; version=1.0.0")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != obs.OpenMetricsContentType {
+		t.Fatalf("/metrics content type = %q, want OpenMetrics", ct)
+	}
+	exemplar := `# {trace_id="` + traceID + `"}`
+	linked := false
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, `ensworld_http_request_seconds_bucket{route="/opensea/",`) &&
+			strings.Contains(line, exemplar) {
+			linked = true
+		}
+	}
+	if !linked {
+		t.Fatalf("no /opensea/ latency bucket carries %s:\n%s", exemplar, body)
+	}
+
+	tr := fetchTrace(t, srv.URL, traceID)
+	if len(tr.Roots) == 0 || tr.Roots[0].Name != "http.server /opensea/events" || !tr.Roots[0].Remote {
+		t.Errorf("trace %s roots = %+v, want the remote-parented server span", traceID, tr.Roots)
 	}
 }
 
