@@ -62,8 +62,7 @@ race-all:
 
 # Overload soak drill under the race detector: 8 concurrent crawlers
 # against the admission gate + quotas + chaos, byte-identical
-# convergence, bounded /healthz latency, adaptive-vs-fixed 429
-# comparison, goroutine-leak checks.
+# convergence, bounded /healthz latency, goroutine-leak checks.
 soak-smoke:
 	$(GO) test -race -count=1 -run 'TestSoak' -v .
 
@@ -136,8 +135,10 @@ bench-load:
 	./bin/benchjson -o BENCH_LOAD.json bench_load.txt
 
 # Load-generator smoke: a short self-hosted open-loop run must finish
-# with bounded data-route tails and zero 5xx answers (sheds included) —
-# proves the generator and the full serving stack end to end.
+# with bounded data-route tails, zero 5xx answers (sheds included),
+# zero transport errors and a successful answer on every data route —
+# proves the generator and the full serving stack end to end, and
+# fails on a dead or resetting server.
 load-smoke:
 	$(GO) build -o bin/ensload ./cmd/ensload
 	./bin/ensload -selfhost -domains 5000 -rps 200 -duration 30s -clients 8 -seed 8 -assert-p99 250ms -assert-no-5xx

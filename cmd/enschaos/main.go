@@ -83,7 +83,6 @@ type options struct {
 	txWorkers    int
 	retries      int
 	budgetBurst  float64
-	budgetRatio  float64
 	breaker      bool
 	maxRestarts  int
 	restartPause time.Duration
@@ -104,7 +103,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.txWorkers, "tx-workers", 1, "transaction-crawl concurrency (1 keeps the request clock deterministic)")
 	fs.IntVar(&o.retries, "retries", 12, "client retry attempts per call")
 	fs.Float64Var(&o.budgetBurst, "budget-burst", 10, "retry-budget burst per source (0 disables the budget: unbounded retry amplification)")
-	fs.Float64Var(&o.budgetRatio, "budget-ratio", 0.1, "retry-budget refill per successful first attempt")
 	fs.BoolVar(&o.breaker, "breaker", false, "enable circuit breakers (wall-time cooldowns; breaks request-clock determinism)")
 	fs.IntVar(&o.maxRestarts, "max-restarts", 25, "build restarts before the drill is declared failed")
 	fs.DurationVar(&o.restartPause, "restart-pause", 50*time.Millisecond, "pause between build restarts (where fail-fast damping shows)")
@@ -301,7 +299,7 @@ func hostileClients(base string, hc *http.Client, o options) (*subgraph.Client, 
 	}{{"subgraph-chaos", "enschaos", &sg.Source}, {"etherscan-chaos", "", &es.Source}, {"opensea-chaos", "enschaos", &osc.Source}} {
 		s.src.HTTPClient, s.src.Sleep, s.src.MaxRetries, s.src.ClientID = hc, sleep, o.retries, s.clientID
 		if o.budgetBurst > 0 {
-			s.src.Budget = crawler.NewRetryBudget(s.name, o.budgetRatio, o.budgetBurst)
+			s.src.Budget = crawler.NewRetryBudget(s.name, o.budgetBurst)
 		}
 		if o.breaker {
 			s.src.Breaker = crawler.NewBreaker(s.name, 10, 50*time.Millisecond)

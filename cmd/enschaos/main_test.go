@@ -170,7 +170,7 @@ func TestRetryBudgetDampsOutageE2E(t *testing.T) {
 		}
 		return tot
 	}
-	with := outage(crawler.NewRetryBudget("outage-e2e", 0.1, 10))
+	with := outage(crawler.NewRetryBudget("outage-e2e", 10))
 	without := outage(nil)
 	if with >= without {
 		t.Fatalf("budgeted outage issued %d upstream requests, unbudgeted %d — no damping", with, without)

@@ -52,10 +52,8 @@ func main() {
 		cooldown    = flag.Duration("breaker-cooldown", 15*time.Second, "how long an open circuit waits before probing the source again")
 		metricsAddr = flag.String("metrics-addr", "", "serve live /metrics and /debug/pprof on this address while crawling (empty = disabled)")
 		progress    = flag.Duration("progress", 10*time.Second, "interval between crawl-progress summaries (done/total, ETA)")
-		adaptive    = flag.Bool("adaptive", false, "tune request rate and concurrency with AIMD from server 429/503 + Retry-After feedback instead of fixed -rps pacing")
 		clientID    = flag.String("client-id", "", "identity sent as X-Client-ID for server-side per-client quotas (defaults to -apikey)")
 		budgetBurst = flag.Float64("retry-budget", 10, "per-source retry-budget burst: retries beyond this bucket fail fast instead of storming an outage (0 = unbounded retries)")
-		budgetRatio = flag.Float64("retry-ratio", 0.1, "fraction of a retry token deposited per successful first attempt")
 	)
 	flag.Parse()
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -94,18 +92,12 @@ func main() {
 	sgClient := subgraph.NewClient(*base + "/subgraph")
 	osClient := opensea.NewClient(*base + "/opensea")
 	esClient.MinInterval = 0
-	if *rps > 0 && !*adaptive {
+	if *rps > 0 {
 		esClient.MinInterval = time.Duration(float64(time.Second) / *rps)
 	}
 	id := *clientID
 	if id == "" {
 		id = *apiKey
-	}
-	// AIMD owns pacing when on: it starts from -rps and lets server
-	// feedback steer, so the fixed MinInterval limiter above stays off.
-	initial := *rps
-	if initial <= 0 {
-		initial = float64(etherscan.DefaultRatePerSecond)
 	}
 	for _, s := range []struct {
 		name string
@@ -116,11 +108,7 @@ func main() {
 			s.src.Breaker = crawler.NewBreaker(s.name, *breaker, *cooldown)
 		}
 		if *budgetBurst > 0 {
-			s.src.Budget = crawler.NewRetryBudget(s.name, *budgetRatio, *budgetBurst)
-		}
-		if *adaptive {
-			s.src.Adaptive = crawler.NewAdaptive(crawler.AdaptiveConfig{
-				Source: s.name, InitialRate: initial, MaxWorkers: *workers})
+			s.src.Budget = crawler.NewRetryBudget(s.name, *budgetBurst)
 		}
 	}
 

@@ -9,7 +9,6 @@
 //
 //	ensload -selfhost -rps 300 -duration 30s | benchjson -o BENCH_LOAD.json
 //	ensload -target http://127.0.0.1:8080 -rps 500 -duration 60s -clients 16
-//	ensload -selfhost -adaptive -rps 400 -duration 30s
 //
 // Open-loop means the schedule does not slow down when the server does:
 // each request fires at its planned offset regardless of how many are
@@ -17,10 +16,10 @@
 // a local drop rather than silently applying backpressure). That is the
 // property that makes tail latencies honest under overload — a
 // closed-loop generator coordinates with the server it is measuring.
-// With -adaptive the generator instead behaves like the repo's polite
-// crawler: one AIMD controller (internal/crawler) paces all clients and
-// backs off on 429/503 + Retry-After, measuring the server as a
-// well-behaved client sees it.
+//
+// -assert-p99 and -assert-no-5xx turn the run into a CI gate. Either
+// one also fails the run on any transport error and on any data route
+// with no successful answer, so a dead or resetting server cannot pass.
 //
 // The same -seed always produces the same request sequence in the same
 // order, so two runs against the same world differ only in server
@@ -44,7 +43,6 @@ import (
 	"syscall"
 	"time"
 
-	"ensdropcatch/internal/crawler"
 	"ensdropcatch/internal/obs"
 	"ensdropcatch/internal/overload"
 	"ensdropcatch/internal/serve"
@@ -70,7 +68,6 @@ type options struct {
 	burstProb   float64
 	zipfS       float64
 	scoutN      int
-	adaptive    bool
 	assertP99   time.Duration
 	assertNo5xx bool
 }
@@ -93,9 +90,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Float64Var(&o.burstProb, "burst-prob", 0.1, "probability any given second is a burst second")
 	fs.Float64Var(&o.zipfS, "zipf-s", 1.3, "zipf skew over the target pool (must be > 1)")
 	fs.IntVar(&o.scoutN, "targets", 500, "target pool size scouted from the server (synthesized if scouting fails)")
-	fs.BoolVar(&o.adaptive, "adaptive", false, "pace with the crawler's AIMD controller instead of open-loop")
-	fs.DurationVar(&o.assertP99, "assert-p99", 0, "exit non-zero if any data route's p99 exceeds this (0 = off)")
-	fs.BoolVar(&o.assertNo5xx, "assert-no-5xx", false, "exit non-zero on any 5xx answer, sheds included")
+	fs.DurationVar(&o.assertP99, "assert-p99", 0, "exit non-zero if any data route's p99 exceeds this (0 = off); also fails on transport errors and data routes with no successful answer")
+	fs.BoolVar(&o.assertNo5xx, "assert-no-5xx", false, "exit non-zero on any 5xx answer, sheds included; also fails on transport errors and data routes with no successful answer")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -154,13 +150,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		len(plans), o.duration, len(t.ids), o.seed)
 
 	stats := newStatSet()
-	var localDrops int64
 	start := time.Now()
-	if o.adaptive {
-		localDrops = runAdaptive(ctx, hc, o, plans, stats)
-	} else {
-		localDrops = runOpenLoop(ctx, hc, o, plans, stats)
-	}
+	localDrops := runOpenLoop(ctx, hc, o, plans, stats)
 	elapsed := time.Since(start)
 
 	sums := stats.summarize(elapsed)
@@ -168,29 +159,42 @@ func run(args []string, stdout, stderr io.Writer) int {
 	writeHuman(stderr, sums, elapsed, localDrops)
 
 	code := 0
-	if o.assertP99 > 0 {
-		for _, s := range sums {
-			if !isDataRoute(s.route) || s.ok == 0 {
-				continue
-			}
-			if s.p99 > o.assertP99 {
-				fmt.Fprintf(stderr, "ensload: ASSERT FAILED: %s p99 %v > %v\n", s.route, s.p99, o.assertP99)
-				code = 1
-			}
-		}
-	}
-	if o.assertNo5xx {
-		for _, s := range sums {
-			if s.g5x > 0 {
-				fmt.Fprintf(stderr, "ensload: ASSERT FAILED: %s answered %d responses >= 500\n", s.route, s.g5x)
-				code = 1
-			}
-		}
+	if o.assertP99 > 0 || o.assertNo5xx {
+		code = assertRun(o, sums, stderr)
 	}
 	if ctx.Err() != nil {
 		fmt.Fprintln(stderr, "ensload: interrupted before the schedule completed")
 		if code == 0 {
 			code = 1
+		}
+	}
+	return code
+}
+
+// assertRun applies the gates the -assert-* flags turn on and returns
+// the exit code. Beyond its flag's own check, an asserted run fails on
+// any transport error and on any data route with no successful answer:
+// the p99 gate reads answered requests only and the 5xx gate answered
+// statuses only, so without these a server that never answers passes.
+func assertRun(o options, sums []summary, stderr io.Writer) int {
+	code := 0
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(stderr, "ensload: ASSERT FAILED: "+format+"\n", args...)
+		code = 1
+	}
+	for _, s := range sums {
+		data := isDataRoute(s.route)
+		if s.tr > 0 {
+			fail("%s had %d transport errors", s.route, s.tr)
+		}
+		if data && s.ok == 0 {
+			fail("%s got no successful answer in %d requests", s.route, s.completed())
+		}
+		if o.assertP99 > 0 && data && s.ok > 0 && s.p99 > o.assertP99 {
+			fail("%s p99 %v > %v", s.route, s.p99, o.assertP99)
+		}
+		if o.assertNo5xx && s.g5x > 0 {
+			fail("%s answered %d responses >= 500", s.route, s.g5x)
 		}
 	}
 	return code
@@ -285,15 +289,15 @@ func scout(ctx context.Context, hc *http.Client, o options, stderr io.Writer) ta
 
 // fire executes one planned request and records its outcome. The body
 // is always drained so the transport can reuse the connection.
-func fire(ctx context.Context, hc *http.Client, o options, p request, st *routeStats) (status int, err error) {
+func fire(ctx context.Context, hc *http.Client, o options, p request, st *routeStats) {
 	var rd io.Reader
 	if p.body != "" {
 		rd = strings.NewReader(p.body)
 	}
-	req, rerr := http.NewRequestWithContext(ctx, p.method, o.target+p.path, rd)
-	if rerr != nil {
+	req, err := http.NewRequestWithContext(ctx, p.method, o.target+p.path, rd)
+	if err != nil {
 		st.observe(0, 0, true)
-		return 0, rerr
+		return
 	}
 	if p.body != "" {
 		req.Header.Set("Content-Type", "application/json")
@@ -301,15 +305,14 @@ func fire(ctx context.Context, hc *http.Client, o options, p request, st *routeS
 	overload.SetRequestHeaders(req, o.clientID)
 	t0 := time.Now()
 	//lint:allow iodiscipline open-loop load generator measures the raw server; retry or backoff here would hide the very overload it exists to produce
-	resp, derr := hc.Do(req)
-	if derr != nil {
+	resp, err := hc.Do(req)
+	if err != nil {
 		st.observe(0, 0, true)
-		return 0, derr
+		return
 	}
 	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close() //lint:allow droppederr body already drained; the response was measured either way
 	st.observe(resp.StatusCode, time.Since(t0), false)
-	return resp.StatusCode, nil
 }
 
 // runOpenLoop fires the plan on schedule. The plan is split round-robin
@@ -347,73 +350,12 @@ func runOpenLoop(ctx context.Context, hc *http.Client, o options, plans []reques
 				go func(p request) {
 					defer reqWG.Done()
 					defer inflight.Add(-1)
-					_, _ = fire(ctx, hc, o, p, stats.byRoute[p.route])
+					fire(ctx, hc, o, p, stats.byRoute[p.route])
 				}(p)
 			}
 		}(c)
 	}
 	schedWG.Wait()
 	reqWG.Wait()
-	return drops.Load()
-}
-
-// runAdaptive replays the same plan through one shared AIMD controller:
-// -clients workers drain the schedule in order, each request waiting
-// for a rate token and an in-flight slot first. 429/503 answers feed
-// back as shed signals (with the server's Retry-After hint), so the
-// run settles at the rate the server is willing to serve — the polite
-// crawler's view of the same workload. Planned offsets are ignored;
-// the controller owns pacing. Requests the context cancels before
-// dispatch count as local drops.
-func runAdaptive(ctx context.Context, hc *http.Client, o options, plans []request, stats *statSet) int64 {
-	ad := crawler.NewAdaptive(crawler.AdaptiveConfig{
-		Source:      "ensload",
-		InitialRate: o.rps / 4,
-		MaxRate:     o.rps * 2,
-		MaxWorkers:  o.clients,
-		MinWorkers:  1,
-	})
-	ch := make(chan request)
-	go func() {
-		defer close(ch)
-		for _, p := range plans {
-			select {
-			case ch <- p:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	var drops atomic.Int64
-	var wg sync.WaitGroup
-	for c := 0; c < o.clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range ch {
-				if err := ad.Wait(ctx); err != nil {
-					drops.Add(1)
-					continue
-				}
-				if err := ad.Acquire(ctx); err != nil {
-					drops.Add(1)
-					continue
-				}
-				t0 := time.Now()
-				status, err := fire(ctx, hc, o, p, stats.byRoute[p.route])
-				lat := time.Since(t0)
-				ad.Release()
-				switch {
-				case err != nil:
-					ad.Observe(err, lat)
-				case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
-					ad.Observe(crawler.RetryAfter(fmt.Errorf("server shed: status %d", status), 0), lat)
-				default:
-					ad.Observe(nil, lat)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 	return drops.Load()
 }

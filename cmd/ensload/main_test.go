@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"net"
 	"strconv"
 	"strings"
 	"testing"
@@ -218,6 +219,36 @@ func TestRunAssertP99Fails(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "ASSERT FAILED") {
 		t.Fatalf("no assert diagnostic:\n%s", errb.String())
+	}
+}
+
+// Every request to a closed port fails in transport, so no answer is
+// there for the p99 or 5xx gate to read; an asserted run must still
+// fail.
+func TestRunAssertFailsWhenNothingAnswers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 1s load run")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := "http://" + ln.Addr().String()
+	if err := ln.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	code := run([]string{
+		"-target", target, "-rps", "20", "-duration", "1s", "-clients", "2",
+		"-assert-p99", "250ms", "-assert-no-5xx",
+	}, &out, &errb)
+	if code == 0 {
+		t.Fatalf("want non-zero exit\nstderr:\n%s", errb.String())
+	}
+	for _, want := range []string{"transport errors", "no successful answer"} {
+		if !strings.Contains(errb.String(), want) {
+			t.Errorf("no %q diagnostic:\n%s", want, errb.String())
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package crawler
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -158,5 +160,54 @@ func TestBreakerHalfOpenAdmitsExactlyOneConcurrentProbe(t *testing.T) {
 	b.Record(nil)
 	if b.State() != BreakerClosed {
 		t.Fatalf("state = %v after successful probe", b.State())
+	}
+}
+
+// A half-open probe whose pacing wait is cut short must hand its slot
+// back. Otherwise the breaker stays half-open with a probe that never
+// reports, and every later call fails "probing" however healthy the
+// source is. crawler.ForEach reaches this: its first failed item
+// cancels the context other workers are pacing under.
+func TestBreakerProbeReleasedWhenPacingIsCancelled(t *testing.T) {
+	b, now := testBreaker(t, 1, time.Minute)
+	var healthy atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		if !healthy.Load() {
+			http.Error(w, "boom", http.StatusInternalServerError)
+			return
+		}
+		_, _ = w.Write([]byte("ok"))
+	}))
+	t.Cleanup(srv.Close)
+	s := &Source{Breaker: b}
+	call := func(ctx context.Context, pace *Limiter) error {
+		_, err := Call(ctx, s, Request{
+			Span: "wedge", Prefix: "wedge", Method: http.MethodGet, URL: srv.URL, MaxBody: 1 << 10, Pace: pace,
+		}, func(body []byte) ([]byte, error) { return body, nil })
+		return err
+	}
+
+	// One token an hour: the 500 spends it and opens the breaker.
+	hourly := NewLimiter(1.0/3600, 1)
+	if err := call(context.Background(), hourly); err == nil || b.State() != BreakerOpen {
+		t.Fatalf("after a 500: err = %v, state = %v, want an error and open", err, b.State())
+	}
+	*now = now.Add(time.Minute)
+	// The next call takes the probe, then its context expires while it
+	// waits for the next token.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if err := call(ctx, hourly); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("paced probe: err = %v, want DeadlineExceeded", err)
+	}
+
+	healthy.Store(true)
+	for i := 0; i < 3; i++ {
+		if err := call(context.Background(), nil); err != nil {
+			t.Fatalf("call %d after the cancelled probe: %v", i, err)
+		}
+	}
+	if st := b.State(); st != BreakerClosed {
+		t.Errorf("state = %v, want closed", st)
 	}
 }

@@ -15,11 +15,11 @@ func noSleep(context.Context, time.Duration) error { return nil }
 func dry(b *RetryBudget) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.tokens < 1
+	return b.tenths < successesPerRetry
 }
 
 func TestRetryBudgetFailsFastWhenDry(t *testing.T) {
-	budget := NewRetryBudget("test", 0.1, 2) // 2 tokens, nothing refilling
+	budget := NewRetryBudget("test", 2) // 2 tokens, nothing refilling
 	boom := errors.New("upstream down")
 	var attempts atomic.Int64
 	cfg := RetryConfig{Attempts: 10, BaseDelay: time.Millisecond, Sleep: noSleep, Budget: budget}
@@ -40,7 +40,7 @@ func TestRetryBudgetFailsFastWhenDry(t *testing.T) {
 }
 
 func TestRetryBudgetRefilledBySuccesses(t *testing.T) {
-	budget := NewRetryBudget("test", 0.5, 1)
+	budget := NewRetryBudget("test", 1)
 	cfg := RetryConfig{Attempts: 3, BaseDelay: time.Millisecond, Sleep: noSleep, Budget: budget}
 	ok := func(context.Context) error { return nil }
 
@@ -53,8 +53,12 @@ func TestRetryBudgetRefilledBySuccesses(t *testing.T) {
 	if !dry(budget) {
 		t.Fatal("budget should be dry after the drain")
 	}
-	// Two successful first attempts at ratio 0.5 earn one retry back.
-	for i := 0; i < 2; i++ {
+	// Ten successful first attempts at ratio 0.1 earn one retry back;
+	// nine do not.
+	for i := 0; i < successesPerRetry; i++ {
+		if !dry(budget) {
+			t.Fatalf("budget refilled after %d successes, want %d", i, successesPerRetry)
+		}
 		if err := Retry(context.Background(), cfg, ok); err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +89,7 @@ func TestRetryBudgetBoundsOutageAmplification(t *testing.T) {
 		return upstream.Load()
 	}
 	without := outageCalls(nil)
-	with := outageCalls(NewRetryBudget("test", 0.1, 10))
+	with := outageCalls(NewRetryBudget("test", 10))
 	if with >= without {
 		t.Fatalf("budgeted outage issued %d upstream calls, unbudgeted %d — no damping", with, without)
 	}
@@ -101,7 +105,7 @@ func TestRetryBudgetBoundsOutageAmplification(t *testing.T) {
 // Budget exhaustion is not retried by an outer Retry layer either: the
 // error fails the whole call.
 func TestRetryBudgetErrorIsNotRetryable(t *testing.T) {
-	budget := NewRetryBudget("test", 0.1, 1)
+	budget := NewRetryBudget("test", 1)
 	cfg := RetryConfig{Attempts: 5, BaseDelay: time.Millisecond, Sleep: noSleep, Budget: budget}
 	var attempts int
 	err := Retry(context.Background(), cfg, func(context.Context) error { attempts++; return errors.New("x") })

@@ -142,24 +142,11 @@ var statusCases = []statusCase{
 			}
 			_, _ = w.Write([]byte(c.ok))
 		},
-		setup: func(s *crawler.Source) {
-			// A fake clock the controller's pause sleeps advance, so the
-			// 7s hint costs no wall time.
-			now := time.Unix(0, 0)
-			s.Adaptive = crawler.NewAdaptive(crawler.AdaptiveConfig{
-				Source: "status-classes", InitialRate: 1000,
-				Now:   func() time.Time { return now },
-				Sleep: func(_ context.Context, d time.Duration) error { now = now.Add(d); return nil },
-			})
-		},
 		hits: 2, fails: 0,
 		check: func(t *testing.T, err error, s *crawler.Source, sleeps []time.Duration) {
 			wantNil(t, err, s, sleeps)
 			if len(sleeps) != 1 || sleeps[0] != 7*time.Second {
 				t.Errorf("backoff sleeps = %v, want the 7s hint", sleeps)
-			}
-			if got := s.Adaptive.Sheds(); got != 1 {
-				t.Errorf("adaptive sheds = %d, want 1", got)
 			}
 		},
 	},

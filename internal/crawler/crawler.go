@@ -62,32 +62,6 @@ func defaultSleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// SetRate retunes the limiter to rate events/second without dropping
-// accrued tokens: the bucket is first refilled at the old rate up to
-// now, so pacing history is preserved across the change. Non-positive
-// rates are ignored. Safe to call while other goroutines Wait.
-func (l *Limiter) SetRate(rate float64) {
-	if rate <= 0 {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	now := l.now()
-	l.tokens += now.Sub(l.last).Seconds() * l.rate
-	if l.tokens > l.burst {
-		l.tokens = l.burst
-	}
-	l.last = now
-	l.rate = rate
-}
-
-// Rate returns the current token refill rate in events/second.
-func (l *Limiter) Rate() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rate
-}
-
 // Wait blocks until a token is available or the context is cancelled.
 // Every call records its actual elapsed blocked time (zero when a token
 // was free) in the crawler_ratelimit_wait_seconds histogram — measured
@@ -172,8 +146,8 @@ func (e *RetryAfterError) Unwrap() error { return e.Err }
 
 // RetryAfter wraps err with a delay hint for Retry. A nil err returns
 // nil. A non-positive delay marks the error as a shed signal that
-// carries no stated delay: Retry keeps its computed backoff, and the
-// adaptive controller still treats it as congestion.
+// carries no stated delay: Retry keeps its computed backoff, while
+// Call still counts it as a shed rather than an error.
 func RetryAfter(err error, after time.Duration) error {
 	if err == nil {
 		return nil
@@ -291,7 +265,7 @@ func Retry(ctx context.Context, cfg RetryConfig, fn func(context.Context) error)
 		}
 		// A retry is about to be funded. A dry budget means the source is
 		// failing broadly — retrying would multiply the pressure, so fail
-		// fast instead (the breaker and AIMD handle the waiting).
+		// fast instead (the breaker handles the waiting).
 		if cfg.Budget != nil && !cfg.Budget.Withdraw() {
 			if sp := trace.FromContext(ctx); sp != nil {
 				sp.Event("retry.budget_exhausted", trace.A("source", cfg.Budget.Source()))

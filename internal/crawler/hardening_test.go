@@ -97,42 +97,6 @@ func TestParseRetryAfterAtHTTPDate(t *testing.T) {
 	}
 }
 
-func TestLimiterSetRate(t *testing.T) {
-	withTestMetrics(t)
-	now := time.Unix(0, 0)
-	l := NewLimiter(1, 4)
-	l.now = func() time.Time { return now }
-	l.last = now
-	l.tokens = 0
-
-	// Two seconds at 1 rps accrue 2 tokens; SetRate must bank them at
-	// the old rate before switching, not retroactively reprice them.
-	now = now.Add(2 * time.Second)
-	l.SetRate(10)
-	if got := l.Rate(); got != 10 {
-		t.Fatalf("Rate() = %v after SetRate(10)", got)
-	}
-	l.mu.Lock()
-	banked := l.tokens
-	l.mu.Unlock()
-	if banked != 2 {
-		t.Fatalf("tokens = %v after 2s at 1rps, want 2 (accrual repriced?)", banked)
-	}
-	// From here accrual runs at the new rate: 0.1s buys another token.
-	now = now.Add(100 * time.Millisecond)
-	for i := 0; i < 3; i++ {
-		if err := l.Wait(context.Background()); err != nil {
-			t.Fatalf("Wait %d: %v", i, err)
-		}
-	}
-	// Non-positive rates are ignored rather than dividing by zero later.
-	l.SetRate(0)
-	l.SetRate(-3)
-	if got := l.Rate(); got != 10 {
-		t.Fatalf("Rate() = %v after invalid SetRate calls, want 10", got)
-	}
-}
-
 func TestRetryHonorsRetryAfterHint(t *testing.T) {
 	var delays []time.Duration
 	cfg := RetryConfig{

@@ -9,18 +9,15 @@ import (
 // metricSet bundles the crawler's instrumentation handles, resolved
 // once per registry so the hot paths stay allocation-free.
 type metricSet struct {
-	retryAttempts   *obs.Counter
-	retryExhausted  *obs.Counter
-	ratelimitWait   *obs.Histogram
-	workersActive   *obs.Gauge
-	itemsDone       *obs.Counter
-	itemErrors      *obs.Counter
-	breakerState    *obs.GaugeVec
-	breakerOpens    *obs.CounterVec
-	breakerRejects  *obs.CounterVec
-	adaptiveRate    *obs.GaugeVec
-	adaptiveWorkers *obs.GaugeVec
-	adaptiveSheds   *obs.CounterVec
+	retryAttempts  *obs.Counter
+	retryExhausted *obs.Counter
+	ratelimitWait  *obs.Histogram
+	workersActive  *obs.Gauge
+	itemsDone      *obs.Counter
+	itemErrors     *obs.Counter
+	breakerState   *obs.GaugeVec
+	breakerOpens   *obs.CounterVec
+	breakerRejects *obs.CounterVec
 
 	retryBudgetTokens *obs.GaugeVec
 	retryBudgetSpent  *obs.CounterVec
@@ -60,12 +57,6 @@ func InitMetrics(reg *obs.Registry) {
 			"Times each source's circuit breaker tripped open.", "source"),
 		breakerRejects: reg.CounterVec("crawler_breaker_rejections_total",
 			"Requests rejected while each source's circuit was open.", "source"),
-		adaptiveRate: reg.GaugeVec("crawler_adaptive_rate",
-			"Current AIMD target request rate per source, in requests/second.", "source"),
-		adaptiveWorkers: reg.GaugeVec("crawler_adaptive_workers",
-			"Current AIMD in-flight request cap per source.", "source"),
-		adaptiveSheds: reg.CounterVec("crawler_adaptive_sheds_total",
-			"Server shed signals (429/503 + Retry-After) absorbed per source.", "source"),
 		retryBudgetTokens: reg.GaugeVec("crawler_retry_budget_tokens",
 			"Retry-budget tokens currently available per source.", "source"),
 		retryBudgetSpent: reg.CounterVec("crawler_retry_budget_spent_total",

@@ -14,11 +14,13 @@ import (
 	"ensdropcatch/internal/trace"
 )
 
-// Source is one upstream API's call policy: the transport and the
-// fault-tolerance layers every request to it passes through. The
-// etherscan, subgraph and opensea clients embed one by value, so these
-// fields are set on the client itself (es.Breaker = ...). The nil
-// mechanisms are off; see DESIGN.md §5c for how they compose.
+// Source is one upstream API's call policy: the transport and the two
+// self-protection layers, breaker and retry budget, that every request
+// to it passes through. Pacing is not here: each Request carries its
+// own fixed limiter. The etherscan, subgraph and opensea clients embed
+// one by value, so these fields are set on the client itself
+// (es.Breaker = ...). The nil mechanisms are off; see DESIGN.md §5c for
+// how they compose.
 type Source struct {
 	// HTTPClient sends the requests; nil uses a 30s-timeout client.
 	HTTPClient *http.Client
@@ -30,10 +32,6 @@ type Source struct {
 	// of transport failures opens it and requests fail fast (with a
 	// retryable cooldown hint) until a probe succeeds.
 	Breaker *Breaker
-	// Adaptive, when set, paces and bounds in-flight requests with AIMD
-	// control fed by server feedback (429/503 + Retry-After, latency),
-	// in place of the call's fixed pacing.
-	Adaptive *Adaptive
 	// Budget, when set, caps retry amplification: retries draw tokens
 	// refilled by successful first attempts, and a dry budget fails fast
 	// instead of hammering a broadly failing source.
@@ -56,7 +54,8 @@ type Request struct {
 	ContentType string
 	// MaxBody caps the answer in bytes.
 	MaxBody int64
-	// Pace, when set, spaces the sends of a source without Adaptive.
+	// Pace, when set, spaces the call's sends: the only pacing a crawl
+	// request has (Etherscan's MinInterval).
 	Pace *Limiter
 	// Requests and Errors, when set, count the call's attempts by the
 	// rule in DESIGN.md §5c.
@@ -73,7 +72,7 @@ var defaultHTTPClient = &http.Client{Timeout: 30 * time.Second}
 //  2. Retry: 200ms doubling to 10s with ±20% jitter, MaxRetries+1
 //     attempts, funded by Budget;
 //  3. per attempt, the Breaker;
-//  4. pacing: Adaptive Wait and Acquire, or else r.Pace;
+//  4. pacing: r.Pace;
 //  5. the send, with the attempt's context, X-Client-ID and
 //     traceparent;
 //  6. the body read, sized from Content-Length and capped at r.MaxBody;
@@ -82,7 +81,8 @@ var defaultHTTPClient = &http.Client{Timeout: 30 * time.Second}
 //     is transient;
 //  8. decode, which may itself report a shed (RetryAfter) or a
 //     permanent API error;
-//  9. Adaptive Release and Observe, then Breaker Record.
+//  9. Breaker Record, on every path out of an attempt the Breaker
+//     admitted, so a half-open probe is always released.
 func Call[T any](ctx context.Context, s *Source, r Request, decode func(body []byte) (T, error)) (T, error) {
 	ctx, sp := trace.Start(ctx, r.Span)
 	cfg := RetryConfig{
@@ -104,44 +104,31 @@ func Call[T any](ctx context.Context, s *Source, r Request, decode func(body []b
 }
 
 // attempt is stages 3 to 9 of Call.
-func attempt[T any](ctx context.Context, s *Source, r *Request, decode func([]byte) (T, error)) (T, error) {
-	var zero T
+func attempt[T any](ctx context.Context, s *Source, r *Request, decode func([]byte) (T, error)) (v T, err error) {
 	if b := s.Breaker; b != nil {
 		if err := b.Allow(); err != nil {
-			return zero, err
+			return v, err
 		}
+		// Allow may have handed this attempt the half-open probe, which
+		// only Record gives back. A pacing wait cut short returns its
+		// context error, which Record treats as neutral.
+		defer func() { b.Record(err) }()
 	}
-	if a := s.Adaptive; a != nil {
-		if err := a.Wait(ctx); err != nil {
-			return zero, Permanent(err)
-		}
-		if err := a.Acquire(ctx); err != nil {
-			return zero, Permanent(err)
-		}
-	} else if r.Pace != nil {
+	if r.Pace != nil {
 		if err := r.Pace.Wait(ctx); err != nil {
-			return zero, Permanent(err)
+			return v, Permanent(err)
 		}
 	}
 	if r.Requests != nil {
 		r.Requests.Inc()
 	}
-	start := time.Now()
 	body, err := s.send(ctx, r)
-	var v T
 	if err == nil {
 		v, err = decode(body)
 	}
 	var ra *RetryAfterError
 	if err != nil && r.Errors != nil && !errors.As(err, &ra) {
 		r.Errors.Inc()
-	}
-	if a := s.Adaptive; a != nil {
-		a.Release()
-		a.Observe(err, time.Since(start))
-	}
-	if b := s.Breaker; b != nil {
-		b.Record(err)
 	}
 	return v, err
 }

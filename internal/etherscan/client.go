@@ -30,8 +30,8 @@ type Client struct {
 	APIKey string
 	// PageSize rows per request; defaults to 1000.
 	PageSize int
-	// MinInterval between txlist requests when Adaptive is nil; defaults
-	// to 1/DefaultRatePerSecond. Zero disables pacing.
+	// MinInterval between txlist requests, the client's only pacing;
+	// defaults to 1/DefaultRatePerSecond. Zero disables pacing.
 	MinInterval time.Duration
 
 	mu          sync.Mutex
@@ -90,8 +90,9 @@ func (c *Client) call(ctx context.Context, params url.Values) ([]TxRecord, error
 }
 
 // decodeRows decodes a txlist answer. An HTTP-200 NOTOK "Max rate limit
-// reached" is Etherscan's 429: it comes back as a shed, so the adaptive
-// controller and breaker see it as one rather than as a success; any
+// reached" is Etherscan's 429: it comes back as a shed with no stated
+// delay, so Retry backs off, the breaker sees a failure rather than a
+// success, and the call counts it as rate-limited, not as an error; any
 // other NOTOK is a permanent API error.
 func decodeRows(body []byte) ([]TxRecord, error) {
 	ans, err := decodeAnswer(body)

@@ -14,6 +14,7 @@ import (
 	"ensdropcatch/internal/chain"
 	"ensdropcatch/internal/crawler"
 	"ensdropcatch/internal/ethtypes"
+	"ensdropcatch/internal/obs"
 	"ensdropcatch/internal/overload"
 )
 
@@ -225,11 +226,14 @@ func TestClientGivesUpAfterRetries(t *testing.T) {
 	}
 }
 
-// TestNOTOKRateLimitFeedsAdaptive pins the classification order in the
-// retry closure: an HTTP-200 "Max rate limit reached" envelope must
-// reach the adaptive controller as a shed (halving its rate), not as a
-// clean response that speeds it up.
-func TestNOTOKRateLimitFeedsAdaptive(t *testing.T) {
+// TestNOTOKRateLimitIsAShed pins how an HTTP-200 "Max rate limit
+// reached" envelope is classed (DESIGN.md §5c): a shed with no stated
+// delay, so Retry keeps its computed backoff, and on every attempt a
+// rate-limit count rather than an error.
+func TestNOTOKRateLimitIsAShed(t *testing.T) {
+	reg := obs.NewRegistry()
+	InitMetrics(reg)
+	t.Cleanup(func() { InitMetrics(nil) })
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api", func(w http.ResponseWriter, r *http.Request) {
 		writeEnvelope(w, "0", "NOTOK", "Max rate limit reached")
@@ -240,21 +244,31 @@ func TestNOTOKRateLimitFeedsAdaptive(t *testing.T) {
 	client := NewClient(srv.URL, "k")
 	client.MinInterval = 0
 	client.MaxRetries = 2
-	client.Sleep = instantSleep
-	client.Adaptive = crawler.NewAdaptive(crawler.AdaptiveConfig{
-		Source:      "test",
-		InitialRate: 8,
-		Sleep:       instantSleep,
-	})
+	var sleeps []time.Duration
+	client.Sleep = func(ctx context.Context, d time.Duration) error {
+		sleeps = append(sleeps, d)
+		return ctx.Err()
+	}
 	_, err := client.TxList(context.Background(), ethtypes.DeriveAddress("x"))
-	if !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("err = %v, want ErrRateLimited", err)
+	var ra *crawler.RetryAfterError
+	if !errors.As(err, &ra) || ra.After != 0 || !errors.Is(ra, ErrRateLimited) {
+		t.Fatalf("err = %v, want a zero-hint RetryAfterError wrapping ErrRateLimited", err)
 	}
-	if sheds := client.Adaptive.Sheds(); sheds == 0 {
-		t.Error("adaptive controller saw no sheds from NOTOK rate limits")
+	// Retry's own backoff: 200ms, then 400ms, each within ±20% jitter.
+	if len(sleeps) != 2 ||
+		sleeps[0] < 160*time.Millisecond || sleeps[0] > 240*time.Millisecond ||
+		sleeps[1] < 320*time.Millisecond || sleeps[1] > 480*time.Millisecond {
+		t.Errorf("backoff sleeps = %v, want Retry's computed 200ms and 400ms", sleeps)
 	}
-	if rate := client.Adaptive.Rate(); rate >= 8 {
-		t.Errorf("adaptive rate = %v after sustained rate limiting, want < 8", rate)
+	const attempts = 3
+	for name, want := range map[string]uint64{
+		"etherscan_client_requests_total":    attempts,
+		"etherscan_client_ratelimited_total": attempts,
+		"etherscan_client_errors_total":      0,
+	} {
+		if got := reg.Counter(name, "").Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 

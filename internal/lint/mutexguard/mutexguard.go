@@ -6,11 +6,12 @@
 //
 // The concurrency-heavy structs of the serving stack (the overload
 // gate, the page cache, the trace store, the metrics registry, the
-// breaker/adaptive controllers) all follow the same convention: a `mu`
-// field with a comment block saying which fields it guards. Until now
-// that contract lived in comments and -race runs; a forgotten Lock on
-// a new code path is invisible until the scheduler happens to
-// interleave two writers. This analyzer makes the comment checkable.
+// crawl's circuit breaker and rate limiter) all follow the same
+// convention: a `mu` field with a comment block saying which fields it
+// guards. Until now that contract lived in comments and -race runs; a
+// forgotten Lock on a new code path is invisible until the scheduler
+// happens to interleave two writers. This analyzer makes the comment
+// checkable.
 //
 // Mechanics (per function, over the ctrlflow CFG — the same dataflow
 // substrate upstream lostcancel uses):

@@ -8,7 +8,7 @@
 // a bounded, deadline-aware wait queue keeps an unbounded burst of
 // crawlers from queueing unboundedly; requests the server cannot serve
 // in time are shed early with 503 + a computed Retry-After, the exact
-// signal the client retry loop and adaptive controller already honor.
+// signal the client retry loop already honors.
 // Only the routes a caller wraps are gated: health, metrics and debug
 // routes are left unwrapped, so an overloaded server stays observable.
 //

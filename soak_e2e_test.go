@@ -6,10 +6,7 @@ package ensdropcatch
 // gate — on top of seeded chaos. The server must shed (the pressure is
 // sized to guarantee it), health checks must stay fast while data
 // routes shed, every crawler must still converge to the byte-identical
-// clean dataset, and nothing may leak goroutines. A second scenario
-// pits an AIMD-adaptive crawler against a fixed-rate one under a tight
-// quota and requires the adaptive one to finish the same workload with
-// fewer quota denials.
+// clean dataset, and nothing may leak goroutines.
 
 import (
 	"context"
@@ -244,71 +241,4 @@ func TestSoakOverloadConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareDirsByteIdentical(t, cleanDir, soakDir)
-}
-
-func TestSoakAdaptiveBeatsFixedRate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("adaptive-vs-fixed soak under tight quota")
-	}
-	leakcheck.Check(t)
-	reg := withOverloadMetrics(t)
-	res, cfg, store, labels := soakWorld(t, 80, 5)
-
-	// Quota-only server: /etherscan/ is limited to 50 req/s per client;
-	// subgraph and opensea are unconstrained so the comparison isolates
-	// the etherscan pacing strategy.
-	quotas := overload.NewQuotas(overload.QuotaConfig{Rate: 50, Burst: 2})
-	mux := http.NewServeMux()
-	mux.Handle("/subgraph", subgraph.NewServer(store, nil))
-	mux.Handle("/etherscan/", quotas.Wrap(overload.ClientID, overload.TooManyRequests,
-		http.StripPrefix("/etherscan", etherscan.NewServer(res.Chain, labels))))
-	mux.Handle("/opensea/", http.StripPrefix("/opensea", opensea.NewServer(res.OpenSea)))
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-
-	run := func(id string, adaptive bool) *dataset.Dataset {
-		sg := subgraph.NewClient(srv.URL + "/subgraph")
-		es := etherscan.NewClient(srv.URL+"/etherscan", "soak")
-		osc := opensea.NewClient(srv.URL + "/opensea")
-		sleep := cappedSleep(2 * time.Millisecond)
-		sg.Sleep, es.Sleep, osc.Sleep = sleep, sleep, sleep
-		sg.MaxRetries, es.MaxRetries, osc.MaxRetries = 60, 60, 60
-		es.ClientID = id
-		if adaptive {
-			// AIMD starts well above the quota and must discover ~50 rps
-			// from 429 + Retry-After feedback.
-			es.MinInterval = 0
-			es.Adaptive = crawler.NewAdaptive(crawler.AdaptiveConfig{
-				Source: id, InitialRate: 200, MinRate: 10, MaxWorkers: 4})
-		} else {
-			// Fixed pacing at 4x the quota: politely oblivious, it keeps
-			// hammering and eats a denial for most requests.
-			es.MinInterval = 5 * time.Millisecond
-		}
-		ds, err := dataset.Build(context.Background(), sg, es, osc,
-			dataset.BuildOptions{Start: cfg.Start, End: cfg.End, TxWorkers: 4})
-		if err != nil {
-			t.Fatalf("%s crawl: %v", id, err)
-		}
-		return ds
-	}
-
-	fixedDS := run("fixed", false)
-	adaptiveDS := run("adaptive", true)
-
-	deniedOf := func(id string) uint64 {
-		return reg.CounterVec("overload_quota_denied_total", "", "client").With(id).Value()
-	}
-	fixedDenied, adaptiveDenied := deniedOf("fixed"), deniedOf("adaptive")
-	t.Logf("quota denials: fixed=%d adaptive=%d", fixedDenied, adaptiveDenied)
-	if fixedDenied == 0 {
-		t.Fatal("fixed-rate crawler was never denied: the quota is not binding, comparison is vacuous")
-	}
-	if adaptiveDenied >= fixedDenied {
-		t.Errorf("adaptive crawler drew %d denials, fixed drew %d: AIMD should shed pressure",
-			adaptiveDenied, fixedDenied)
-	}
-	if f, a := fixedDS.Fingerprint(), adaptiveDS.Fingerprint(); f != a {
-		t.Errorf("datasets diverge: fixed %x vs adaptive %x", f, a)
-	}
 }
