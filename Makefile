@@ -144,10 +144,10 @@ load-smoke:
 	./bin/ensload -selfhost -domains 5000 -rps 200 -duration 30s -clients 8 -seed 8 -assert-p99 250ms -assert-no-5xx
 
 fuzz:
-	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/subgraph/
-	$(GO) test -fuzz=FuzzStreamingEqualsOneShot -fuzztime=30s ./internal/keccak/
-	$(GO) test -fuzz=FuzzParseTraceparent -fuzztime=30s ./internal/trace/
-	$(GO) test -fuzz=FuzzDecodeTxList -fuzztime=30s ./internal/etherscan/
+	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=30s ./internal/subgraph/
+	$(GO) test -run '^$$' -fuzz=FuzzStreamingEqualsOneShot -fuzztime=30s ./internal/keccak/
+	$(GO) test -run '^$$' -fuzz=FuzzParseTraceparent -fuzztime=30s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeTxList -fuzztime=30s ./internal/etherscan/
 	$(GO) test -run '^$$' -fuzz=FuzzLoadSnapshot -fuzztime=30s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz=FuzzReplaySpool -fuzztime=30s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz=FuzzTxListQuery -fuzztime=30s ./internal/etherscan/
@@ -159,10 +159,10 @@ fuzz:
 # Short fuzz pass for CI: 10s per target is enough to catch shallow
 # regressions in the parsers without stalling the pipeline.
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/subgraph/
-	$(GO) test -fuzz=FuzzStreamingEqualsOneShot -fuzztime=10s ./internal/keccak/
-	$(GO) test -fuzz=FuzzParseTraceparent -fuzztime=10s ./internal/trace/
-	$(GO) test -fuzz=FuzzDecodeTxList -fuzztime=10s ./internal/etherscan/
+	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/subgraph/
+	$(GO) test -run '^$$' -fuzz=FuzzStreamingEqualsOneShot -fuzztime=10s ./internal/keccak/
+	$(GO) test -run '^$$' -fuzz=FuzzParseTraceparent -fuzztime=10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeTxList -fuzztime=10s ./internal/etherscan/
 	$(GO) test -run '^$$' -fuzz=FuzzLoadSnapshot -fuzztime=10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz=FuzzReplaySpool -fuzztime=10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz=FuzzTxListQuery -fuzztime=10s ./internal/etherscan/

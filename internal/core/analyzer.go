@@ -8,6 +8,7 @@ import (
 	"ensdropcatch/internal/obs"
 	"ensdropcatch/internal/par"
 	"ensdropcatch/internal/pricing"
+	"ensdropcatch/internal/world"
 )
 
 // analysisSeconds times each report computation (cache misses only; the
@@ -19,11 +20,13 @@ var analysisSeconds = obs.Default.HistogramVec("core_analysis_seconds",
 // with NewAnalyzer; the population is classified once and shared.
 //
 // The expensive reports (FinancialLosses, FeatureComparison,
-// CatchSurvival) are memoized per analyzer: Figures 8-11 all derive from
-// the same loss report, so the CLIs and tests get it computed once. The
-// Compute* variants bypass the cache for benchmarks and callers that need
-// a fresh run. All analyses are deterministic in (dataset, options, Seed)
-// and independent of Workers.
+// CatchSurvival, LossesFromResolutionLog) are memoized per analyzer:
+// Figures 8-11 all derive from the same loss report, and every
+// countermeasure window from the same resolution-log replay, so the CLIs
+// and tests get each computed once. The Compute* variants bypass the
+// cache for benchmarks and callers that need a fresh run. All analyses
+// are deterministic in (dataset, options, Seed) and independent of
+// Workers.
 type Analyzer struct {
 	DS     *dataset.Dataset
 	Oracle *pricing.Oracle
@@ -41,6 +44,10 @@ type Analyzer struct {
 		seed     int64 // Seed the feature memo was computed under
 		features *Table1
 		survival *SurvivalReport
+		// resolution is the replay of resolutionLog, a copy of the last
+		// log LossesFromResolutionLog was given.
+		resolution    *ResolutionLogReport
+		resolutionLog []world.ResolutionRecord
 	}
 }
 

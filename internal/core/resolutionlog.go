@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"slices"
+	"sort"
 
 	"ensdropcatch/internal/ethtypes"
 	"ensdropcatch/internal/world"
@@ -47,7 +48,34 @@ type ResolutionLogReport struct {
 // holding the name at payment time differs from the tenure during which
 // the sender first paid through the name; it is stale when it happened
 // after the covering tenure's expiry (still reaching the old owner).
+//
+// The report is memoized for the last log replayed, matched by content
+// against a retained copy, so EvaluateCountermeasure's windows and the
+// report share one replay while an edited log is replayed afresh.
+// Callers must treat it as read-only; ComputeLossesFromResolutionLog
+// runs uncached.
 func (a *Analyzer) LossesFromResolutionLog(log []world.ResolutionRecord) *ResolutionLogReport {
+	a.memo.mu.Lock()
+	if rep := a.memo.resolution; rep != nil && slices.Equal(a.memo.resolutionLog, log) {
+		a.memo.mu.Unlock()
+		return rep
+	}
+	a.memo.mu.Unlock()
+
+	rep := a.ComputeLossesFromResolutionLog(log)
+
+	a.memo.mu.Lock()
+	if a.memo.resolution != nil && slices.Equal(a.memo.resolutionLog, log) {
+		rep = a.memo.resolution // keep the first stored copy; runs are identical
+	} else {
+		a.memo.resolution, a.memo.resolutionLog = rep, slices.Clone(log)
+	}
+	a.memo.mu.Unlock()
+	return rep
+}
+
+// ComputeLossesFromResolutionLog replays the log uncached.
+func (a *Analyzer) ComputeLossesFromResolutionLog(log []world.ResolutionRecord) *ResolutionLogReport {
 	rep := &ResolutionLogReport{}
 
 	// Each exact spelling of a name gets a dense id and its history (nil
@@ -97,7 +125,7 @@ func (a *Analyzer) LossesFromResolutionLog(log []world.ResolutionRecord) *Resolu
 					Recipient: rec.Resolved,
 					At:        rec.At,
 					TxHash:    rec.TxHash,
-					USD:       a.Oracle.USD(txValueEth(a, rec.TxHash), rec.At),
+					USD:       a.Oracle.USD(a.paymentEth(rec), rec.At),
 				})
 				rep.MisdirectedUSD += rep.Misdirected[len(rep.Misdirected)-1].USD
 				continue
@@ -125,9 +153,17 @@ func tenureAt(h *History, t int64) int {
 	return idx
 }
 
-func txValueEth(a *Analyzer, hash ethtypes.Hash) float64 {
-	if tx := a.DS.TxByHash(hash); tx != nil {
-		return tx.ValueEth()
+// paymentEth returns the ether value of rec's payment: the sender's
+// successful transaction to the resolved address with rec's hash, found
+// by binary search on rec's timestamp, or 0 when the dataset holds no
+// such transaction.
+func (a *Analyzer) paymentEth(rec world.ResolutionRecord) float64 {
+	txs := a.DS.OutgoingTo(rec.Sender, rec.Resolved)
+	i := sort.Search(len(txs), func(i int) bool { return txs[i].Timestamp >= rec.At })
+	for ; i < len(txs) && txs[i].Timestamp == rec.At; i++ {
+		if txs[i].Hash == rec.TxHash {
+			return txs[i].ValueEth()
+		}
 	}
 	return 0
 }

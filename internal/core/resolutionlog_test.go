@@ -1,8 +1,12 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
+	"time"
 
+	"ensdropcatch/internal/ethtypes"
 	"ensdropcatch/internal/pricing"
 	"ensdropcatch/internal/world"
 )
@@ -133,5 +137,70 @@ func TestResolutionLogReplayBookkeeping(t *testing.T) {
 	}
 	if m := rep.Misdirected[0]; m.Name != "victim" || m.TxHash != paid || m.USD <= 0 || rep.MisdirectedUSD != m.USD {
 		t.Errorf("finding = %+v, total USD %v", m, rep.MisdirectedUSD)
+	}
+}
+
+// A misdirected payment is valued by the sender's successful transaction
+// to the resolved address with the record's hash, so one whose
+// transaction failed, or that the dataset does not hold, counts as 0 USD.
+func TestResolutionLogValuesOnlySuccessfulPayments(t *testing.T) {
+	f := newLossFixture()
+	c := sender("unit-rl-value")
+	f.tx(c, f.a1, regA1+1000, 1)
+	failed := f.tx(c, f.a2, catchAt+1000, 2)
+	f.ds.Txs[len(f.ds.Txs)-1].Failed = true
+	paid := f.tx(c, f.a2, catchAt+1000, 3)
+	f.ds.Reindex()
+	an := NewAnalyzer(f.ds, pricing.NewOracleNoise(0))
+
+	rep := an.LossesFromResolutionLog([]world.ResolutionRecord{
+		{Name: "victim", Sender: c, Resolved: f.a1, At: regA1 + 1000},
+		{Name: "victim", Sender: c, Resolved: f.a2, At: catchAt + 1000, TxHash: failed},
+		{Name: "victim", Sender: c, Resolved: f.a2, At: catchAt + 1000, TxHash: paid},
+		{Name: "victim", Sender: c, Resolved: f.a2, At: catchAt + 2000, TxHash: ethtypes.HashData([]byte("unit-rl-missing"))},
+	})
+	if len(rep.Misdirected) != 3 {
+		t.Fatalf("misdirected = %+v, want the three payments to a2", rep.Misdirected)
+	}
+	want := an.Oracle.USD(3, catchAt+1000)
+	if got := []float64{rep.Misdirected[0].USD, rep.Misdirected[1].USD, rep.Misdirected[2].USD}; got[0] != 0 || got[1] != want || got[2] != 0 {
+		t.Errorf("USD = %v, want [0 %v 0]: failed and missing payments count as 0", got, want)
+	}
+}
+
+// The replay is memoized by the log's content: an equal log, even in
+// another slice, shares the report; a log edited in place after a call
+// is replayed afresh; every countermeasure window reads the shared one.
+func TestResolutionLogMemoKeyedByContent(t *testing.T) {
+	f := newLossFixture()
+	c := sender("unit-rl-memo")
+	f.tx(c, f.a1, regA1+1000, 1)
+	paid := f.tx(c, f.a2, catchAt+1000, 2)
+	f.ds.Reindex()
+	an := NewAnalyzer(f.ds, pricing.NewOracleNoise(0))
+	log := []world.ResolutionRecord{
+		{Name: "victim", Sender: c, Resolved: f.a1, At: regA1 + 1000},
+		{Name: "victim", Sender: c, Resolved: f.a2, At: catchAt + 1000, TxHash: paid},
+	}
+
+	rep := an.LossesFromResolutionLog(log)
+	if len(rep.Misdirected) != 1 {
+		t.Fatalf("misdirected = %+v, want the payment to a2", rep.Misdirected)
+	}
+	if again := an.LossesFromResolutionLog(slices.Clone(log)); again != rep {
+		t.Error("an equal log in another slice was replayed again")
+	}
+	for _, w := range []time.Duration{time.Hour, 90 * 24 * time.Hour} {
+		if cm := an.EvaluateCountermeasure(log, w); cm.Misdirected != 1 || an.memo.resolution != rep {
+			t.Errorf("window %v: %d misdirected, memo replaced: %v", w, cm.Misdirected, an.memo.resolution != rep)
+		}
+	}
+	log[1].At = regA1 + 2000 // the caller edits its log in place: a2's tenure has not begun
+	edited := an.LossesFromResolutionLog(log)
+	if edited == rep || len(edited.Misdirected) != 0 {
+		t.Fatalf("edited log: same report %v, misdirected %+v; want a fresh replay with none", edited == rep, edited.Misdirected)
+	}
+	if !reflect.DeepEqual(edited, an.ComputeLossesFromResolutionLog(log)) {
+		t.Error("memoized report differs from an uncached replay")
 	}
 }

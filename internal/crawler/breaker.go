@@ -43,8 +43,11 @@ var ErrBreakerOpen = errors.New("crawler: circuit breaker open")
 // transport-level failures opens the circuit; after a cooldown one probe
 // is admitted (half-open), and its outcome either closes the circuit or
 // re-opens it. Context cancellations are neutral (they say nothing about
-// source health) and permanent API errors count as successes (the source
-// answered decisively). Safe for concurrent use.
+// source health). Permanent API errors and sheds (a RetryAfterError: a
+// 429 or 503 with Retry-After, or Etherscan's rate-limit answer) count
+// as successes: the source answered decisively, and a shed asks for
+// slower requests, which Retry's backoff gives, not for none. Safe for
+// concurrent use.
 type Breaker struct {
 	name      string
 	threshold int
@@ -119,7 +122,8 @@ func (b *Breaker) Allow() error {
 // Record feeds a request outcome back into the breaker.
 func (b *Breaker) Record(err error) {
 	neutral := err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-	success := err == nil || errors.Is(err, ErrPermanent)
+	var shed *RetryAfterError
+	success := err == nil || errors.Is(err, ErrPermanent) || errors.As(err, &shed)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	state := b.stateLocked()

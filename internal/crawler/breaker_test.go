@@ -93,7 +93,7 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 }
 
 func TestBreakerNeutralAndPermanentOutcomes(t *testing.T) {
-	b, _ := testBreaker(t, 2, time.Minute)
+	b, now := testBreaker(t, 2, time.Minute)
 	// Context cancellations say nothing about source health.
 	for i := 0; i < 10; i++ {
 		b.Record(context.Canceled)
@@ -109,6 +109,32 @@ func TestBreakerNeutralAndPermanentOutcomes(t *testing.T) {
 	b.Record(errors.New("transport down"))
 	if b.State() != BreakerClosed {
 		t.Fatal("permanent error did not reset the failure run")
+	}
+	// So does a shed: a 429 or 503 with Retry-After, or Etherscan's
+	// rate-limit answer, means the source is up and asks for slower
+	// requests.
+	shed := RetryAfter(errors.New("HTTP 429: slow down"), 0)
+	b.Record(shed)
+	b.Record(errors.New("transport down"))
+	if b.State() != BreakerClosed {
+		t.Fatal("shed did not reset the failure run")
+	}
+	for range 4 {
+		b.Record(shed)
+	}
+	if b.State() != BreakerClosed {
+		t.Fatal("sheds opened the breaker")
+	}
+	// A shed answering a half-open probe closes the circuit.
+	b.Record(errors.New("transport down"))
+	b.Record(errors.New("transport down"))
+	*now = now.Add(time.Minute)
+	if err := b.Allow(); err != nil || b.State() != BreakerHalfOpen {
+		t.Fatalf("after the cooldown: Allow = %v, state %v, want the half-open probe", err, b.State())
+	}
+	b.Record(shed)
+	if b.State() != BreakerClosed {
+		t.Fatalf("state = %v after a shed answered the probe, want closed", b.State())
 	}
 }
 

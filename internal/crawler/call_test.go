@@ -286,3 +286,37 @@ func TestCallStatusClasses(t *testing.T) {
 		}
 	}
 }
+
+// A source that only sheds is up: every attempt the retry policy allows
+// must reach it, and the breaker must stay closed. Eight sheds in a row
+// (enscrawl's default threshold) once opened it.
+func TestCallShedsDoNotOpenBreaker(t *testing.T) {
+	var hits atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		hits.Add(1)
+		w.Header().Set("Retry-After", "0")
+		http.Error(w, "slow down", http.StatusTooManyRequests)
+	}))
+	t.Cleanup(srv.Close)
+
+	const retries = 20
+	s := &crawler.Source{
+		MaxRetries: retries,
+		Sleep:      func(ctx context.Context, _ time.Duration) error { return ctx.Err() },
+		Breaker:    crawler.NewBreaker("shed-only", 8, time.Minute),
+	}
+	_, err := crawler.Call(context.Background(), s, crawler.Request{
+		Span: "test.shed", Prefix: "shed", Method: http.MethodGet, URL: srv.URL, MaxBody: 1 << 10,
+	}, func([]byte) (struct{}, error) { return struct{}{}, nil })
+
+	var ra *crawler.RetryAfterError
+	if errors.Is(err, crawler.ErrBreakerOpen) || !errors.As(err, &ra) {
+		t.Fatalf("err = %v, want the server's last shed", err)
+	}
+	if got := hits.Load(); got != retries+1 {
+		t.Fatalf("server saw %d of %d attempts", got, retries+1)
+	}
+	if st := s.Breaker.State(); st != crawler.BreakerClosed {
+		t.Fatalf("breaker %v after sheds only, want closed", st)
+	}
+}

@@ -23,15 +23,23 @@ import (
 //
 // Sections appear in a fixed order (meta, domains, txs, subdomains,
 // market) and each payload stores its rows column-at-a-time
-// (struct-of-arrays), so decoding fills contiguous slabs and Reindex
-// walks near-contiguous memory instead of pointer-chasing millions of
-// individually allocated rows. Row counts and payload lengths are
+// (struct-of-arrays), so decoding fills contiguous slabs and the index
+// build walks near-contiguous memory instead of pointer-chasing millions
+// of individually allocated rows. Row counts and payload lengths are
 // declared up front and the decoder consumes every payload exactly, so
 // truncating the file at any byte — or tampering with any count — fails
 // decode by construction rather than silently shortening the dataset.
-// The resume spool (resume.go) stores its rows in the same tx column
-// encoding and carries binVersion too, so it follows every bump.
-const binVersion = 1
+//
+// Version 2 stores the tx section's endpoints as uvarint ids into one
+// table of the section's distinct addresses in strictly ascending order,
+// and its rows in (timestamp, hash) order, the order Reindex leaves Txs
+// in; Load indexes straight from those ids and neither sorts nor hashes
+// a row. Every string column (labels, amounts, owners) is a length
+// column followed by one byte run, which decodes into a single string
+// that each value slices. The resume spool (resume.go) stores its rows
+// in the same tx column encoding and carries binVersion too, so it
+// follows every bump.
+const binVersion = 2
 
 var (
 	binMagic  = []byte("ENSDSB1\n")
@@ -72,7 +80,7 @@ func encodeDataset(f vfs.File, ds *Dataset) error {
 	w.U8(numSections)
 
 	domains := ds.sortedDomains()
-	txs := ds.sortedTxs()
+	txs, addrs, from, to := ds.txsToSave()
 	subs := ds.sortedSubdomains()
 	market := ds.sortedMarket()
 	coin := sortedAddrs(ds.Coinbase)
@@ -113,7 +121,7 @@ func encodeDataset(f vfs.File, ds *Dataset) error {
 	if err := section(secDomains, len(domains), func() { encodeDomainColumns(w, domains) }); err != nil {
 		return err
 	}
-	if err := section(secTxs, len(txs), func() { encodeTxColumns(w, txs) }); err != nil {
+	if err := section(secTxs, len(txs), func() { encodeTxColumns(w, txs, addrs, from, to) }); err != nil {
 		return err
 	}
 	if err := section(secSubdomains, len(subs), func() { encodeSubdomainColumns(w, subs) }); err != nil {
@@ -132,11 +140,21 @@ func loadBinaryFile(path string) (*Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
-	ds, err := decodeDataset(data)
+	ds, err := loadSnapshot(data)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %s: %w", path, err)
 	}
-	ds.Reindex()
+	return ds, nil
+}
+
+// loadSnapshot decodes a snapshot and indexes it from the file's
+// endpoint ids, in the file's row order.
+func loadSnapshot(data []byte) (*Dataset, error) {
+	ds, err := decodeDataset(data)
+	if err != nil {
+		return nil, err
+	}
+	ds.index()
 	return ds, nil
 }
 
@@ -185,12 +203,13 @@ func decodeDataset(data []byte) (*Dataset, error) {
 		case secDomains:
 			derr = decodeDomainColumns(sr, int(rows), ds)
 		case secTxs:
-			var txs []Tx
-			if txs, derr = decodeTxColumns(sr, int(rows)); derr == nil {
-				ds.Txs = make([]*Tx, len(txs))
-				for i := range txs {
-					ds.Txs[i] = &txs[i]
+			var c txColumns
+			if c, derr = decodeTxColumns(sr, int(rows)); derr == nil {
+				ds.Txs = make([]*Tx, len(c.txs))
+				for i := range c.txs {
+					ds.Txs[i] = &c.txs[i]
 				}
+				ds.addrs, ds.from, ds.to = c.addrs, c.from, c.to
 			}
 		case secSubdomains:
 			derr = decodeSubdomainColumns(sr, int(rows), ds)
@@ -247,9 +266,7 @@ func encodeDomainColumns(w *codec.Writer, domains []*Domain) {
 	for _, d := range domains {
 		w.Raw(d.LabelHash[:])
 	}
-	for _, d := range domains {
-		w.String(d.Label)
-	}
+	writeStrings(w, len(domains), func(i int) string { return domains[i].Label })
 	for _, d := range domains {
 		w.Uvarint(uint64(len(d.Events)))
 	}
@@ -275,16 +292,14 @@ func encodeDomainColumns(w *codec.Writer, domains []*Domain) {
 			w.Varint(d.Events[i].Expiry)
 		}
 	}
+	events := make([]*Event, 0, total)
 	for _, d := range domains {
 		for i := range d.Events {
-			w.String(d.Events[i].CostWei)
+			events = append(events, &d.Events[i])
 		}
 	}
-	for _, d := range domains {
-		for i := range d.Events {
-			w.String(d.Events[i].PremiumWei)
-		}
-	}
+	writeStrings(w, total, func(i int) string { return events[i].CostWei })
+	writeStrings(w, total, func(i int) string { return events[i].PremiumWei })
 	for _, d := range domains {
 		for i := range d.Events {
 			w.Varint(d.Events[i].Timestamp)
@@ -311,8 +326,8 @@ func decodeDomainColumns(r *codec.Reader, rows int, ds *Dataset) error {
 	for i := range doms {
 		copy(doms[i].LabelHash[:], r.Raw(len(doms[i].LabelHash)))
 	}
-	for i := range doms {
-		doms[i].Label = r.String()
+	if err := readStrings(r, rows, func(i int, s string) { doms[i].Label = s }); err != nil {
+		return err
 	}
 	counts := make([]uint64, rows)
 	var sum uint64
@@ -344,11 +359,11 @@ func decodeDomainColumns(r *codec.Reader, rows int, ds *Dataset) error {
 	for i := range events {
 		events[i].Expiry = r.Varint()
 	}
-	for i := range events {
-		events[i].CostWei = r.String()
+	if err := readStrings(r, len(events), func(i int, s string) { events[i].CostWei = s }); err != nil {
+		return err
 	}
-	for i := range events {
-		events[i].PremiumWei = r.String()
+	if err := readStrings(r, len(events), func(i int, s string) { events[i].PremiumWei = s }); err != nil {
+		return err
 	}
 	for i := range events {
 		events[i].Timestamp = r.Varint()
@@ -362,6 +377,7 @@ func decodeDomainColumns(r *codec.Reader, rows int, ds *Dataset) error {
 	if r.Err() != nil {
 		return nil // surfaced by the caller's sr.Err() check
 	}
+	ds.Domains = make(map[ethtypes.Hash]*Domain, rows)
 	off := uint64(0)
 	for i := range doms {
 		n := counts[i]
@@ -375,10 +391,15 @@ func decodeDomainColumns(r *codec.Reader, rows int, ds *Dataset) error {
 	return nil
 }
 
-// encodeTxColumns writes txs column-at-a-time. txs must already be in
-// sortTxsForSave order: timestamps are delta-encoded against the
-// previous row and a negative delta would not round-trip.
-func encodeTxColumns(w *codec.Writer, txs []*Tx) {
+// encodeTxColumns writes txs column-at-a-time, each endpoint as an id
+// into addrs: endpointIDs's table and ids for txs. txs must be in
+// (timestamp, hash) order: timestamps are delta-encoded against the
+// previous row, and the decoder refuses any other order.
+func encodeTxColumns(w *codec.Writer, txs []*Tx, addrs []ethtypes.Address, from, to []int32) {
+	w.Uvarint(uint64(len(addrs)))
+	for i := range addrs {
+		w.Raw(addrs[i][:])
+	}
 	for _, tx := range txs {
 		w.Raw(tx.Hash[:])
 	}
@@ -394,15 +415,13 @@ func encodeTxColumns(w *codec.Writer, txs []*Tx) {
 		}
 		prev = tx.Timestamp
 	}
-	for _, tx := range txs {
-		w.Raw(tx.From[:])
+	for _, id := range from {
+		w.Uvarint(uint64(id))
 	}
-	for _, tx := range txs {
-		w.Raw(tx.To[:])
+	for _, id := range to {
+		w.Uvarint(uint64(id))
 	}
-	for _, tx := range txs {
-		w.String(tx.ValueWei)
-	}
+	writeStrings(w, len(txs), func(i int) string { return txs[i].ValueWei })
 	bits := make([]byte, (len(txs)+7)/8)
 	for i, tx := range txs {
 		if tx.Failed {
@@ -420,10 +439,31 @@ func encodeTxColumns(w *codec.Writer, txs []*Tx) {
 	}
 }
 
-// decodeTxColumns reads rows transactions into one contiguous slab —
-// the struct-of-arrays payoff: Reindex's sorts and index builds walk
-// sequential memory instead of scattered heap allocations.
-func decodeTxColumns(r *codec.Reader, rows int) ([]Tx, error) {
+// txColumns is a decoded tx section: the rows in one slab, with their
+// endpoint table and ids as Dataset keeps them.
+type txColumns struct {
+	txs      []Tx
+	addrs    []ethtypes.Address
+	from, to []int32
+}
+
+// decodeTxColumns reads rows transactions into one contiguous slab, so
+// the index build walks sequential memory instead of scattered heap
+// allocations. It refuses an address table out of strictly ascending
+// order, an id past the table and rows out of (timestamp, hash) order.
+func decodeTxColumns(r *codec.Reader, rows int) (txColumns, error) {
+	var c txColumns
+	n := r.Uvarint()
+	if r.Err() == nil && n > uint64(r.Remaining()/len(ethtypes.Address{})) {
+		return c, fmt.Errorf("%w: tx section declares %d addresses beyond its payload", ErrCorrupt, n)
+	}
+	c.addrs = make([]ethtypes.Address, n)
+	for i := range c.addrs {
+		copy(c.addrs[i][:], r.Raw(len(c.addrs[i])))
+		if i > 0 && r.Err() == nil && bytes.Compare(c.addrs[i-1][:], c.addrs[i][:]) >= 0 {
+			return c, fmt.Errorf("%w: tx address %d is not above its predecessor", ErrCorrupt, i)
+		}
+	}
 	txs := make([]Tx, rows)
 	for i := range txs {
 		copy(txs[i].Hash[:], r.Raw(len(txs[i].Hash)))
@@ -431,23 +471,25 @@ func decodeTxColumns(r *codec.Reader, rows int) ([]Tx, error) {
 	for i := range txs {
 		txs[i].Block = r.Uvarint()
 	}
-	var prev int64
 	for i := range txs {
 		if i == 0 {
-			prev = r.Varint()
-		} else {
-			prev += int64(r.Uvarint())
+			txs[i].Timestamp = r.Varint()
+			continue
 		}
-		txs[i].Timestamp = prev
+		txs[i].Timestamp = txs[i-1].Timestamp + int64(r.Uvarint())
+		if r.Err() == nil && compareTxs(&txs[i-1], &txs[i]) > 0 {
+			return c, fmt.Errorf("%w: tx row %d is out of (timestamp, hash) order", ErrCorrupt, i)
+		}
 	}
-	for i := range txs {
-		copy(txs[i].From[:], r.Raw(len(txs[i].From)))
+	var err error
+	if c.from, err = readIDs(r, rows, len(c.addrs)); err != nil {
+		return c, err
 	}
-	for i := range txs {
-		copy(txs[i].To[:], r.Raw(len(txs[i].To)))
+	if c.to, err = readIDs(r, rows, len(c.addrs)); err != nil {
+		return c, err
 	}
-	for i := range txs {
-		txs[i].ValueWei = r.String()
+	if err := readStrings(r, rows, func(i int, s string) { txs[i].ValueWei = s }); err != nil {
+		return c, err
 	}
 	bits := r.Raw((rows + 7) / 8)
 	if bits != nil {
@@ -464,11 +506,34 @@ func decodeTxColumns(r *codec.Reader, rows int) ([]Tx, error) {
 			break
 		}
 		if id >= uint64(len(methods)) {
-			return nil, fmt.Errorf("%w: tx method id %d out of table range %d", ErrCorrupt, id, len(methods))
+			return c, fmt.Errorf("%w: tx method id %d out of table range %d", ErrCorrupt, id, len(methods))
 		}
 		txs[i].Method = methods[id]
 	}
-	return txs, nil
+	if r.Err() != nil {
+		return c, nil // surfaced by the caller's r.Err() check
+	}
+	for i := range txs {
+		txs[i].From, txs[i].To = c.addrs[c.from[i]], c.addrs[c.to[i]]
+	}
+	c.txs = txs
+	return c, nil
+}
+
+// readIDs reads rows uvarint ids, each below n.
+func readIDs(r *codec.Reader, rows, n int) ([]int32, error) {
+	ids := make([]int32, rows)
+	for i := range ids {
+		id := r.Uvarint()
+		if r.Err() != nil {
+			break
+		}
+		if id >= uint64(n) {
+			return nil, fmt.Errorf("%w: tx address id %d out of table range %d", ErrCorrupt, id, n)
+		}
+		ids[i] = int32(id)
+	}
+	return ids, nil
 }
 
 func encodeSubdomainColumns(w *codec.Writer, subs []Subdomain) {
@@ -478,12 +543,8 @@ func encodeSubdomainColumns(w *codec.Writer, subs []Subdomain) {
 	for i := range subs {
 		w.Raw(subs[i].Parent[:])
 	}
-	for i := range subs {
-		w.String(subs[i].Name)
-	}
-	for i := range subs {
-		w.String(subs[i].Owner)
-	}
+	writeStrings(w, len(subs), func(i int) string { return subs[i].Name })
+	writeStrings(w, len(subs), func(i int) string { return subs[i].Owner })
 	for i := range subs {
 		w.Varint(subs[i].Created)
 	}
@@ -497,11 +558,11 @@ func decodeSubdomainColumns(r *codec.Reader, rows int, ds *Dataset) error {
 	for i := range subs {
 		copy(subs[i].Parent[:], r.Raw(len(subs[i].Parent)))
 	}
-	for i := range subs {
-		subs[i].Name = r.String()
+	if err := readStrings(r, rows, func(i int, s string) { subs[i].Name = s }); err != nil {
+		return err
 	}
-	for i := range subs {
-		subs[i].Owner = r.String()
+	if err := readStrings(r, rows, func(i int, s string) { subs[i].Owner = s }); err != nil {
+		return err
 	}
 	for i := range subs {
 		subs[i].Created = r.Varint()
@@ -526,12 +587,8 @@ func encodeMarketColumns(w *codec.Writer, events []MarketEvent) {
 	for i := range events {
 		w.Raw(events[i].TokenID[:])
 	}
-	for i := range events {
-		w.String(events[i].Seller)
-	}
-	for i := range events {
-		w.String(events[i].Buyer)
-	}
+	writeStrings(w, len(events), func(i int) string { return events[i].Seller })
+	writeStrings(w, len(events), func(i int) string { return events[i].Buyer })
 	for i := range events {
 		w.F64(events[i].PriceUSD)
 	}
@@ -562,11 +619,11 @@ func decodeMarketColumns(r *codec.Reader, rows int, ds *Dataset) error {
 	for i := range events {
 		copy(events[i].TokenID[:], r.Raw(len(events[i].TokenID)))
 	}
-	for i := range events {
-		events[i].Seller = r.String()
+	if err := readStrings(r, rows, func(i int, s string) { events[i].Seller = s }); err != nil {
+		return err
 	}
-	for i := range events {
-		events[i].Buyer = r.String()
+	if err := readStrings(r, rows, func(i int, s string) { events[i].Buyer = s }); err != nil {
+		return err
 	}
 	for i := range events {
 		events[i].PriceUSD = r.F64()
@@ -585,6 +642,46 @@ func decodeMarketColumns(r *codec.Reader, rows int, ds *Dataset) error {
 	}
 	for i := range events {
 		ds.Market[events[i].TokenID] = append(ds.Market[events[i].TokenID], events[i])
+	}
+	return nil
+}
+
+// writeStrings writes a string column of n rows, at(i) being row i's:
+// every length, then every row's bytes in one run.
+func writeStrings(w *codec.Writer, n int, at func(int) string) {
+	for i := range n {
+		w.Uvarint(uint64(len(at(i))))
+	}
+	for i := range n {
+		w.RawString(at(i))
+	}
+}
+
+// readStrings reads a string column of n rows and hands row i's value to
+// set. The run becomes one string that every value slices, so a column
+// costs the same few allocations however many rows it holds.
+func readStrings(r *codec.Reader, n int, set func(i int, s string)) error {
+	lens := make([]int, n)
+	total := 0
+	for i := range lens {
+		l := r.Uvarint()
+		if r.Err() != nil {
+			return nil // surfaced by the caller's r.Err() check
+		}
+		if l > uint64(r.Remaining()) || int(l) > r.Remaining()-total {
+			return fmt.Errorf("%w: string lengths run past the payload", ErrCorrupt)
+		}
+		lens[i] = int(l)
+		total += lens[i]
+	}
+	run := string(r.Raw(total))
+	if r.Err() != nil {
+		return nil
+	}
+	off := 0
+	for i, l := range lens {
+		set(i, run[off:off+l])
+		off += l
 	}
 	return nil
 }

@@ -120,6 +120,11 @@ func (w *Writer) Bytes(p []byte) {
 // String writes s with a uvarint length prefix, without copying.
 func (w *Writer) String(s string) {
 	w.Uvarint(uint64(len(s)))
+	w.RawString(s)
+}
+
+// RawString writes s with no length prefix, without copying.
+func (w *Writer) RawString(s string) {
 	if w.err != nil {
 		return
 	}

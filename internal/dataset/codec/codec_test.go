@@ -214,11 +214,12 @@ func TestWriterPrimitivesDoNotAllocate(t *testing.T) {
 		w.U64(0x1122334455667788)
 		w.F64(3.5)
 		w.Bool(true)
+		w.RawString("gold")
 	})
 	if allocs != 0 {
 		t.Errorf("writer primitives allocate %.0f times per call set, want 0", allocs)
 	}
-	const perRun = 10 + 6 + 1 + 2 + 8 + 8 + 1
+	const perRun = 10 + 6 + 1 + 2 + 8 + 8 + 1 + 4
 	if got, want := w.Offset(), int64(101*perRun); got != want {
 		t.Errorf("Offset = %d after 101 call sets, want %d", got, want)
 	}

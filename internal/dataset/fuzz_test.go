@@ -9,18 +9,22 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
+	"ensdropcatch/internal/dataset/codec"
+	"ensdropcatch/internal/ethtypes"
 	"ensdropcatch/internal/subgraph"
 	"ensdropcatch/internal/world"
 )
 
 // FuzzLoadSnapshot mutates binary snapshots and runs what Load runs on
-// them, decodeDataset then Reindex, so the index build also sees every
-// dataset a hostile file decodes to. Each input must decode to a dataset
-// whose indexes agree with a scan of its rows, or fail with an error
-// wrapping ErrCorrupt (or a version mismatch); it must never panic or
-// allocate more than a bound set by its length.
+// them, loadSnapshot, so the index build from the file's endpoint ids
+// also sees every dataset a hostile file decodes to. Each input must
+// decode to a dataset whose indexes agree with a scan of its rows, or
+// fail with an error wrapping ErrCorrupt (or a version mismatch); it must
+// never panic or allocate more than a bound set by its length.
 func FuzzLoadSnapshot(f *testing.F) {
 	res, err := world.Generate(world.DefaultConfig(50))
 	if err != nil {
@@ -53,14 +57,14 @@ func FuzzLoadSnapshot(f *testing.F) {
 		off = lenAt + 8 + plen
 	}
 	f.Add(full[:len(full)-1])
+	for _, c := range hostileTxSections(f) {
+		f.Add(withTxSection(full, c))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		ds, err := decodeDataset(data)
-		if err == nil {
-			ds.Reindex()
-		}
+		ds, err := loadSnapshot(data)
 		runtime.ReadMemStats(&after)
 		// Every row costs at least one payload byte and decodes to at
 		// most a few hundred bytes of structs and index entries.
@@ -85,17 +89,106 @@ func wrongVersion(data []byte) bool {
 		binary.LittleEndian.Uint16(data[len(binMagic):]) != binVersion
 }
 
-func snapshotBytes(f *testing.F, ds *Dataset) []byte {
-	f.Helper()
-	path := filepath.Join(f.TempDir(), "seed.snap")
+func snapshotBytes(tb testing.TB, ds *Dataset) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "seed.snap")
 	if err := ds.SaveSnapshot(path); err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	return data
+}
+
+// hostileTxColumns holds a tx section the decoder must refuse: rows
+// rows in payload.
+type hostileTxColumns struct {
+	name    string
+	rows    int
+	payload []byte
+}
+
+// hostileTxSections encodes the edge fixture's rows wrong in each way the
+// tx section's decoder checks: an id past the address table, a table out
+// of order and one with a repeated entry, two rows out of (timestamp,
+// hash) order by timestamp and by hash, and value lengths that run past
+// the payload.
+func hostileTxSections(tb testing.TB) []hostileTxColumns {
+	tb.Helper()
+	txs, addrs, from, to := edgeFixture(tb).txsToSave()
+	encode := func(name string, txs []*Tx, addrs []ethtypes.Address, from, to []int32) hostileTxColumns {
+		var buf bytes.Buffer
+		w := codec.NewWriter(&buf)
+		encodeTxColumns(w, txs, addrs, from, to)
+		if err := w.Flush(); err != nil {
+			tb.Fatal(err)
+		}
+		return hostileTxColumns{name, len(txs), buf.Bytes()}
+	}
+	pastTable := slices.Clone(from)
+	pastTable[0] = int32(len(addrs))
+	swapped := slices.Clone(addrs)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	repeated := slices.Clone(addrs)
+	repeated[1] = repeated[0]
+	if txs[0].Timestamp == txs[1].Timestamp || txs[1].Timestamp != txs[2].Timestamp {
+		tb.Fatal("edge fixture: want rows 0 and 1 at distinct timestamps, rows 1 and 2 at one")
+	}
+	swapRows := func(name string, i, j int) hostileTxColumns {
+		t2, f2, to2 := slices.Clone(txs), slices.Clone(from), slices.Clone(to)
+		t2[i], t2[j] = t2[j], t2[i]
+		f2[i], f2[j] = f2[j], f2[i]
+		to2[i], to2[j] = to2[j], to2[i]
+		return encode(name, t2, addrs, f2, to2)
+	}
+	cases := []hostileTxColumns{
+		encode("id past the table", txs, addrs, pastTable, to),
+		encode("table out of order", txs, swapped, from, to),
+		encode("repeated table entry", txs, repeated, from, to),
+		swapRows("rows out of timestamp order", 0, 1),
+		swapRows("rows out of hash order", 1, 2),
+	}
+	// One row whose value is the payload's only long run; its one-byte
+	// length then claims more than the rest of the payload holds.
+	long := []*Tx{{Hash: ethtypes.HashData([]byte("idx-edge-long")), Timestamp: 1, ValueWei: strings.Repeat("9", 100)}}
+	la, lf, lt := endpointIDs(long)
+	c := encode("value lengths past the payload", long, la, lf, lt)
+	at := bytes.Index(c.payload, []byte(long[0].ValueWei)) - 1
+	if c.payload[at] != 100 {
+		tb.Fatalf("value length byte = %d, want 100", c.payload[at])
+	}
+	c.payload[at] = 0x7f
+	return append(cases, c)
+}
+
+// withTxSection returns the snapshot full with its tx section replaced
+// by c.
+func withTxSection(full []byte, c hostileTxColumns) []byte {
+	off := len(binMagic) + 2 + 1
+	for range numSections {
+		plen := int(binary.LittleEndian.Uint64(full[off+9:]))
+		end := off + 17 + plen
+		if full[off] == secTxs {
+			out := bytes.Clone(full[:off+1])
+			out = binary.LittleEndian.AppendUint64(out, uint64(c.rows))
+			out = binary.LittleEndian.AppendUint64(out, uint64(len(c.payload)))
+			out = append(out, c.payload...)
+			return append(out, full[end:]...)
+		}
+		off = end
+	}
+	panic("snapshot has no tx section")
+}
+
+// spoolRecordBytes frames payload as one spool record with a checksum
+// that checks.
+func spoolRecordBytes(payload []byte) []byte {
+	rec := make([]byte, recordHeaderLen, recordHeaderLen+len(payload))
+	binary.LittleEndian.PutUint32(rec, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:], recordChecksum(rec[:4], payload))
+	return append(rec, payload...)
 }
 
 // FuzzReplaySpool runs resume's spool recovery on hostile bytes. Each
@@ -135,6 +228,18 @@ func FuzzReplaySpool(f *testing.F) {
 	mut = bytes.Clone(full)
 	mut[0] ^= 0xff
 	f.Add(mut)
+	// A version 1 header; and past the checksum, each tx column fault
+	// the decoder refuses, as the last record (a torn tail) and as the
+	// first (corruption).
+	mut = bytes.Clone(full)
+	binary.LittleEndian.PutUint16(mut[len(spoolMagic):], 1)
+	f.Add(mut)
+	for _, c := range hostileTxSections(f) {
+		payload := append(bytes.Clone(recs[0].addr[:]), byte(c.rows))
+		rec := spoolRecordBytes(append(payload, c.payload...))
+		f.Add(append(bytes.Clone(full), rec...))
+		f.Add(slices.Concat(full[:spoolHeaderLen], rec, full[spoolHeaderLen:]))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats

@@ -91,18 +91,6 @@ func TestOutgoingTo(t *testing.T) {
 	}
 }
 
-func TestTxByHash(t *testing.T) {
-	ds, _, _, _ := indexFixture(t)
-	for _, tx := range ds.Txs {
-		if got := ds.TxByHash(tx.Hash); got != tx {
-			t.Fatalf("TxByHash(%s) = %v, want %v", tx.Hash, got, tx)
-		}
-	}
-	if got := ds.TxByHash(ethtypes.HashData([]byte("missing"))); got != nil {
-		t.Errorf("missing hash = %v, want nil", got)
-	}
-}
-
 func TestValueEthCachedMatchesParse(t *testing.T) {
 	tx := &Tx{ValueWei: "1234500000000000000"}
 	uncached := tx.ValueEth() // no Reindex: parse path
@@ -143,9 +131,8 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 }
 
 // edgeFixture holds rows a hostile snapshot can decode to: a hash that
-// appears twice (the later row in sorted order must win TxByHash), a
-// self-transfer, the zero address, and an address whose only
-// transaction failed.
+// appears twice, a self-transfer, the zero address, and an address whose
+// only transaction failed.
 func edgeFixture(t testing.TB) *Dataset {
 	t.Helper()
 	ds := New(0, 1000)
@@ -163,9 +150,6 @@ func edgeFixture(t testing.TB) *Dataset {
 		{Hash: hash("failed"), Timestamp: 250, From: c, To: zero, ValueWei: "5", Failed: true},
 	}
 	ds.Reindex()
-	if got := ds.TxByHash(dup); got == nil || got.Timestamp != 300 {
-		t.Fatalf("TxByHash(dup) = %+v, want the row at 300, last in sorted order", got)
-	}
 	return ds
 }
 
@@ -192,7 +176,6 @@ func checkIndexesMatchScan(t *testing.T, ds *Dataset) {
 	in := map[ethtypes.Address][]*Tx{}
 	out := map[[2]ethtypes.Address][]*Tx{}
 	recipients := map[ethtypes.Address][]ethtypes.Address{}
-	last := map[ethtypes.Hash]*Tx{}
 	for _, tx := range ds.Txs {
 		for _, a := range []ethtypes.Address{tx.From, tx.To} {
 			if !named[a] {
@@ -200,7 +183,6 @@ func checkIndexesMatchScan(t *testing.T, ds *Dataset) {
 				addrs = append(addrs, a)
 			}
 		}
-		last[tx.Hash] = tx
 		if tx.Failed {
 			continue
 		}
@@ -238,13 +220,8 @@ func checkIndexesMatchScan(t *testing.T, ds *Dataset) {
 			same(fmt.Sprintf("OutgoingTo(%s, %s)", a, r), ds.OutgoingTo(a, r), out[[2]ethtypes.Address{a, r}])
 		}
 	}
-	for _, tx := range ds.Txs {
-		if got := ds.TxByHash(tx.Hash); got != last[tx.Hash] {
-			t.Fatalf("TxByHash(%s) = %p, want the last row with that hash, %p", tx.Hash, got, last[tx.Hash])
-		}
-	}
-	if got := ds.TxByHash(ethtypes.HashData([]byte("idx-missing"))); got != nil {
-		t.Fatalf("missing hash = %+v, want nil", got)
+	if !ds.idsCurrent() {
+		t.Fatal("the endpoint ids do not describe Txs in (timestamp, hash) order")
 	}
 }
 
@@ -313,4 +290,57 @@ func TestReindexAllocationsSublinear(t *testing.T) {
 		t.Fatalf("Reindex made %.0f allocations over %d txs, want fewer than %.0f", allocs, len(ds.Txs), limit)
 	}
 	t.Logf("Reindex: %.0f allocations over %d txs", allocs, len(ds.Txs))
+}
+
+// Load decodes each string column into one run and indexes from the
+// file's endpoint ids, so decoding and indexing a snapshot must not
+// allocate per transaction either.
+func TestLoadAllocationsSublinear(t *testing.T) {
+	ds := sharedDataset(t)
+	data := snapshotBytes(t, ds)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := loadSnapshot(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(len(ds.Txs)) / 20; allocs >= limit {
+		t.Fatalf("loading made %.0f allocations over %d txs, want fewer than %.0f", allocs, len(ds.Txs), limit)
+	}
+	t.Logf("load: %.0f allocations over %d txs", allocs, len(ds.Txs))
+}
+
+// A world built with FromWorld, whose ids Reindex derives, and the same
+// dataset saved and loaded, whose ids come from the file, hold the same
+// address table and ids and answer every accessor with the same rows
+// for every endpoint.
+func TestLoadIndexesMatchFromWorld(t *testing.T) {
+	built := sharedDataset(t)
+	loaded, err := loadSnapshot(snapshotBytes(t, built))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(loaded.addrs, built.addrs) || !slices.Equal(loaded.from, built.from) || !slices.Equal(loaded.to, built.to) {
+		t.Fatal("the file's address table and ids differ from the ones Reindex derived")
+	}
+	same := func(what string, got, want []*Tx) {
+		t.Helper()
+		if !slices.EqualFunc(got, want, func(x, y *Tx) bool { return *x == *y }) {
+			t.Fatalf("%s: loaded %d txs, built %d (or other rows)", what, len(got), len(want))
+		}
+	}
+	nobody := ethtypes.DeriveAddress("idx-nobody")
+	for _, a := range append(slices.Clone(built.addrs), nobody) {
+		want := built.IncomingAll(a)
+		same(fmt.Sprintf("IncomingAll(%s)", a), loaded.IncomingAll(a), want)
+		for _, w := range incomingWindows(built, want) {
+			same(fmt.Sprintf("IncomingOf(%s, %d, %d)", a, w[0], w[1]), loaded.IncomingOf(a, w[0], w[1]), built.IncomingOf(a, w[0], w[1]))
+		}
+		same(fmt.Sprintf("OutgoingTo(%s, nobody)", a), loaded.OutgoingTo(a, nobody), built.OutgoingTo(a, nobody))
+	}
+	for _, tx := range built.Txs {
+		same(fmt.Sprintf("OutgoingTo(%s, %s)", tx.From, tx.To), loaded.OutgoingTo(tx.From, tx.To), built.OutgoingTo(tx.From, tx.To))
+	}
+	if loaded.Fingerprint() != built.Fingerprint() {
+		t.Fatal("fingerprints differ")
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"ensdropcatch/internal/ethtypes"
@@ -92,26 +93,18 @@ func (ds *Dataset) sortedDomains() []*Domain {
 	return domains
 }
 
-// sortedTxs returns a copy of Txs in (timestamp, block, hash) order — a
-// strict total order over the deduplicated list, so files are
-// byte-identical across runs regardless of crawl concurrency.
-func (ds *Dataset) sortedTxs() []*Tx {
-	txs := append([]*Tx(nil), ds.Txs...)
-	sortTxsForSave(txs)
-	return txs
-}
-
-// sortTxsForSave sorts txs in place into the persisted total order.
-func sortTxsForSave(txs []*Tx) {
-	sort.Slice(txs, func(i, j int) bool {
-		if txs[i].Timestamp != txs[j].Timestamp {
-			return txs[i].Timestamp < txs[j].Timestamp
-		}
-		if txs[i].Block != txs[j].Block {
-			return txs[i].Block < txs[j].Block
-		}
-		return bytes.Compare(txs[i].Hash[:], txs[j].Hash[:]) < 0
-	})
+// txsToSave returns the rows Save writes, in (timestamp, hash) order,
+// with their endpoint table and ids: the ones Reindex or Load left while
+// they still describe Txs, else ones derived from a sorted copy, so a
+// dataset edited since its last Reindex still saves as it now stands.
+func (ds *Dataset) txsToSave() (txs []*Tx, addrs []ethtypes.Address, from, to []int32) {
+	if ds.idsCurrent() {
+		return ds.Txs, ds.addrs, ds.from, ds.to
+	}
+	txs = slices.Clone(ds.Txs)
+	sortTxs(txs)
+	addrs, from, to = endpointIDs(txs)
+	return txs, addrs, from, to
 }
 
 // sortedSubdomains returns a copy of Subdomains stably sorted by node

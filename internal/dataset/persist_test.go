@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -292,5 +293,77 @@ func TestSaveLeavesNoTempFiles(t *testing.T) {
 	}
 	if _, err := Load(dir); err != nil {
 		t.Fatalf("synced save failed to load: %v", err)
+	}
+}
+
+// Each tx column fault the v2 decoder checks is refused as corruption,
+// and a snapshot otherwise intact still loads.
+func TestLoadRefusesHostileTxSections(t *testing.T) {
+	full := snapshotBytes(t, edgeFixture(t))
+	if _, err := loadSnapshot(full); err != nil {
+		t.Fatalf("intact snapshot: %v", err)
+	}
+	for _, c := range hostileTxSections(t) {
+		if _, err := loadSnapshot(withTxSection(full, c)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", c.name, err)
+		}
+	}
+}
+
+// Version 2 changed the tx column encoding both files share, so a
+// version 1 snapshot and a version 1 spool are refused with a version
+// error, not read and not reported as corruption.
+func TestVersionOneRefused(t *testing.T) {
+	snap := snapshotBytes(t, tinyDataset(t))
+	binary.LittleEndian.PutUint16(snap[len(binMagic):], 1)
+	path := filepath.Join(t.TempDir(), binFile)
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "snapshot version 1 not supported") {
+		t.Errorf("v1 snapshot: err = %v, want a version error", err)
+	}
+	spool := binary.LittleEndian.AppendUint16(bytes.Clone(spoolMagic), 1)
+	if _, _, err := replaySpool(spool); err == nil || errors.Is(err, ErrSpoolCorrupt) || !strings.Contains(err.Error(), "spool version 1 not supported") {
+		t.Errorf("v1 spool: err = %v, want a version error", err)
+	}
+}
+
+// Save writes the endpoint ids the last Reindex derived only while they
+// still describe Txs, so a dataset edited since saves and reloads to its
+// own fingerprint.
+func TestSaveAfterEditsKeepsFingerprint(t *testing.T) {
+	stranger := ethtypes.DeriveAddress("edit-stranger")
+	for _, tc := range []struct {
+		name string
+		edit func(ds *Dataset)
+	}{
+		{"sender outside the table", func(ds *Dataset) { ds.Txs[0].From = stranger }},
+		{"recipient inside the table", func(ds *Dataset) { ds.Txs[0].To = ds.Txs[2].To }},
+		{"row appended", func(ds *Dataset) {
+			last := ds.Txs[len(ds.Txs)-1]
+			ds.Txs = append(ds.Txs, &Tx{Hash: ethtypes.HashData([]byte("edit-late")), Timestamp: last.Timestamp + 1,
+				From: last.To, To: stranger, ValueWei: "7"})
+		}},
+		{"row dropped", func(ds *Dataset) { ds.Txs = ds.Txs[1:] }},
+		{"value changed", func(ds *Dataset) { ds.Txs[1].ValueWei = "42" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := tinyDataset(t)
+			tc.edit(ds)
+			want := ds.Fingerprint()
+			path := filepath.Join(t.TempDir(), binFile)
+			if err := ds.SaveSnapshot(path); err != nil {
+				t.Fatal(err)
+			}
+			back, err := Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := back.Fingerprint(); got != want {
+				t.Fatalf("reloaded fingerprint %x, the edited dataset's is %x", got, want)
+			}
+			checkIndexesMatchScan(t, back)
+		})
 	}
 }

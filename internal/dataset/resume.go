@@ -194,7 +194,7 @@ func crawlTxsResumable(ctx context.Context, dir string, txs TxSource, addrs []et
 			}
 			rows = append(rows, tx)
 		}
-		sortTxsForSave(rows)
+		sortTxs(rows)
 		mu.Lock()
 		defer mu.Unlock()
 		rec, err := enc.record(needHeader, addr, rows)
@@ -242,7 +242,7 @@ func newSpoolEncoder() *spoolEncoder {
 }
 
 // record returns addr's framed record, preceded by the spool header when
-// header is set. rows must be in sortTxsForSave order, as
+// header is set. rows must be in (timestamp, hash) order, as
 // encodeTxColumns requires. The result aliases the encoder's buffer
 // until the next call.
 func (e *spoolEncoder) record(header bool, addr ethtypes.Address, rows []*Tx) ([]byte, error) {
@@ -257,7 +257,8 @@ func (e *spoolEncoder) record(header bool, addr ethtypes.Address, rows []*Tx) ([
 	e.w.Raw(frame[:])
 	e.w.Raw(addr[:])
 	e.w.Uvarint(uint64(len(rows)))
-	encodeTxColumns(e.w, rows)
+	addrs, from, to := endpointIDs(rows)
+	encodeTxColumns(e.w, rows, addrs, from, to)
 	if err := e.w.Flush(); err != nil {
 		return nil, err
 	}
@@ -332,7 +333,7 @@ func decodeSpoolRecord(b []byte) (ethtypes.Address, []Tx, error) {
 	if r.Err() == nil && rows > uint64(r.Remaining()) {
 		return addr, nil, fmt.Errorf("%d rows declared in %d bytes", rows, r.Remaining())
 	}
-	txs, err := decodeTxColumns(r, int(rows))
+	c, err := decodeTxColumns(r, int(rows))
 	if err != nil {
 		return addr, nil, err
 	}
@@ -342,7 +343,7 @@ func decodeSpoolRecord(b []byte) (ethtypes.Address, []Tx, error) {
 	if n := r.Remaining(); n != 0 {
 		return addr, nil, fmt.Errorf("%d bytes after the rows", n)
 	}
-	return addr, txs, nil
+	return addr, c.txs, nil
 }
 
 func allZero(b []byte) bool {

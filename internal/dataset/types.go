@@ -176,10 +176,16 @@ type Dataset struct {
 	// Market holds marketplace events per token.
 	Market map[ethtypes.Hash][]MarketEvent
 
-	// Derived indexes (built by Reindex).
+	// Derived indexes (built by Reindex, or by Load from the file's ids).
 	byLabel map[string]ethtypes.Hash
-	// addrID numbers the endpoints of successful transactions densely,
-	// in address order; an id selects an address's run in in and out.
+	// addrs is every transaction endpoint, failed transactions' too, in
+	// address order; from and to hold each row of Txs's endpoints as
+	// positions in it. Save writes them as the tx section's address table
+	// and id columns while they still describe Txs (idsCurrent).
+	addrs    []ethtypes.Address
+	from, to []int32
+	// addrID maps an endpoint to its position in addrs, which selects its
+	// runs in in and out.
 	addrID map[ethtypes.Address]int32
 	// in holds each address's successful incoming transactions in
 	// timestamp order, so IncomingOf can binary-search its window.
@@ -188,9 +194,6 @@ type Dataset struct {
 	// by (recipient, timestamp), so OutgoingTo can binary-search the
 	// contiguous per-recipient run.
 	out addrRuns
-	// txByHash maps a hash to its position in Txs. It holds no
-	// pointers, so the garbage collector never scans it.
-	txByHash map[ethtypes.Hash]int32
 }
 
 // New returns an empty dataset for the given window.
@@ -244,12 +247,94 @@ func (r addrRuns) run(id int32) []*Tx {
 }
 
 // Reindex rebuilds derived indexes after Domains/Txs mutate. It sorts each
-// domain's events and the global transaction list by timestamp, builds the
-// per-address incoming/outgoing and by-hash indexes, and caches every
-// transaction's parsed ether value. All indexes are read-only afterwards
-// and safe for concurrent readers; the slices returned by the accessors
-// alias them and must not be mutated.
+// domain's events by timestamp and the global transaction list into
+// (timestamp, hash) order, numbers the transaction endpoints, builds the
+// per-address incoming/outgoing indexes, and caches every transaction's
+// parsed ether value. All indexes are read-only afterwards and safe for
+// concurrent readers; the slices returned by the accessors alias them
+// and must not be mutated.
 func (ds *Dataset) Reindex() {
+	// (Timestamp, Hash) is a strict total order over the deduplicated
+	// transaction list: the crawl appends per-address results in worker
+	// completion order, and a timestamp-only stable sort would preserve
+	// that arbitrary order among equal-timestamp transactions, making the
+	// dataset (and its fingerprint) vary run to run. It is also the order
+	// dataset.bin stores, so Save writes Txs as they stand.
+	sortTxs(ds.Txs)
+	ds.addrs, ds.from, ds.to = endpointIDs(ds.Txs)
+	ds.index()
+}
+
+// compareTxs orders transactions by (timestamp, hash): the order of Txs
+// after Reindex, of dataset.bin's tx section and of every spool record.
+func compareTxs(x, y *Tx) int {
+	if c := cmp.Compare(x.Timestamp, y.Timestamp); c != 0 {
+		return c
+	}
+	return bytes.Compare(x.Hash[:], y.Hash[:])
+}
+
+// sortTxs sorts txs in place into (timestamp, hash) order.
+func sortTxs(txs []*Tx) { slices.SortFunc(txs, compareTxs) }
+
+// endpointIDs returns the distinct endpoints of txs in address order,
+// and each row's sender and recipient as positions in that table.
+func endpointIDs(txs []*Tx) (addrs []ethtypes.Address, from, to []int32) {
+	ids := make(map[ethtypes.Address]int32)
+	from = make([]int32, len(txs))
+	to = make([]int32, len(txs))
+	id := func(a ethtypes.Address) int32 {
+		i, seen := ids[a]
+		if !seen {
+			i = int32(len(addrs))
+			ids[a] = i
+			addrs = append(addrs, a)
+		}
+		return i
+	}
+	for i, tx := range txs {
+		from[i], to[i] = id(tx.From), id(tx.To)
+	}
+	// Renumber in address order, so that id order is recipient order for
+	// the outgoing index.
+	byAddr := iota32(len(addrs))
+	slices.SortFunc(byAddr, func(x, y int32) int { return bytes.Compare(addrs[x][:], addrs[y][:]) })
+	rank := make([]int32, len(addrs))
+	sorted := make([]ethtypes.Address, len(addrs))
+	for r, i := range byAddr {
+		rank[i] = int32(r)
+		sorted[r] = addrs[i]
+	}
+	for k := range from {
+		from[k], to[k] = rank[from[k]], rank[to[k]]
+	}
+	return sorted, from, to
+}
+
+// idsCurrent reports whether addrs, from and to still describe Txs row
+// for row, with Txs in (timestamp, hash) order. It compares and does not
+// hash, so Save can reuse the ids Reindex or Load left and still write a
+// dataset edited since then as it now stands.
+func (ds *Dataset) idsCurrent() bool {
+	if len(ds.from) != len(ds.Txs) || len(ds.to) != len(ds.Txs) {
+		return false
+	}
+	for i, tx := range ds.Txs {
+		if i > 0 && compareTxs(ds.Txs[i-1], tx) > 0 {
+			return false
+		}
+		if ds.addrs[ds.from[i]] != tx.From || ds.addrs[ds.to[i]] != tx.To {
+			return false
+		}
+	}
+	return true
+}
+
+// index builds the derived indexes from Domains, Txs and the endpoint
+// ids in addrs, from and to: the label map, each domain's event order,
+// the cached ether values and the per-address runs. It neither sorts nor
+// hashes transactions, so Load runs it straight on a decoded file.
+func (ds *Dataset) index() {
 	pool := par.New("dataset_reindex", 0)
 
 	ds.byLabel = make(map[string]ethtypes.Hash, len(ds.Domains))
@@ -264,68 +349,29 @@ func (ds *Dataset) Reindex() {
 	par.ForEach(pool, len(domains), func(i int) {
 		slices.SortStableFunc(domains[i].Events, func(x, y Event) int { return cmp.Compare(x.Timestamp, y.Timestamp) })
 	})
-
-	// (Timestamp, Hash) is a strict total order over the deduplicated
-	// transaction list: the crawl appends per-address results in worker
-	// completion order, and a timestamp-only stable sort would preserve
-	// that arbitrary order among equal-timestamp transactions, making the
-	// dataset (and its fingerprint) vary run to run.
-	slices.SortFunc(ds.Txs, func(x, y *Tx) int {
-		if c := cmp.Compare(x.Timestamp, y.Timestamp); c != 0 {
-			return c
-		}
-		return bytes.Compare(x.Hash[:], y.Hash[:])
-	})
 	par.ForEach(pool, len(ds.Txs), func(i int) {
 		tx := ds.Txs[i]
 		tx.valueEth = parseWeiEth(tx.ValueWei)
 		tx.valueCached = true
 	})
 
-	ds.txByHash = make(map[ethtypes.Hash]int32, len(ds.Txs))
-	ds.addrID = make(map[ethtypes.Address]int32)
-	var addrs []ethtypes.Address
-	succeeded := make([]*Tx, 0, len(ds.Txs))
-	from := make([]int32, 0, len(ds.Txs))
-	to := make([]int32, 0, len(ds.Txs))
-	id := func(a ethtypes.Address) int32 {
-		i, seen := ds.addrID[a]
-		if !seen {
-			i = int32(len(addrs))
-			ds.addrID[a] = i
-			addrs = append(addrs, a)
-		}
-		return i
+	ds.addrID = make(map[ethtypes.Address]int32, len(ds.addrs))
+	for i, a := range ds.addrs {
+		ds.addrID[a] = int32(i)
 	}
+	succeeded := make([]int32, 0, len(ds.Txs))
 	for i, tx := range ds.Txs {
-		ds.txByHash[tx.Hash] = int32(i)
 		if !tx.Failed {
-			succeeded = append(succeeded, tx)
-			from = append(from, id(tx.From))
-			to = append(to, id(tx.To))
+			succeeded = append(succeeded, int32(i))
 		}
 	}
-
-	// Renumber the ids in address order, so that id order is recipient
-	// order for the outgoing index.
-	byAddr := iota32(len(addrs))
-	slices.SortFunc(byAddr, func(x, y int32) int { return bytes.Compare(addrs[x][:], addrs[y][:]) })
-	rank := make([]int32, len(addrs))
-	for r, i := range byAddr {
-		rank[i] = int32(r)
-		ds.addrID[addrs[i]] = int32(r)
-	}
-	for k := range from {
-		from[k], to[k] = rank[from[k]], rank[to[k]]
-	}
-
 	// Two stable counting sorts, no comparisons: by recipient over the
 	// global (timestamp, hash) order gives the incoming index, and then
 	// by sender gives the outgoing index in (sender, recipient,
 	// timestamp) order.
 	var byTo []int32
-	ds.in, byTo = runsByID(len(addrs), succeeded, to, iota32(len(succeeded)))
-	ds.out, _ = runsByID(len(addrs), succeeded, from, byTo)
+	ds.in, byTo = runsByID(len(ds.addrs), ds.Txs, ds.to, succeeded)
+	ds.out, _ = runsByID(len(ds.addrs), ds.Txs, ds.from, byTo)
 }
 
 // iota32 returns 0, 1, ..., n-1.
@@ -379,15 +425,6 @@ func (ds *Dataset) OutgoingTo(from, to ethtypes.Address) []*Tx {
 	lo := sort.Search(len(list), func(i int) bool { return bytes.Compare(list[i].To[:], to[:]) >= 0 })
 	hi := lo + sort.Search(len(list[lo:]), func(i int) bool { return list[lo+i].To != to })
 	return list[lo:hi:hi]
-}
-
-// TxByHash returns the transaction with the given hash, or nil.
-func (ds *Dataset) TxByHash(h ethtypes.Hash) *Tx {
-	i, ok := ds.txByHash[h]
-	if !ok {
-		return nil
-	}
-	return ds.Txs[i]
 }
 
 // IsCustodial reports whether addr belongs to a non-Coinbase custodial

@@ -112,13 +112,13 @@ func TestSoakOverloadConvergence(t *testing.T) {
 		// through its whole retry budget.
 		sleep := cappedSleep(25 * time.Millisecond)
 		sg.Sleep, es.Sleep, osc.Sleep = sleep, sleep, sleep
-		// Sheds come in correlated storms, so retry budgets are deep and
-		// breakers deliberately slow to trip: fail-fast is the wrong
-		// response to a server asking for backoff.
+		// Sheds come in correlated storms, so retry budgets are deep.
+		// Breakers trip at enscrawl's default threshold: a shed is the
+		// server answering, so it never counts toward one.
 		sg.MaxRetries, es.MaxRetries, osc.MaxRetries = 100, 100, 100
-		sg.Breaker = crawler.NewBreaker("soak-sg-"+id, 64, 20*time.Millisecond)
-		es.Breaker = crawler.NewBreaker("soak-es-"+id, 64, 20*time.Millisecond)
-		osc.Breaker = crawler.NewBreaker("soak-os-"+id, 64, 20*time.Millisecond)
+		sg.Breaker = crawler.NewBreaker("soak-sg-"+id, 8, 20*time.Millisecond)
+		es.Breaker = crawler.NewBreaker("soak-es-"+id, 8, 20*time.Millisecond)
+		osc.Breaker = crawler.NewBreaker("soak-os-"+id, 8, 20*time.Millisecond)
 		sg.ClientID, es.ClientID, osc.ClientID = id, id, id
 		return sg, es, osc
 	}
