@@ -225,7 +225,7 @@ func Build(ctx context.Context, regs RegistrationSource, txs TxSource, market Ma
 	if opts.ResumeDir != "" {
 		err = crawlTxsResumable(ctx, opts.ResumeDir, txs, addrs, opts.TxWorkers, ds, onAddressDone, opts.FsyncCheckpoint, opts.FS)
 	} else {
-		seen := map[ethtypes.Hash]bool{}
+		set := newTxSet(ds, 0)
 		err = crawler.ForEach(ctx, opts.TxWorkers, addrs, func(ctx context.Context, addr ethtypes.Address) error {
 			// One span per crawled address groups the etherscan call and
 			// its retries into a single trace keyed to the address.
@@ -241,17 +241,7 @@ func Build(ctx context.Context, regs RegistrationSource, txs TxSource, market Ma
 			defer onAddressDone()
 			mu.Lock()
 			defer mu.Unlock()
-			for i := range records {
-				tx, err := fromRecord(&records[i])
-				if err != nil {
-					return err
-				}
-				if seen[tx.Hash] {
-					continue
-				}
-				seen[tx.Hash] = true
-				ds.Txs = append(ds.Txs, tx)
-			}
+			set.add(records)
 			return nil
 		})
 	}
@@ -472,39 +462,64 @@ func integer(row subgraph.Entity, key string) (int64, error) {
 	}
 }
 
-func fromRecord(r *etherscan.TxRecord) (*Tx, error) {
-	h, err := ethtypes.ParseHash(r.Hash)
-	if err != nil {
-		return nil, fmt.Errorf("bad tx hash %q: %w", r.Hash, err)
+// txSet adds crawled transactions to a dataset's Txs, each hash once.
+// It is not safe for concurrent use.
+type txSet struct {
+	ds   *Dataset
+	seen map[ethtypes.Hash]bool
+	// fresh is add's scratch: the positions of the records it keeps.
+	fresh []int
+}
+
+// newTxSet returns a set holding ds's transactions, with room for extra
+// more.
+func newTxSet(ds *Dataset, extra int) *txSet {
+	s := &txSet{ds: ds, seen: make(map[ethtypes.Hash]bool, len(ds.Txs)+extra)}
+	for _, tx := range ds.Txs {
+		s.seen[tx.Hash] = true
 	}
-	from, err := ethtypes.ParseAddress(r.From)
-	if err != nil {
-		return nil, fmt.Errorf("bad from: %w", err)
+	return s
+}
+
+// keep appends tx unless its hash is already held.
+func (s *txSet) keep(tx *Tx) {
+	if !s.seen[tx.Hash] {
+		s.seen[tx.Hash] = true
+		s.ds.Txs = append(s.ds.Txs, tx)
 	}
-	to, err := ethtypes.ParseAddress(r.To)
-	if err != nil {
-		return nil, fmt.Errorf("bad to: %w", err)
+}
+
+// add appends the records whose hash is new, copied into one slab sized
+// to them, so a transaction listed under both its sender and its
+// recipient is stored once.
+func (s *txSet) add(records []etherscan.TxRecord) {
+	s.fresh = s.fresh[:0]
+	for i := range records {
+		if h := records[i].Hash; !s.seen[h] {
+			s.seen[h] = true
+			s.fresh = append(s.fresh, i)
+		}
 	}
-	block, err := strconv.ParseUint(r.BlockNumber, 10, 64)
-	if err != nil {
-		pm().parseErrors.Inc()
-		return nil, fmt.Errorf("bad block number %q in tx %s: %w", r.BlockNumber, r.Hash, err)
+	slab := make([]Tx, len(s.fresh))
+	for k, i := range s.fresh {
+		slab[k] = fromRecord(&records[i])
+		s.ds.Txs = append(s.ds.Txs, &slab[k])
 	}
-	ts, err := strconv.ParseInt(r.TimeStamp, 10, 64)
-	if err != nil {
-		pm().parseErrors.Inc()
-		return nil, fmt.Errorf("bad timestamp %q in tx %s: %w", r.TimeStamp, r.Hash, err)
-	}
-	return &Tx{
-		Hash:      h,
-		Block:     block,
-		Timestamp: ts,
-		From:      from,
-		To:        to,
+}
+
+// fromRecord copies a txlist row, which its decoder has parsed, into a
+// Tx.
+func fromRecord(r *etherscan.TxRecord) Tx {
+	return Tx{
+		Hash:      r.Hash,
+		Block:     r.Block,
+		Timestamp: r.Timestamp,
+		From:      r.From,
+		To:        r.To,
 		ValueWei:  r.Value,
-		Failed:    r.IsError == "1",
+		Failed:    r.Failed,
 		Method:    r.Method,
-	}, nil
+	}
 }
 
 func lessAddr(a, b ethtypes.Address) bool {

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"ensdropcatch/internal/etherscan"
 	"ensdropcatch/internal/ethtypes"
 	"ensdropcatch/internal/subgraph"
 	"ensdropcatch/internal/world"
@@ -302,34 +301,5 @@ func TestIntegerRejectsMalformedValues(t *testing.T) {
 	row["expiryDate"] = "garbage"
 	if err := ds.addEventRow(row); err == nil {
 		t.Error("addEventRow swallowed a malformed expiryDate")
-	}
-}
-
-func TestFromRecordRejectsMalformedNumbers(t *testing.T) {
-	rec := validTxRecord()
-	rec.BlockNumber = "0xdeadbeef" // hex, not the decimal etherscan emits
-	if _, err := fromRecord(&rec); err == nil {
-		t.Error("bad block number accepted")
-	}
-	rec = validTxRecord()
-	rec.TimeStamp = "yesterday"
-	if _, err := fromRecord(&rec); err == nil {
-		t.Error("bad timestamp accepted")
-	}
-	rec = validTxRecord()
-	if _, err := fromRecord(&rec); err != nil {
-		t.Errorf("valid record rejected: %v", err)
-	}
-}
-
-func validTxRecord() etherscan.TxRecord {
-	return etherscan.TxRecord{
-		BlockNumber: "123456",
-		TimeStamp:   "1600000000",
-		Hash:        "0x" + strings.Repeat("cd", 32),
-		From:        "0x" + strings.Repeat("33", 20),
-		To:          "0x" + strings.Repeat("44", 20),
-		Value:       "1000000000000000000",
-		IsError:     "0",
 	}
 }

@@ -24,7 +24,7 @@ func InitMetrics(reg *obs.Registry) {
 	}
 	pkgMetrics.Store(&metricSet{
 		parseErrors: reg.Counter("dataset_parse_errors_total",
-			"Malformed numeric fields rejected while assembling the dataset."),
+			"Malformed numeric subgraph fields rejected while assembling the dataset."),
 		spoolRecoveries: reg.Counter("dataset_spool_recoveries_total",
 			"Torn trailing spool records dropped and re-crawled on resume."),
 	})

@@ -125,23 +125,14 @@ func crawlTxsResumable(ctx context.Context, dir string, txs TxSource, addrs []et
 	for _, rec := range recs {
 		recovered += len(rec.txs)
 	}
-	seen := make(map[ethtypes.Hash]bool, len(ds.Txs)+recovered)
-	for _, tx := range ds.Txs {
-		seen[tx.Hash] = true
-	}
+	set := newTxSet(ds, recovered)
 	var mu sync.Mutex
-	absorb := func(tx *Tx) {
-		if !seen[tx.Hash] {
-			seen[tx.Hash] = true
-			ds.Txs = append(ds.Txs, tx)
-		}
-	}
 	ds.Txs = slices.Grow(ds.Txs, recovered)
 	done := make(map[ethtypes.Address]bool, len(recs))
 	for _, rec := range recs {
 		done[rec.addr] = true
 		for i := range rec.txs {
-			absorb(&rec.txs[i])
+			set.keep(&rec.txs[i])
 		}
 	}
 
@@ -186,13 +177,13 @@ func crawlTxsResumable(ctx context.Context, dir string, txs TxSource, addrs []et
 		if err != nil {
 			return fmt.Errorf("txlist %s: %w", addr, err)
 		}
-		rows := make([]*Tx, 0, len(records))
+		// The record holds the address's whole list, in the order
+		// encodeTxColumns requires.
+		all := make([]Tx, len(records))
+		rows := make([]*Tx, len(records))
 		for i := range records {
-			tx, err := fromRecord(&records[i])
-			if err != nil {
-				return err
-			}
-			rows = append(rows, tx)
+			all[i] = fromRecord(&records[i])
+			rows[i] = &all[i]
 		}
 		sortTxs(rows)
 		mu.Lock()
@@ -216,9 +207,7 @@ func crawlTxsResumable(ctx context.Context, dir string, txs TxSource, addrs []et
 		if err := vfs.Hit(fsys, "dataset.spool.post-append"); err != nil {
 			return fmt.Errorf("spool %s: %w", addr, err)
 		}
-		for _, tx := range rows {
-			absorb(tx)
-		}
+		set.add(records)
 		onAddressDone()
 		return nil
 	})

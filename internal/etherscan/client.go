@@ -89,11 +89,12 @@ func (c *Client) call(ctx context.Context, params url.Values) ([]TxRecord, error
 	}, decodeRows)
 }
 
-// decodeRows decodes a txlist answer. An HTTP-200 NOTOK "Max rate limit
-// reached" is Etherscan's 429: it comes back as a shed with no stated
-// delay, so Retry backs off, the breaker sees a failure rather than a
-// success, and the call counts it as rate-limited, not as an error; any
-// other NOTOK is a permanent API error.
+// decodeRows decodes a txlist answer. A malformed answer, one malformed
+// row included, is an "etherscan: decode" error, which Retry retries.
+// An HTTP-200 NOTOK "Max rate limit reached" is Etherscan's 429: it
+// comes back as a shed with no stated delay, so Retry backs off and the
+// call counts it as rate-limited, not as an error; any other NOTOK is a
+// permanent API error.
 func decodeRows(body []byte) ([]TxRecord, error) {
 	ans, err := decodeAnswer(body)
 	if err != nil {
@@ -118,9 +119,9 @@ func (c *Client) TxList(ctx context.Context, addr ethtypes.Address) ([]TxRecord,
 	}
 	var out []TxRecord
 	startBlock := uint64(0)
-	seen := map[string]bool{}
 	for {
-		var gotAny bool
+		var lastBlock uint64
+		gotAny := false
 		maxPages := MaxWindow / pageSize
 		for page := 1; page <= maxPages; page++ {
 			params := url.Values{
@@ -138,15 +139,15 @@ func (c *Client) TxList(ctx context.Context, addr ethtypes.Address) ([]TxRecord,
 			}
 			m().clientPages.Inc()
 			m().clientRows.Add(uint64(len(rows)))
-			for _, r := range rows {
-				// Block-boundary re-reads can duplicate rows; the hash
-				// dedups them.
-				if !seen[r.Hash] {
-					seen[r.Hash] = true
-					out = append(out, r)
-				}
+			if out == nil {
+				out = rows
+			} else {
+				out = append(out, rows...)
 			}
-			gotAny = gotAny || len(rows) > 0
+			if len(rows) > 0 {
+				gotAny = true
+				lastBlock = rows[len(rows)-1].Block
+			}
 			if len(rows) < pageSize {
 				return out, nil
 			}
@@ -154,17 +155,18 @@ func (c *Client) TxList(ctx context.Context, addr ethtypes.Address) ([]TxRecord,
 		if !gotAny {
 			return out, nil
 		}
-		// Window exhausted: restart from the last seen block (inclusive,
-		// to catch blocks split across the window edge).
-		last := out[len(out)-1]
-		lb, err := strconv.ParseUint(last.BlockNumber, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("txlist: bad block number %q", last.BlockNumber)
+		// Window exhausted: restart from its last block, inclusive, to
+		// catch a block split across the window edge. The new window
+		// lists that block's rows again in full, so drop them here. A
+		// window that ends at or below its startblock cannot advance.
+		if lastBlock <= startBlock {
+			return nil, fmt.Errorf("txlist: address %s: a full window from block %d ends at block %d, so paging cannot advance (more than %d transactions in one block, or a server ignoring startblock)",
+				addr, startBlock, lastBlock, MaxWindow)
 		}
-		if lb == startBlock {
-			return nil, fmt.Errorf("txlist: address %s has more than %d transactions in block %d", addr, MaxWindow, lb)
+		startBlock = lastBlock
+		for len(out) > 0 && out[len(out)-1].Block == startBlock {
+			out = out[:len(out)-1]
 		}
-		startBlock = lb
 	}
 }
 

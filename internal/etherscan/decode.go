@@ -1,12 +1,12 @@
 package etherscan
 
 // One-pass decoder for /api answers. It reads status, message and
-// result in a single scan with no reflection, where encoding/json
-// scans a page four times: it validates and decodes the envelope with
-// the result as a json.RawMessage, then validates and decodes that
-// again as the NOTOK text or as []TxRecord. For this schema it accepts
-// and rejects exactly what that two-pass decode does, which
-// FuzzDecodeTxList keeps as its reference:
+// result in a single scan with no reflection, and parses each row's
+// values into a typed TxRecord as it meets them. FuzzDecodeTxList holds
+// it to the decode it replaced: encoding/json into the envelope with
+// the result as a json.RawMessage, then again into rows of eight
+// strings, each row then parsed as the dataset once parsed them. For
+// this schema it accepts and rejects exactly what that does:
 //
 //   - any JSON whitespace and any key order; keys match exactly, then
 //     case-insensitively as encoding/json folds them; unknown keys are
@@ -15,14 +15,21 @@ package etherscan
 //     included, with invalid UTF-8 and lone surrogates becoming U+FFFD;
 //   - null leaves a field as it was, a repeated key's last value wins,
 //     and anything after the top-level value is an error;
-//   - a type mismatch in a row only rejects the answer when its
-//     message is not NOTOK: the client reads a NOTOK answer's result
-//     only as error text, so it stays valid whatever the result holds.
+//   - a row must carry a 32-byte hex hash and 20-byte hex from and to
+//     addresses (0x prefix optional), a decimal uint64 blockNumber and
+//     a decimal int64 timeStamp (sign allowed); isError "1" marks it
+//     failed, and value and functionName are kept as they are;
+//   - a malformed row (a null row, a missing or unparseable required
+//     value, or a value that is not a string) only rejects the answer
+//     when its message is not NOTOK: the client reads a NOTOK answer's
+//     result only as error text, so it stays valid whatever it holds.
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
 	"unicode/utf16"
 	"unicode/utf8"
 )
@@ -56,27 +63,64 @@ var (
 		[]byte("from"), []byte("to"), []byte("value"), []byte("isError"), []byte("functionName")}
 )
 
-// rowField returns the TxRecord field key i of rowKeys names.
-func rowField(r *TxRecord, i int) *string {
+// Row fields, by their index in rowKeys.
+const (
+	keyBlock = iota
+	keyTimestamp
+	keyHash
+	keyFrom
+	keyTo
+	keyValue
+	keyIsError
+	keyMethod
+)
+
+// required has a bit for each row field that must hold a valid value:
+// an absent one reads as "", which does not parse.
+const required = 1<<keyBlock | 1<<keyTimestamp | 1<<keyHash | 1<<keyFrom | 1<<keyTo
+
+// minRowLen is the length of the shortest row that holds every
+// required field:
+// {"hash":"<64 hex>","from":"<40 hex>","to":"<40 hex>","blockNumber":"0","timeStamp":"0"}.
+// Escapes and folded keys only lengthen a row.
+const minRowLen = 207
+
+// setField parses v, the unescaped string value of row field i, into
+// r, and reports whether it is valid.
+func setField(r *TxRecord, i int, v []byte) bool {
+	var err error
 	switch i {
-	case 0:
-		return &r.BlockNumber
-	case 1:
-		return &r.TimeStamp
-	case 2:
-		return &r.Hash
-	case 3:
-		return &r.From
-	case 4:
-		return &r.To
-	case 5:
-		return &r.Value
-	case 6:
-		return &r.IsError
-	case 7:
-		return &r.Method
+	case keyBlock:
+		r.Block, err = strconv.ParseUint(string(v), 10, 64)
+	case keyTimestamp:
+		r.Timestamp, err = strconv.ParseInt(string(v), 10, 64)
+	case keyHash:
+		return hexInto(r.Hash[:], v)
+	case keyFrom:
+		return hexInto(r.From[:], v)
+	case keyTo:
+		return hexInto(r.To[:], v)
+	case keyValue:
+		r.Value = string(v)
+	case keyIsError:
+		r.Failed = string(v) == "1"
+	case keyMethod:
+		r.Method = string(v)
 	}
-	return nil
+	return err == nil
+}
+
+// hexInto decodes v into exactly len(dst) bytes of hex, with or
+// without a 0x prefix, as ethtypes.ParseHash and ParseAddress do.
+func hexInto(dst, v []byte) bool {
+	if len(v) >= 2 && v[0] == '0' && (v[1] == 'x' || v[1] == 'X') {
+		v = v[2:]
+	}
+	if len(v) != 2*len(dst) {
+		return false
+	}
+	_, err := hex.Decode(dst, v)
+	return err == nil
 }
 
 // matchKey returns the index of the name in names that key selects, as
@@ -107,8 +151,9 @@ type decoder struct {
 	pos int
 	// scratch holds a string or key being unescaped.
 	scratch []byte
-	// mismatch records a row value of the wrong JSON type.
-	mismatch bool
+	// malformed records a row that is not a valid transaction; from
+	// then on the result's rows are no longer kept.
+	malformed bool
 }
 
 // decodeAnswer decodes body, an /api answer, in one pass.
@@ -142,12 +187,12 @@ func decodeAnswer(body []byte) (answer, error) {
 		return a, nil
 	}
 	switch {
-	case kind == resultNull, kind == resultRows && !d.mismatch:
+	case kind == resultNull, kind == resultRows && !d.malformed:
 		return a, nil
 	case kind == resultAbsent:
 		return answer{}, errNoResult
 	}
-	return answer{}, errors.New("result is not a list of rows of strings")
+	return answer{}, errors.New("result is not a list of valid transaction rows")
 }
 
 // envelope decodes the top-level object into a and reports the kind
@@ -160,7 +205,7 @@ func (d *decoder) envelope(a *answer) (kind int, err error) {
 		case 1:
 			return d.envelopeString(&a.message, "message")
 		case 2:
-			a.text, a.rows, d.mismatch = "", nil, false
+			a.text, a.rows, d.malformed = "", nil, false
 			kind, err = d.result(a)
 			return err
 		}
@@ -169,13 +214,22 @@ func (d *decoder) envelope(a *answer) (kind int, err error) {
 	return kind, err
 }
 
-// envelopeString decodes a value into a string field of the envelope.
+// envelopeString decodes a value into a string field of the envelope
+// as encoding/json does: a string sets *dst, null leaves it, and any
+// other value is skipped and rejected.
 func (d *decoder) envelopeString(dst *string, name string) error {
-	ok, err := d.stringInto(dst, 1)
-	if err == nil && !ok {
-		err = fmt.Errorf("%s is not a string", name)
+	switch d.peek() {
+	case '"':
+		var err error
+		*dst, err = d.str()
+		return err
+	case 'n':
+		return d.literal("null")
 	}
-	return err
+	if err := d.skip(1); err != nil {
+		return err
+	}
+	return fmt.Errorf("%s is not a string", name)
 }
 
 // result decodes the result value: the NOTOK text, or the rows.
@@ -191,44 +245,59 @@ func (d *decoder) result(a *answer) (int, error) {
 	default:
 		return resultOther, d.skip(1)
 	}
-	a.rows = []TxRecord{}
+	// Every row kept is an object of at least minRowLen bytes, so this
+	// bounds the rows without an allocation per row; for a server page,
+	// whose rows nest nothing, the count of '{' is exact.
+	rest := d.buf[d.pos:]
+	a.rows = make([]TxRecord, 0, min(bytes.Count(rest, []byte{'{'}), len(rest)/minRowLen))
 	return resultRows, d.array(func() error {
 		switch d.peek() {
 		case '{':
-			var r TxRecord
-			err := d.object(func(key []byte) error {
-				i := matchKey(key, rowKeys[:])
-				if i < 0 {
-					return d.skip(3)
-				}
-				ok, err := d.stringInto(rowField(&r, i), 3)
-				d.mismatch = d.mismatch || !ok
-				return err
-			})
-			a.rows = append(a.rows, r)
-			return err
+			return d.row(a)
 		case 'n':
-			a.rows = append(a.rows, TxRecord{})
+			// A null row decodes to an empty one, which has no hash.
+			d.malformed = true
 			return d.literal("null")
 		}
-		d.mismatch = true
+		d.malformed = true
 		return d.skip(2)
 	})
 }
 
-// stringInto decodes the value at the cursor as encoding/json decodes
-// into a string field: a string sets *dst and null leaves it. Any other
-// value is skipped and reported as a mismatch (ok false); depth counts
-// the containers around the value.
-func (d *decoder) stringInto(dst *string, depth int) (ok bool, err error) {
-	switch d.peek() {
-	case '"':
-		*dst, err = d.str()
-		return true, err
-	case 'n':
-		return true, d.literal("null")
+// row decodes the row object at the cursor and appends it to a.rows
+// while every row so far is valid. A field's last string value decides
+// whether it is valid; null leaves it as it was.
+func (d *decoder) row(a *answer) error {
+	var r TxRecord
+	bad := required
+	err := d.object(func(key []byte) error {
+		i := matchKey(key, rowKeys[:])
+		if i < 0 {
+			return d.skip(3)
+		}
+		switch d.peek() {
+		case '"':
+			v, err := d.unquote()
+			if err != nil {
+				return err
+			}
+			if setField(&r, i, v) {
+				bad &^= 1 << i
+			} else {
+				bad |= 1 << i
+			}
+			return nil
+		case 'n':
+			return d.literal("null")
+		}
+		d.malformed = true
+		return d.skip(3)
+	})
+	d.malformed = d.malformed || bad != 0
+	if err == nil && !d.malformed {
+		a.rows = append(a.rows, r)
 	}
-	return false, d.skip(depth)
+	return err
 }
 
 // object decodes the object at the cursor, calling field with each

@@ -13,12 +13,17 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"ensdropcatch/internal/chain"
+	"ensdropcatch/internal/ethtypes"
+	"ensdropcatch/internal/obs"
 )
 
 // envelope and referenceDecode are the client's decode path before the
 // one-pass decoder, kept as the reference decodeAnswer is held to: the
 // envelope through encoding/json with the result as raw JSON, then the
-// result again as the NOTOK text or as the rows.
+// result again as the NOTOK text or as string-shaped rows, each row
+// then parsed by wireRow.parse.
 type envelope struct {
 	Status  string          `json:"status"`
 	Message string          `json:"message"`
@@ -37,20 +42,131 @@ func referenceDecode(body []byte) (answer, error) {
 		_ = json.Unmarshal(env.Result, &a.text)
 		return a, nil
 	}
-	if err := json.Unmarshal(env.Result, &a.rows); err != nil {
+	var rows []wireRow
+	if err := json.Unmarshal(env.Result, &rows); err != nil {
 		return answer{}, err
+	}
+	if rows != nil {
+		a.rows = make([]TxRecord, len(rows))
+	}
+	for i := range rows {
+		r, err := rows[i].parse()
+		if err != nil {
+			return answer{}, err
+		}
+		a.rows[i] = r
 	}
 	return a, nil
 }
 
+// wireRow is a txlist row as the wire spells it: eight strings with
+// Etherscan's keys.
+type wireRow struct {
+	BlockNumber string `json:"blockNumber"`
+	TimeStamp   string `json:"timeStamp"`
+	Hash        string `json:"hash"`
+	From        string `json:"from"`
+	To          string `json:"to"`
+	Value       string `json:"value"`
+	IsError     string `json:"isError"`
+	Method      string `json:"functionName,omitempty"`
+}
+
+// parse applies the rules the dataset once parsed each string row by.
+func (w wireRow) parse() (TxRecord, error) {
+	h, err := ethtypes.ParseHash(w.Hash)
+	if err != nil {
+		return TxRecord{}, fmt.Errorf("bad tx hash %q: %w", w.Hash, err)
+	}
+	from, err := ethtypes.ParseAddress(w.From)
+	if err != nil {
+		return TxRecord{}, fmt.Errorf("bad from: %w", err)
+	}
+	to, err := ethtypes.ParseAddress(w.To)
+	if err != nil {
+		return TxRecord{}, fmt.Errorf("bad to: %w", err)
+	}
+	block, err := strconv.ParseUint(w.BlockNumber, 10, 64)
+	if err != nil {
+		return TxRecord{}, fmt.Errorf("bad block number %q: %w", w.BlockNumber, err)
+	}
+	ts, err := strconv.ParseInt(w.TimeStamp, 10, 64)
+	if err != nil {
+		return TxRecord{}, fmt.Errorf("bad timestamp %q: %w", w.TimeStamp, err)
+	}
+	return TxRecord{Hash: h, From: from, To: to, Block: block, Timestamp: ts,
+		Value: w.Value, Method: w.Method, Failed: w.IsError == "1"}, nil
+}
+
+// wireRecord is the row the server writes for tx, built as strings the
+// way the server built it before it appended rows by hand.
+func wireRecord(tx *chain.Transaction) wireRow {
+	isErr := "0"
+	if tx.Failed {
+		isErr = "1"
+	}
+	return wireRow{
+		BlockNumber: strconv.FormatUint(tx.BlockNumber, 10),
+		TimeStamp:   strconv.FormatInt(tx.Timestamp, 10),
+		Hash:        tx.Hash.Hex(),
+		From:        "0x" + hexLower(tx.From),
+		To:          "0x" + hexLower(tx.To),
+		Value:       tx.Value.BigInt().String(),
+		IsError:     isErr,
+		Method:      tx.Method,
+	}
+}
+
 // writeResult answers with rows through encoding/json, as the server
 // did before its rows were appended by hand.
-func writeResult(w http.ResponseWriter, status, message string, rows []TxRecord) {
+func writeResult(w http.ResponseWriter, status, message string, rows []wireRow) {
 	_ = json.NewEncoder(w).Encode(struct {
-		Status  string     `json:"status"`
-		Message string     `json:"message"`
-		Result  []TxRecord `json:"result"`
+		Status  string    `json:"status"`
+		Message string    `json:"message"`
+		Result  []wireRow `json:"result"`
 	}{status, message, rows})
+}
+
+// validRow is a well-formed row; its fields are the ones
+// TestDecodeRejectsMalformedRows and the fuzz seeds break one at a time.
+func validRow() wireRow {
+	return wireRow{
+		BlockNumber: "123456",
+		TimeStamp:   "1600000000",
+		Hash:        "0x" + strings.Repeat("cd", 32),
+		From:        "0x" + strings.Repeat("33", 20),
+		To:          "0x" + strings.Repeat("44", 20),
+		Value:       "1000000000000000000",
+		IsError:     "0",
+	}
+}
+
+// rowJSON is validRow as JSON with edit applied.
+func rowJSON(edit func(*wireRow)) string {
+	r := validRow()
+	edit(&r)
+	b, _ := json.Marshal(r)
+	return string(b)
+}
+
+// answerJSON is an answer with the given message whose result holds
+// rows, each already JSON.
+func answerJSON(message string, rows ...string) string {
+	status := "1"
+	if message == "NOTOK" {
+		status = "0"
+	}
+	return `{"status":"` + status + `","message":"` + message + `","result":[` + strings.Join(rows, ",") + `]}`
+}
+
+// malformedRows are rows the typed decoder must refuse, by name.
+var malformedRows = []struct{ name, row string }{
+	{"hex block number", rowJSON(func(r *wireRow) { r.BlockNumber = "0xdeadbeef" })},
+	{"word timestamp", rowJSON(func(r *wireRow) { r.TimeStamp = "yesterday" })},
+	{"short hash", rowJSON(func(r *wireRow) { r.Hash = "0x" + strings.Repeat("cd", 31) })},
+	{"bad address", rowJSON(func(r *wireRow) { r.From = "0x" + strings.Repeat("zz", 20) })},
+	{"null row", "null"},
+	{"missing hash", strings.Replace(rowJSON(func(*wireRow) {}), `"hash":"0x`+strings.Repeat("cd", 32)+`",`, "", 1)},
 }
 
 // checkDecode fails t unless decodeAnswer agrees with referenceDecode
@@ -160,6 +276,34 @@ func decodeSeeds(t testing.TB) [][]byte {
 	} {
 		seeds = append(seeds, []byte(s))
 	}
+	// Each malformed field, in an OK answer and under NOTOK.
+	hash := `"hash":"0x` + strings.Repeat("cd", 32) + `"`
+	valid := rowJSON(func(*wireRow) {})
+	for _, s := range []string{
+		answerJSON("OK", valid),
+		answerJSON("OK", rowJSON(func(r *wireRow) { r.BlockNumber = "18446744073709551616" })),
+		answerJSON("OK", rowJSON(func(r *wireRow) { r.BlockNumber = "+1" })),
+		answerJSON("OK", rowJSON(func(r *wireRow) { r.TimeStamp = "-9223372036854775808" })),
+		answerJSON("OK", rowJSON(func(r *wireRow) { r.TimeStamp = "9223372036854775808" })),
+		answerJSON("OK", rowJSON(func(r *wireRow) { r.Hash = strings.Repeat("CD", 32) })),
+		answerJSON("OK", rowJSON(func(r *wireRow) { r.Hash = "0X" + strings.Repeat("cd", 32) + "0" })),
+		answerJSON("OK", rowJSON(func(r *wireRow) { r.To = "" })),
+		answerJSON("OK", rowJSON(func(r *wireRow) { r.To = "0x" + strings.Repeat("4g", 20) })),
+		answerJSON("OK", rowJSON(func(r *wireRow) { r.IsError, r.Method, r.Value = "1", "register", "" })),
+		answerJSON("OK", rowJSON(func(r *wireRow) { r.IsError = "01" })),
+		answerJSON("OK", valid, `{"hash":"0x`+strings.Repeat("cd", 32)+`"}`),
+		answerJSON("OK", `{"blockNumber":"1","timeStamp":"2","hash":"\u0030x`+strings.Repeat("ab", 32)+`","from":"0x`+strings.Repeat("11", 20)+`","to":"0x`+strings.Repeat("22", 20)+`"}`),
+		// A repeated key: the last value decides, and null keeps it.
+		answerJSON("OK", strings.Replace(valid, hash, `"hash":"0xshort",`+hash, 1)),
+		answerJSON("OK", strings.Replace(valid, hash, hash+`,"hash":"0xshort"`, 1)),
+		answerJSON("OK", strings.Replace(valid, hash, hash+`,"hash":null`, 1)),
+		answerJSON("OK", strings.Replace(valid, hash, `"hash":"0xshort","hash":null`, 1)),
+	} {
+		seeds = append(seeds, []byte(s))
+	}
+	for _, m := range malformedRows {
+		seeds = append(seeds, []byte(answerJSON("OK", valid, m.row)), []byte(answerJSON("NOTOK", m.row)))
+	}
 	return seeds
 }
 
@@ -186,7 +330,7 @@ func TestDecodeAnswerMatchesReference(t *testing.T) {
 }
 
 // FuzzDecodeTxList holds the one-pass decoder to the two-pass
-// encoding/json decode it replaced.
+// encoding/json decode and row parse it replaced.
 func FuzzDecodeTxList(f *testing.F) {
 	for _, body := range decodeSeeds(f) {
 		f.Add(body)
@@ -194,6 +338,96 @@ func FuzzDecodeTxList(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkDecode(t, body)
 	})
+}
+
+// TestDecodeRejectsMalformedRows: a row whose hash, address, block or
+// timestamp does not parse, or that is null, is an etherscan decode
+// error in an OK answer, and leaves a NOTOK answer valid; a valid row
+// decodes.
+func TestDecodeRejectsMalformedRows(t *testing.T) {
+	valid := rowJSON(func(*wireRow) {})
+	rows, err := decodeRows([]byte(answerJSON("OK", valid)))
+	if want, _ := validRow().parse(); err != nil || len(rows) != 1 || rows[0] != want {
+		t.Fatalf("valid row: rows %+v, err %v; want [%+v]", rows, err, want)
+	}
+	for _, m := range malformedRows {
+		if _, err := decodeRows([]byte(answerJSON("OK", valid, m.row))); err == nil || !strings.Contains(err.Error(), "etherscan: decode") {
+			t.Errorf("%s in an OK answer: err = %v, want an etherscan decode error", m.name, err)
+		}
+		if a, err := decodeAnswer([]byte(answerJSON("NOTOK", m.row))); err != nil || a.message != "NOTOK" {
+			t.Errorf("%s under NOTOK: message %q, err %v; want the NOTOK answer", m.name, a.message, err)
+		}
+	}
+	// A repeated key's last value decides.
+	hash := `"hash":"0x` + strings.Repeat("cd", 32) + `"`
+	if _, err := decodeRows([]byte(answerJSON("OK", strings.Replace(valid, hash, `"hash":"0xshort",`+hash, 1)))); err != nil {
+		t.Errorf("a malformed hash followed by a valid one: %v", err)
+	}
+	if _, err := decodeRows([]byte(answerJSON("OK", strings.Replace(valid, hash, hash+`,"hash":"0xshort"`, 1)))); err == nil {
+		t.Error("a valid hash followed by a malformed one was accepted")
+	}
+}
+
+// TestMalformedRowIsRetriedAndCounted: an OK page carrying one
+// malformed row fails its attempt, which is counted as a client error
+// and retried.
+func TestMalformedRowIsRetriedAndCounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	InitMetrics(reg)
+	t.Cleanup(func() { InitMetrics(nil) })
+	var calls atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rows := []wireRow{validRow()}
+		if calls.Add(1) == 1 {
+			rows[0].Hash = "0xaa"
+		}
+		writeResult(w, "1", "OK", rows)
+	}))
+	defer srv.Close()
+	client := NewClient(srv.URL, "k")
+	client.MinInterval = 0
+	client.Sleep = instantSleep
+	rows, err := client.TxList(context.Background(), ethtypes.DeriveAddress("x"))
+	if err != nil || len(rows) != 1 {
+		t.Fatalf("rows %+v, err %v; want the valid row after a retry", rows, err)
+	}
+	for name, want := range map[string]uint64{
+		"etherscan_client_requests_total": 2,
+		"etherscan_client_errors_total":   1,
+	} {
+		if got := reg.Counter(name, "").Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestDecodeAllocations gates the typed decode: a 100-row page costs
+// one allocation per row (its value), one per non-empty functionName,
+// and a few for the page.
+func TestDecodeAllocations(t *testing.T) {
+	var rows []wireRow
+	methods := 0
+	for i := 0; i < 100; i++ {
+		r := validRow()
+		r.Hash = fmt.Sprintf("0x%064x", i)
+		if i%10 == 0 {
+			r.Method = "register"
+			methods++
+		}
+		rows = append(rows, r)
+	}
+	w := httptest.NewRecorder()
+	writeResult(w, "1", "OK", rows)
+	body := w.Body.Bytes()
+	if a, err := decodeAnswer(body); err != nil || len(a.rows) != len(rows) {
+		t.Fatalf("decoded %d rows, err %v", len(a.rows), err)
+	}
+	const perPage = 4
+	got := testing.AllocsPerRun(20, func() { _, _ = decodeAnswer(body) })
+	t.Logf("%d rows, %d functionNames: %.0f allocations", len(rows), methods, got)
+	if budget := float64(len(rows) + methods + perPage); got > budget {
+		t.Errorf("decoding a %d-row page allocates %.0f times, budget %.0f (rows + functionNames + %d)", len(rows), got, budget, perPage)
+	}
 }
 
 // TestDecodeErrorsAreRetried pins that a malformed answer, rows
@@ -205,7 +439,7 @@ func TestDecodeErrorsAreRetried(t *testing.T) {
 			fmt.Fprint(w, `{"status":"1","message":"OK","result":[{"hash":7}]}`)
 			return
 		}
-		writeResult(w, "1", "OK", []TxRecord{{Hash: "0xaa", BlockNumber: "1"}})
+		writeResult(w, "1", "OK", []wireRow{validRow()})
 	}))
 	defer srv.Close()
 	client := NewClient(srv.URL, "k")
@@ -225,9 +459,9 @@ func TestDecodeErrorsAreRetried(t *testing.T) {
 }
 
 var benchBody = func() []byte {
-	var rows []TxRecord
+	var rows []wireRow
 	for i := 0; i < 100; i++ {
-		rows = append(rows, TxRecord{
+		rows = append(rows, wireRow{
 			BlockNumber: strconv.Itoa(10_000_000 + i), TimeStamp: strconv.Itoa(1_600_000_000 + 12*i),
 			Hash: "0x" + strings.Repeat("ab", 32), From: "0x" + strings.Repeat("cd", 20),
 			To: "0x" + strings.Repeat("ef", 20), Value: "1000000000000000000", IsError: "0",

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,13 +76,13 @@ func TestTxListRoundTrip(t *testing.T) {
 		t.Fatalf("got %d rows, want %d", len(rows), len(want))
 	}
 	for i, r := range rows {
-		if r.Hash != want[i].Hash.Hex() {
+		if r.Hash != want[i].Hash {
 			t.Fatalf("row %d hash mismatch", i)
 		}
 		if r.Value != want[i].Value.BigInt().String() {
 			t.Fatalf("row %d value mismatch: %s vs %s", i, r.Value, want[i].Value)
 		}
-		if r.IsError != "0" {
+		if r.Failed {
 			t.Fatalf("row %d marked error", i)
 		}
 	}
@@ -132,12 +134,51 @@ func TestStartBlockWindowPaging(t *testing.T) {
 	if len(rows) != n {
 		t.Errorf("got %d rows, want %d", len(rows), n)
 	}
-	seen := map[string]bool{}
+	seen := map[ethtypes.Hash]bool{}
 	for _, r := range rows {
 		if seen[r.Hash] {
 			t.Fatal("duplicate row after window paging")
 		}
 		seen[r.Hash] = true
+	}
+}
+
+// TestTxListMustAdvance: a server that ignores startblock and answers
+// a restarted window with fresh rows below it would keep the client
+// paging for ever; the client fails once a full window ends at or
+// below its startblock.
+func TestTxListMustAdvance(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var calls, fresh atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) > 2 {
+			cancel() // the client kept paging: stop it
+		}
+		start, _ := strconv.ParseUint(r.URL.Query().Get("startblock"), 10, 64)
+		block := start - 1
+		if start == 0 {
+			block = 5
+		}
+		rows := make([]wireRow, MaxOffset)
+		for i := range rows {
+			rows[i] = validRow()
+			rows[i].Hash = fmt.Sprintf("0x%064x", fresh.Add(1))
+			rows[i].BlockNumber = strconv.FormatUint(block, 10)
+		}
+		writeResult(w, "1", "OK", rows)
+	}))
+	defer srv.Close()
+	client := NewClient(srv.URL, "k")
+	client.MinInterval = 0
+	client.PageSize = MaxOffset
+
+	_, err := client.TxList(ctx, ethtypes.DeriveAddress("x"))
+	if err == nil || ctx.Err() != nil {
+		t.Fatalf("err = %v after %d requests (context: %v); want a paging error within two requests", err, calls.Load(), ctx.Err())
+	}
+	if n := calls.Load(); n > 2 {
+		t.Errorf("%d requests, want at most 2", n)
 	}
 }
 
@@ -191,7 +232,7 @@ func TestClientRetriesRateLimit(t *testing.T) {
 			writeEnvelope(w, "0", "NOTOK", "Max rate limit reached")
 			return
 		}
-		writeResult(w, "1", "OK", []TxRecord{{Hash: "0xaa", BlockNumber: "1", Value: "5"}})
+		writeResult(w, "1", "OK", []wireRow{validRow()})
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -352,7 +393,7 @@ func TestTxListPageTwoMatchesSlice(t *testing.T) {
 	c, addrs := buildChain(t, 30)
 	srv := newTestServer(t, c)
 
-	fetch := func(page, offset int) []TxRecord {
+	fetch := func(page, offset int) []wireRow {
 		t.Helper()
 		v := url.Values{
 			"module": {"account"}, "action": {"txlist"},
@@ -370,7 +411,7 @@ func TestTxListPageTwoMatchesSlice(t *testing.T) {
 		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 			t.Fatal(err)
 		}
-		var rows []TxRecord
+		var rows []wireRow
 		json.Unmarshal(env.Result, &rows)
 		return rows
 	}
@@ -412,7 +453,7 @@ func TestStartEndBlockFilter(t *testing.T) {
 	defer resp.Body.Close()
 	var env envelope
 	json.NewDecoder(resp.Body).Decode(&env)
-	var rows []TxRecord
+	var rows []wireRow
 	json.Unmarshal(env.Result, &rows)
 	for _, r := range rows {
 		if r.BlockNumber != strconv.FormatUint(mid, 10) {

@@ -10,11 +10,9 @@
 package etherscan
 
 import (
-	"cmp"
 	"encoding/hex"
 	"net/http"
 	"net/url"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -35,16 +33,22 @@ const (
 	DefaultRatePerSecond = 5
 )
 
-// TxRecord is one row of a txlist response, JSON-shaped like Etherscan's.
+// TxRecord is one row of a txlist answer, typed: the client's decoder
+// parses each wire value into it once, and Record fills it straight
+// from a chain transaction. The wire keeps Etherscan's strings.
 type TxRecord struct {
-	BlockNumber string `json:"blockNumber"`
-	TimeStamp   string `json:"timeStamp"`
-	Hash        string `json:"hash"`
-	From        string `json:"from"`
-	To          string `json:"to"`
-	Value       string `json:"value"`
-	IsError     string `json:"isError"`
-	Method      string `json:"functionName,omitempty"`
+	Hash     ethtypes.Hash
+	From, To ethtypes.Address
+	// Block and Timestamp are the wire's decimal blockNumber and
+	// timeStamp.
+	Block     uint64
+	Timestamp int64
+	// Value is the decimal wei amount, as the wire carries it.
+	Value string
+	// Method is the functionName, "" when the row has none.
+	Method string
+	// Failed is an isError of "1".
+	Failed bool
 }
 
 type stringEnvelope struct {
@@ -178,8 +182,9 @@ func (s *Server) serveTxList(w http.ResponseWriter, r *http.Request, q url.Value
 		return
 	}
 
+	// The chain lists an address's transactions in block order: Apply
+	// refuses a time regression, and the block number grows with time.
 	txs := s.chain.TxsByAddress(addr)
-	slices.SortStableFunc(txs, func(a, b *chain.Transaction) int { return cmp.Compare(a.BlockNumber, b.BlockNumber) })
 	bp := httpjson.GetSlice()
 	defer httpjson.PutSlice(bp)
 	body := append(*bp, `{"status":"1","message":"OK","result":[`...)
@@ -219,28 +224,26 @@ func (s *Server) serveTxList(w http.ResponseWriter, r *http.Request, q url.Value
 	_ = httpjson.WriteBody(w, http.StatusOK, *bp)
 }
 
-// Record renders tx as the txlist row Etherscan serves for it: decimal
-// block, timestamp and value, lowercase 0x hex hash and addresses.
+// Record returns the txlist row the server serves for tx, as the
+// client decodes it.
 func Record(tx *chain.Transaction) TxRecord {
-	isErr := "0"
-	if tx.Failed {
-		isErr = "1"
-	}
+	var buf [40]byte // a 128-bit amount in decimal
 	return TxRecord{
-		BlockNumber: strconv.FormatUint(tx.BlockNumber, 10),
-		TimeStamp:   strconv.FormatInt(tx.Timestamp, 10),
-		Hash:        tx.Hash.Hex(),
-		From:        "0x" + hexLower(tx.From),
-		To:          "0x" + hexLower(tx.To),
-		Value:       tx.Value.BigInt().String(),
-		IsError:     isErr,
-		Method:      tx.Method,
+		Hash:      tx.Hash,
+		From:      tx.From,
+		To:        tx.To,
+		Block:     tx.BlockNumber,
+		Timestamp: tx.Timestamp,
+		Value:     string(tx.Value.AppendDecimal(buf[:0])),
+		Method:    tx.Method,
+		Failed:    tx.Failed,
 	}
 }
 
-// appendRow appends Record(tx) as JSON, byte-identical to
-// json.Encoder's encoding of it, without building the strings: every
-// field but functionName is digits or hex, which JSON never escapes.
+// appendRow appends tx's txlist row as JSON: decimal block, timestamp
+// and value, lowercase 0x hex hash and addresses, isError "0" or "1",
+// and functionName only when set. Every field but functionName is
+// digits or hex, which JSON never escapes.
 func appendRow(dst []byte, tx *chain.Transaction) []byte {
 	dst = append(dst, `{"blockNumber":"`...)
 	dst = strconv.AppendUint(dst, tx.BlockNumber, 10)

@@ -25,8 +25,8 @@ var errFailed = errors.New("reverted")
 // hand-appended txlist page: over every address of a generated world,
 // and a hand-built chain with escaped method names, huge values and
 // failed calls, at several page/offset values, each answer equals
-// json.Encoder's encoding of the Record rows, envelope and trailing
-// newline included.
+// json.Encoder's encoding of the string-built wireRecord rows, envelope
+// and trailing newline included.
 func TestTxListMatchesEncoder(t *testing.T) {
 	cfg := world.DefaultConfig(300)
 	cfg.Seed = 5
@@ -64,15 +64,15 @@ func TestTxListMatchesEncoder(t *testing.T) {
 				w := httptest.NewRecorder()
 				srv.ServeHTTP(w, req)
 
-				rows := []TxRecord{}
+				rows := []wireRow{}
 				for _, tx := range txs[min((p.page-1)*p.offset, len(txs)):min(p.page*p.offset, len(txs))] {
-					rows = append(rows, Record(tx))
+					rows = append(rows, wireRecord(tx))
 				}
 				var want bytes.Buffer
 				env := struct {
-					Status  string     `json:"status"`
-					Message string     `json:"message"`
-					Result  []TxRecord `json:"result"`
+					Status  string    `json:"status"`
+					Message string    `json:"message"`
+					Result  []wireRow `json:"result"`
 				}{"1", "OK", rows}
 				if len(rows) == 0 {
 					env.Status, env.Message = "0", "No transactions found"
@@ -177,7 +177,7 @@ func FuzzTxListQuery(f *testing.F) {
 			}
 			return
 		}
-		var rows []TxRecord
+		var rows []wireRow
 		if err := json.Unmarshal(env.Result, &rows); err != nil {
 			t.Fatalf("rows: %v", err)
 		}

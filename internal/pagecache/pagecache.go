@@ -185,7 +185,7 @@ func (c *Cache) Wrap(route string, next http.Handler) http.Handler {
 		e := &entry{
 			key:         k,
 			contentType: rec.w.Header().Get("Content-Type"),
-			body:        append([]byte(nil), rec.buf.Bytes()...),
+			body:        rec.buf,
 		}
 		c.put(e)
 		serve(w, e, "MISS")
@@ -213,15 +213,18 @@ type readCloser struct {
 }
 
 // recorder buffers a response so the cache can inspect and store it
-// before anything reaches the wire. If the body outgrows maxBody the
-// recorder flushes what it has and degrades to pass-through streaming —
-// the response stays correct, it just isn't cached. It offers no
-// http.Flusher: no handler behind the cache streams.
+// before anything reaches the wire. The buffer is sized from the
+// handler's Content-Length at the first write, so a page that declares
+// its length is recorded in one allocation and stored as it stands. If
+// the body outgrows maxBody the recorder flushes what it has and
+// degrades to pass-through streaming — the response stays correct, it
+// just isn't cached. It offers no http.Flusher: no handler behind the
+// cache streams.
 type recorder struct {
 	w          http.ResponseWriter
 	status     int
 	wroteHdr   bool
-	buf        bytes.Buffer
+	buf        []byte
 	maxBody    int
 	overflowed bool
 }
@@ -243,11 +246,26 @@ func (r *recorder) Write(p []byte) (int, error) {
 	if r.overflowed {
 		return r.w.Write(p)
 	}
-	if r.buf.Len()+len(p) > r.maxBody {
+	if len(r.buf)+len(p) > r.maxBody {
 		r.overflow()
 		return r.w.Write(p)
 	}
-	return r.buf.Write(p)
+	if r.buf == nil {
+		r.buf = make([]byte, 0, r.size(len(p)))
+	}
+	r.buf = append(r.buf, p...)
+	return len(p), nil
+}
+
+// size is the capacity to record a body in whose first write is n
+// bytes: the declared Content-Length when it covers that write and fits
+// the bound, else n.
+func (r *recorder) size(n int) int {
+	cl, err := strconv.Atoi(r.w.Header().Get("Content-Length"))
+	if err != nil || cl < n || cl > r.maxBody {
+		return n
+	}
+	return cl
 }
 
 // overflow transitions to pass-through: emit the status line and
@@ -255,10 +273,10 @@ func (r *recorder) Write(p []byte) (int, error) {
 func (r *recorder) overflow() {
 	r.overflowed = true
 	r.w.WriteHeader(r.status)
-	if r.buf.Len() > 0 {
+	if len(r.buf) > 0 {
 		// A failed response write means the client is gone; nothing to repair.
-		_, _ = r.w.Write(r.buf.Bytes())
-		r.buf.Reset()
+		_, _ = r.w.Write(r.buf)
+		r.buf = nil
 	}
 }
 
@@ -268,8 +286,8 @@ func (r *recorder) finish() {
 		return
 	}
 	r.w.WriteHeader(r.status)
-	if r.buf.Len() > 0 {
+	if len(r.buf) > 0 {
 		// A failed response write means the client is gone; nothing to repair.
-		_, _ = r.w.Write(r.buf.Bytes())
+		_, _ = r.w.Write(r.buf)
 	}
 }

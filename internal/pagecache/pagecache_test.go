@@ -242,3 +242,46 @@ func TestPurge(t *testing.T) {
 		t.Errorf("handler ran %d times, want 2 after purge", calls.Load())
 	}
 }
+
+// discardWriter is a ResponseWriter that keeps nothing, so allocation
+// counts see only the cache.
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+
+// TestMissStoresDeclaredLength: a page that declares its Content-Length
+// is recorded into one buffer of exactly that length and stored as it
+// is, however many writes render it, so the miss path's allocations do
+// not grow with the page.
+func TestMissStoresDeclaredLength(t *testing.T) {
+	allocs := map[int]float64{}
+	for _, n := range []int{1000, 300_000} {
+		page := []byte(strings.Repeat("p", n))
+		c := New()
+		h := c.Wrap("/t", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Length", strconv.Itoa(n))
+			for rest := page; len(rest) > 0; {
+				k := min(len(rest), 4096)
+				w.Write(rest[:k])
+				rest = rest[k:]
+			}
+		}))
+		req := httptest.NewRequest(http.MethodGet, "/t?page=1", nil)
+		w := &discardWriter{h: http.Header{}}
+		h.ServeHTTP(w, req)
+		e := c.get(key(http.MethodGet, "/t?page=1", nil))
+		if e == nil || string(e.body) != string(page) || cap(e.body) != n {
+			t.Fatalf("%d-byte page: stored %v, want the page in a buffer of capacity %d", n, e != nil, n)
+		}
+		allocs[n] = testing.AllocsPerRun(20, func() {
+			c.Purge()
+			h.ServeHTTP(w, req)
+		})
+	}
+	if allocs[300_000] > allocs[1000] {
+		t.Errorf("a miss allocates %.0f times for a 300,000-byte page and %.0f for a 1,000-byte one; want no growth with the page",
+			allocs[300_000], allocs[1000])
+	}
+}
