@@ -155,6 +155,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzParsePlan -fuzztime=30s ./internal/chaos/plan/
 	$(GO) test -run '^$$' -fuzz=FuzzRPCRequest -fuzztime=30s ./internal/ethrpc/
 	$(GO) test -run '^$$' -fuzz=FuzzOpenSeaQuery -fuzztime=30s ./internal/opensea/
+	$(GO) test -run '^$$' -fuzz=FuzzParseWei -fuzztime=30s ./internal/ethtypes/
 
 # Short fuzz pass for CI: 10s per target is enough to catch shallow
 # regressions in the parsers without stalling the pipeline.
@@ -170,6 +171,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzParsePlan -fuzztime=10s ./internal/chaos/plan/
 	$(GO) test -run '^$$' -fuzz=FuzzRPCRequest -fuzztime=10s ./internal/ethrpc/
 	$(GO) test -run '^$$' -fuzz=FuzzOpenSeaQuery -fuzztime=10s ./internal/opensea/
+	$(GO) test -run '^$$' -fuzz=FuzzParseWei -fuzztime=10s ./internal/ethtypes/
 
 tools:
 	$(GO) build -o bin/ ./cmd/...

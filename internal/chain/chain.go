@@ -117,17 +117,16 @@ func (ctx *TxContext) TransferFromContract(dst ethtypes.Address, amount ethtypes
 // Chain is the in-memory simulated blockchain. All methods are safe for
 // concurrent use.
 type Chain struct {
-	mu          sync.RWMutex
-	genesis     int64
-	headTime    int64
-	txs         []*Transaction
-	txByHash    map[ethtypes.Hash]*Transaction
-	txsByAddr   map[ethtypes.Address][]*Transaction
-	logs        []*Log
-	logsByAddr  map[ethtypes.Address][]*Log
-	balances    map[ethtypes.Address]ethtypes.Wei
-	nonces      map[ethtypes.Address]uint64
-	totalMinted ethtypes.Wei
+	mu         sync.RWMutex
+	genesis    int64
+	headTime   int64
+	txs        []*Transaction
+	txByHash   map[ethtypes.Hash]*Transaction
+	txsByAddr  map[ethtypes.Address][]*Transaction
+	logs       []*Log
+	logsByAddr map[ethtypes.Address][]*Log
+	balances   map[ethtypes.Address]ethtypes.Wei
+	nonces     map[ethtypes.Address]uint64
 }
 
 // New creates a chain whose genesis block carries the given unix timestamp.
@@ -168,7 +167,6 @@ func (c *Chain) Mint(addr ethtypes.Address, amount ethtypes.Wei) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.balances[addr] = c.balances[addr].Add(amount)
-	c.totalMinted = c.totalMinted.Add(amount)
 }
 
 // BalanceOf returns addr's current balance.

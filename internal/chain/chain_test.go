@@ -271,3 +271,27 @@ func TestQuickBalanceConservation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTransferAllocations bounds a plain transfer's allocations: its
+// Transaction, TxContext and Receipt, the slice and map growth they
+// amortize, and no amount on the heap. A Wei backed by *big.Int cost 7
+// a call here, four of them the sender's and receiver's new balances.
+func TestTransferAllocations(t *testing.T) {
+	c, a := newFunded(t, "alloc-from", "alloc-to")
+	v := ethtypes.EtherFloat(0.0123)
+	ts := int64(genesis)
+	transfer := func() {
+		ts++
+		if _, err := c.Transfer(ts, a[0], a[1], v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5000; i++ {
+		transfer() // grow the chain's slices and maps past their first sizes
+	}
+	got := testing.AllocsPerRun(1000, transfer)
+	t.Logf("%.0f allocs per transfer", got)
+	if got > 3 {
+		t.Errorf("Transfer allocates %.0f times per call, want at most 3", got)
+	}
+}

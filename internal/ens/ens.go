@@ -207,9 +207,9 @@ func (s *Service) Register(now int64, from, owner ethtypes.Address, label string
 			"name":       label,
 			"label":      lh.Hex(),
 			"owner":      owner.Hex(),
-			"baseCost":   ethtypes.EtherFloat(s.oracle.ETH(baseUSD, now)).BigInt().String(),
-			"premium":    ethtypes.EtherFloat(s.oracle.ETH(premiumUSD, now)).BigInt().String(),
-			"costWei":    cost.BigInt().String(),
+			"baseCost":   ethtypes.EtherFloat(s.oracle.ETH(baseUSD, now)).Decimal(),
+			"premium":    ethtypes.EtherFloat(s.oracle.ETH(premiumUSD, now)).Decimal(),
+			"costWei":    cost.Decimal(),
 			"expires":    strconv.FormatInt(reg.Expiry, 10),
 			"registered": strconv.FormatInt(now, 10),
 		})
@@ -270,7 +270,7 @@ func (s *Service) Renew(now int64, from ethtypes.Address, label string, duration
 		data := map[string]string{
 			"name":    label,
 			"label":   lh.Hex(),
-			"costWei": cost.BigInt().String(),
+			"costWei": cost.Decimal(),
 			"expires": strconv.FormatInt(reg.Expiry, 10),
 		}
 		if reg.Unindexed {

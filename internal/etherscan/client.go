@@ -74,14 +74,13 @@ func (c *Client) limiter() *crawler.Limiter {
 // maxBody caps an answer.
 const maxBody = 64 << 20
 
-// call performs one paced API request, returning the page's rows.
-func (c *Client) call(ctx context.Context, params url.Values) ([]TxRecord, error) {
-	params.Set("apikey", c.APIKey)
+// call performs one paced API request to u, returning the page's rows.
+func (c *Client) call(ctx context.Context, u string) ([]TxRecord, error) {
 	return crawler.Call(ctx, &c.Source, crawler.Request{
 		Span:     "etherscan.call",
 		Prefix:   "etherscan",
 		Method:   http.MethodGet,
-		URL:      strings.TrimSuffix(c.BaseURL, "/") + "/api?" + params.Encode(),
+		URL:      u,
 		MaxBody:  maxBody,
 		Pace:     c.limiter(),
 		Requests: m().clientRequests,
@@ -117,6 +116,7 @@ func (c *Client) TxList(ctx context.Context, addr ethtypes.Address) ([]TxRecord,
 	if pageSize <= 0 || pageSize > MaxOffset {
 		pageSize = 1000
 	}
+	head := c.txListHead(addr, pageSize)
 	var out []TxRecord
 	startBlock := uint64(0)
 	for {
@@ -124,16 +124,7 @@ func (c *Client) TxList(ctx context.Context, addr ethtypes.Address) ([]TxRecord,
 		gotAny := false
 		maxPages := MaxWindow / pageSize
 		for page := 1; page <= maxPages; page++ {
-			params := url.Values{
-				"module":     {"account"},
-				"action":     {"txlist"},
-				"address":    {"0x" + hexLower(addr)},
-				"startblock": {strconv.FormatUint(startBlock, 10)},
-				"sort":       {"asc"},
-				"page":       {strconv.Itoa(page)},
-				"offset":     {strconv.Itoa(pageSize)},
-			}
-			rows, err := c.call(ctx, params)
+			rows, err := c.call(ctx, txListURL(head, page, startBlock))
 			if err != nil {
 				return nil, fmt.Errorf("txlist %s from block %d: %w", addr, startBlock, err)
 			}
@@ -168,6 +159,21 @@ func (c *Client) TxList(ctx context.Context, addr ethtypes.Address) ([]TxRecord,
 			out = out[:len(out)-1]
 		}
 	}
+}
+
+// txListHead is an address's txlist URL up to its page number: the
+// query's parameters in url.Values.Encode's sorted key order, apikey
+// escaped by url.QueryEscape, so that txListURL completes the query a
+// url.Values of the eight parameters encodes to.
+func (c *Client) txListHead(addr ethtypes.Address, pageSize int) string {
+	return strings.TrimSuffix(c.BaseURL, "/") + "/api?action=txlist&address=0x" + hexLower(addr) +
+		"&apikey=" + url.QueryEscape(c.APIKey) + "&module=account&offset=" + strconv.Itoa(pageSize) + "&page="
+}
+
+// txListURL appends one request's page and startblock, decimal digits
+// that need no escaping, to its address's txListHead.
+func txListURL(head string, page int, startBlock uint64) string {
+	return head + strconv.Itoa(page) + "&sort=asc&startblock=" + strconv.FormatUint(startBlock, 10)
 }
 
 // FetchLabels retrieves the custodial label lists through the same

@@ -6,9 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/big"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -111,10 +111,20 @@ func wireRecord(tx *chain.Transaction) wireRow {
 		Hash:        tx.Hash.Hex(),
 		From:        "0x" + hexLower(tx.From),
 		To:          "0x" + hexLower(tx.To),
-		Value:       tx.Value.BigInt().String(),
+		Value:       weiDecimal(tx.Value),
 		IsError:     isErr,
 		Method:      tx.Method,
 	}
+}
+
+// weiDecimal renders an amount in decimal through math/big, by a path
+// that does not share AppendDecimal's code.
+func weiDecimal(w ethtypes.Wei) string {
+	i, ok := new(big.Int).SetString(w.Hex()[2:], 16)
+	if !ok {
+		panic("unparsable Wei.Hex " + w.Hex())
+	}
+	return i.String()
 }
 
 // writeResult answers with rows through encoding/json, as the server
@@ -445,14 +455,14 @@ func TestDecodeErrorsAreRetried(t *testing.T) {
 	client := NewClient(srv.URL, "k")
 	client.MinInterval = 0
 	client.Sleep = instantSleep
-	rows, err := client.call(context.Background(), url.Values{})
+	rows, err := client.call(context.Background(), srv.URL+"/api?apikey=k")
 	if err != nil || len(rows) != 1 || calls.Load() != 2 {
 		t.Fatalf("rows %v, err %v after %d calls; want one row after a retry", rows, err, calls.Load())
 	}
 
 	client.MaxRetries = 0
 	calls.Store(0)
-	_, err = client.call(context.Background(), url.Values{})
+	_, err = client.call(context.Background(), srv.URL+"/api?apikey=k")
 	if err == nil || !strings.Contains(err.Error(), "etherscan: decode") {
 		t.Fatalf("err = %v, want an etherscan decode error", err)
 	}

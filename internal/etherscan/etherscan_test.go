@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -79,11 +80,43 @@ func TestTxListRoundTrip(t *testing.T) {
 		if r.Hash != want[i].Hash {
 			t.Fatalf("row %d hash mismatch", i)
 		}
-		if r.Value != want[i].Value.BigInt().String() {
+		if r.Value != weiDecimal(want[i].Value) {
 			t.Fatalf("row %d value mismatch: %s vs %s", i, r.Value, want[i].Value)
 		}
 		if r.Failed {
 			t.Fatalf("row %d marked error", i)
+		}
+	}
+}
+
+// TestTxListURLMatchesValuesEncode holds the hand-built txlist query to
+// url.Values.Encode of the same eight parameters, for keys that need
+// escaping and for a startblock past zero.
+func TestTxListURLMatchesValuesEncode(t *testing.T) {
+	addr := ethtypes.DeriveAddress("query")
+	for _, c := range []struct {
+		base, key      string
+		page, pageSize int
+		startBlock     uint64
+	}{
+		{"http://127.0.0.1:1", "plain", 1, 1000, 0},
+		{"http://127.0.0.1:1/", "k y&z=1/é%+;#", 3, 7, 18_446_744_073_709_551_615},
+		{"http://x", "", 100, 100, 12_345},
+	} {
+		client := NewClient(c.base, c.key)
+		got := txListURL(client.txListHead(addr, c.pageSize), c.page, c.startBlock)
+		want := strings.TrimSuffix(c.base, "/") + "/api?" + url.Values{
+			"module":     {"account"},
+			"action":     {"txlist"},
+			"address":    {"0x" + hexLower(addr)},
+			"startblock": {strconv.FormatUint(c.startBlock, 10)},
+			"sort":       {"asc"},
+			"page":       {strconv.Itoa(c.page)},
+			"offset":     {strconv.Itoa(c.pageSize)},
+			"apikey":     {c.key},
+		}.Encode()
+		if got != want {
+			t.Errorf("key %q:\n got %s\nwant %s", c.key, got, want)
 		}
 	}
 }
@@ -341,7 +374,7 @@ func TestBalanceAction(t *testing.T) {
 	json.NewDecoder(resp.Body).Decode(&env)
 	var bal string
 	json.Unmarshal(env.Result, &bal)
-	if bal != c.BalanceOf(addrs[0]).BigInt().String() {
+	if bal != weiDecimal(c.BalanceOf(addrs[0])) {
 		t.Errorf("balance = %s", bal)
 	}
 }

@@ -149,7 +149,7 @@ func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request) {
 			writeEnvelope(w, "0", "NOTOK", "Error! Invalid address format")
 			return
 		}
-		writeEnvelope(w, "1", "OK", s.chain.BalanceOf(addr).BigInt().String())
+		writeEnvelope(w, "1", "OK", s.chain.BalanceOf(addr).Decimal())
 	default:
 		writeEnvelope(w, "0", "NOTOK", "Error! Missing or invalid action")
 	}
@@ -227,14 +227,13 @@ func (s *Server) serveTxList(w http.ResponseWriter, r *http.Request, q url.Value
 // Record returns the txlist row the server serves for tx, as the
 // client decodes it.
 func Record(tx *chain.Transaction) TxRecord {
-	var buf [40]byte // a 128-bit amount in decimal
 	return TxRecord{
 		Hash:      tx.Hash,
 		From:      tx.From,
 		To:        tx.To,
 		Block:     tx.BlockNumber,
 		Timestamp: tx.Timestamp,
-		Value:     string(tx.Value.AppendDecimal(buf[:0])),
+		Value:     tx.Value.Decimal(),
 		Method:    tx.Method,
 		Failed:    tx.Failed,
 	}

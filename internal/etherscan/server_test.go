@@ -5,13 +5,13 @@ import (
 	"cmp"
 	"encoding/json"
 	"errors"
-	"math/big"
 	"math/bits"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"ensdropcatch/internal/chain"
@@ -23,10 +23,10 @@ var errFailed = errors.New("reverted")
 
 // TestTxListMatchesEncoder is the byte-identity golden for the
 // hand-appended txlist page: over every address of a generated world,
-// and a hand-built chain with escaped method names, huge values and
-// failed calls, at several page/offset values, each answer equals
-// json.Encoder's encoding of the string-built wireRecord rows, envelope
-// and trailing newline included.
+// and a hand-built chain with escaped method names, the largest amount
+// a Wei holds (2^128-1, two words) and failed calls, at several
+// page/offset values, each answer equals json.Encoder's encoding of the
+// string-built wireRecord rows, envelope and trailing newline included.
 func TestTxListMatchesEncoder(t *testing.T) {
 	cfg := world.DefaultConfig(300)
 	cfg.Seed = 5
@@ -36,19 +36,22 @@ func TestTxListMatchesEncoder(t *testing.T) {
 	}
 	odd := chain.New(genesis)
 	a, b := ethtypes.DeriveAddress("odd-a"), ethtypes.DeriveAddress("odd-b")
-	huge, _ := new(big.Int).SetString("340282366920938463463374607431768211457", 10)
-	odd.Mint(a, ethtypes.WeiFromBig(huge).Add(ethtypes.Ether(10)))
+	huge, err := ethtypes.ParseWeiHex("0x" + strings.Repeat("f", 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd.Mint(a, huge)
+	if _, err := odd.Transfer(genesis, a, b, huge); err != nil {
+		t.Fatal(err)
+	}
 	for i, method := range []string{"", "register", `q"<&>\u2028` + "\u2028\u2029\x01\xff é", "commit"} {
 		fail := func(*chain.TxContext) error { return nil }
 		if i%2 == 1 {
 			fail = func(*chain.TxContext) error { return errFailed }
 		}
-		if _, err := odd.Apply(genesis+int64(i), a, b, ethtypes.NewWei(int64(i)), nil, method, fail); err != nil {
+		if _, err := odd.Apply(genesis+1+int64(i), b, a, ethtypes.NewWei(int64(i)), nil, method, fail); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := odd.Transfer(genesis+9, a, b, ethtypes.WeiFromBig(huge)); err != nil {
-		t.Fatal(err)
 	}
 
 	pages := []struct{ page, offset int }{{1, 100}, {2, 7}, {1, 1}, {3, 2}, {1, MaxOffset}, {50, 200}}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/big"
 	"net/http"
 	"time"
 
@@ -120,18 +119,16 @@ func (c *Client) GetLogsPaged(ctx context.Context, events []string, blockStep ui
 	return out, nil
 }
 
-// Balance returns an address balance in wei.
+// Balance returns an address balance in wei. An answer that is not a
+// 0x-hex quantity below 2^128 is an error.
 func (c *Client) Balance(ctx context.Context, addr ethtypes.Address) (ethtypes.Wei, error) {
 	var s string
 	if err := c.Call(ctx, "eth_getBalance", &s, addr.Hex()); err != nil {
 		return ethtypes.Wei{}, err
 	}
-	if len(s) < 2 || s[:2] != "0x" {
-		return ethtypes.Wei{}, fmt.Errorf("ethrpc: bad balance %q", s)
+	w, err := ethtypes.ParseWeiHex(s)
+	if err != nil {
+		return ethtypes.Wei{}, fmt.Errorf("ethrpc: bad balance: %w", err)
 	}
-	i, ok := new(big.Int).SetString(s[2:], 16)
-	if !ok || i.Sign() < 0 {
-		return ethtypes.Wei{}, fmt.Errorf("ethrpc: bad balance %q", s)
-	}
-	return ethtypes.WeiFromBig(i), nil
+	return w, nil
 }

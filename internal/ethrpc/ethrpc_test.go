@@ -2,9 +2,11 @@ package ethrpc
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ensdropcatch/internal/chain"
@@ -146,6 +148,41 @@ func TestRPCErrors(t *testing.T) {
 	}
 	if err := client.Call(ctx, "eth_getBalance", &s); err == nil {
 		t.Error("missing param succeeded")
+	}
+}
+
+// TestBalanceRejectsHostileAnswers: Balance reads a server's answer, so
+// an amount of 2^128 or more, a sign or a malformed quantity is an
+// error, never an overflow; 2^128-1 is the largest answer accepted.
+func TestBalanceRejectsHostileAnswers(t *testing.T) {
+	var answer atomic.Value
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"jsonrpc":"2.0","id":1,"result":"`+answer.Load().(string)+`"}`)
+	}))
+	defer srv.Close()
+	client := NewClient(srv.URL)
+	ctx := context.Background()
+	for _, c := range []struct {
+		answer string
+		want   string // the refusal's reason; "" means accepted
+	}{
+		{answer: "0x" + strings.Repeat("f", 32)},
+		{answer: "0x1" + strings.Repeat("0", 32), want: "at least 2^128"},
+		{answer: "0x1" + strings.Repeat("0", 50), want: "at least 2^128"},
+		{answer: "0x-1", want: "not an unsigned integer"},
+		{answer: "0x+1", want: "not an unsigned integer"},
+		{answer: "0x", want: "not an unsigned integer"},
+		{answer: "0xg", want: "not an unsigned integer"},
+		{answer: "100", want: "not an unsigned integer"},
+	} {
+		answer.Store(c.answer)
+		bal, err := client.Balance(ctx, ethtypes.DeriveAddress("hostile"))
+		switch {
+		case c.want == "" && (err != nil || bal.Hex() != c.answer):
+			t.Errorf("answer %s: balance %s, %v; want it accepted", c.answer, bal, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("answer %s: balance %s, error %v; want %q", c.answer, bal, err, c.want)
+		}
 	}
 }
 

@@ -126,7 +126,7 @@ func (s *Server) dispatch(ctx context.Context, req *request) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return "0x" + s.chain.BalanceOf(addr).BigInt().Text(16), nil
+		return s.chain.BalanceOf(addr).Hex(), nil
 	case "eth_getTransactionByHash":
 		var hashStr string
 		if err := param(req, 0, &hashStr); err != nil {
@@ -206,7 +206,7 @@ func toRPCTx(tx *chain.Transaction) RPCTransaction {
 		BlockNumber: hexUint(tx.BlockNumber),
 		From:        strings.ToLower(tx.From.Hex()),
 		To:          strings.ToLower(tx.To.Hex()),
-		Value:       "0x" + tx.Value.BigInt().Text(16),
+		Value:       tx.Value.Hex(),
 		Timestamp:   hexUint(uint64(tx.Timestamp)),
 	}
 }

@@ -1,6 +1,6 @@
 // Package ethtypes defines the elementary Ethereum value types shared by the
 // rest of the repository: 20-byte addresses, 32-byte hashes, and Wei amounts
-// with exact big-integer arithmetic. Hex encoding follows Ethereum
+// with exact 128-bit arithmetic. Hex encoding follows Ethereum
 // conventions (0x prefix, EIP-55 mixed-case checksums for addresses).
 package ethtypes
 

@@ -27,10 +27,11 @@ func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (d *discardWriter) WriteHeader(code int)        { d.code = code }
 
 // allocRoute is one representative request on a data route with its
-// allocation budgets.
+// allocation budgets: a cache hit, a cache miss (the page rendered and
+// stored) and a render on a stack with the cache disabled.
 type allocRoute struct {
-	name, method, path, body string
-	hitBudget, missBudget    float64
+	name, method, path, body              string
+	hitBudget, missBudget, uncachedBudget float64
 }
 
 // allocRoutes are one representative request per data route. The
@@ -38,8 +39,8 @@ type allocRoute struct {
 // observer, deadline, quota, gate, cache, handler — so a regression
 // anywhere on the serve path trips them. Values are ~2x the measured
 // steady state to absorb map rehashes and pool misses, and the
-// subgraph miss budget additionally enforces the PR acceptance floor:
-// at most half the pre-optimization 2562 allocs/request. The etherscan
+// subgraph uncached budget additionally holds the floor set when its
+// page was pooled: at most half the earlier 2562 allocs/request. The etherscan
 // request is a full 100-row txlist page of res's busiest address, so
 // it measures row encoding rather than a rejection; the stacks serving
 // it must lift the per-key rate limit.
@@ -58,15 +59,15 @@ func allocRoutes(t *testing.T, res *world.Result) []allocRoute {
 	return []allocRoute{
 		{name: "subgraph", method: http.MethodPost, path: "/subgraph",
 			body:      `{"query": "{ registrationEvents(first: 100) { id type label labelName registrant expiryDate costWei timestamp blockNumber txHash } }"}`,
-			hitBudget: 64, missBudget: 350}, // measured: 32 hit, 176 miss (was 2562/req before pooling)
+			hitBudget: 64, missBudget: 380, uncachedBudget: 350}, // measured: 32 hit, 189 miss, 176 uncached (2562 uncached before pooling)
 		{name: "etherscan", method: http.MethodGet,
 			path:      "/etherscan/api?module=account&action=txlist&address=" + strings.ToLower(busiest.Hex()) + "&page=1&offset=100&apikey=t",
-			hitBudget: 64, missBudget: 76}, // measured: 30 hit, 38 miss (1,258 miss when rows were reflect-encoded)
+			hitBudget: 64, missBudget: 96, uncachedBudget: 76}, // measured: 30 hit, 48 miss, 38 uncached (1,258 uncached when rows were reflect-encoded)
 		{name: "opensea", method: http.MethodGet, path: "/opensea/events?limit=50",
-			hitBudget: 64, missBudget: 80}, // measured: 29 hit, 32 miss
+			hitBudget: 64, missBudget: 82, uncachedBudget: 80}, // measured: 29 hit, 41 miss, 32 uncached
 		{name: "rpc", method: http.MethodPost, path: "/rpc",
 			body:      `{"jsonrpc":"2.0","id":1,"method":"eth_blockNumber","params":[]}`,
-			hitBudget: 64, missBudget: 100}, // measured: 31 hit, 44 miss
+			hitBudget: 64, missBudget: 112, uncachedBudget: 100}, // measured: 31 hit, 56 miss, 44 uncached
 	}
 }
 
@@ -85,9 +86,12 @@ func fireOnce(h http.Handler, method, path, body string) int {
 }
 
 // TestRouteAllocBudgets pins the per-request allocation cost of every
-// data route on both sides of the page cache. The miss numbers come
-// from a cache-disabled stack (every request renders), the hit numbers
-// from a warmed cached stack (every request serves stored bytes).
+// data route on both sides of the page cache. The hit numbers come
+// from a warmed cached stack (every request serves stored bytes), the
+// miss numbers from the same stack purged before each request (every
+// request renders through the cache: key, recorder buffer, entry and
+// LRU insert), and the uncached numbers from a cache-disabled stack
+// (every request renders, nothing is stored).
 func TestRouteAllocBudgets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -112,15 +116,22 @@ func TestRouteAllocBudgets(t *testing.T) {
 				fireOnce(cached.Handler, rt.method, rt.path, rt.body)
 			})
 			miss := testing.AllocsPerRun(50, func() {
+				cached.Cache.Purge()
+				fireOnce(cached.Handler, rt.method, rt.path, rt.body)
+			})
+			plain := testing.AllocsPerRun(50, func() {
 				fireOnce(uncached.Handler, rt.method, rt.path, rt.body)
 			})
-			t.Logf("%s: %.0f allocs/req on cache hit (budget %.0f), %.0f on miss (budget %.0f)",
-				rt.name, hit, rt.hitBudget, miss, rt.missBudget)
+			t.Logf("%s: %.0f allocs/req on cache hit (budget %.0f), %.0f on miss (budget %.0f), %.0f uncached (budget %.0f)",
+				rt.name, hit, rt.hitBudget, miss, rt.missBudget, plain, rt.uncachedBudget)
 			if hit > rt.hitBudget {
 				t.Errorf("cache hit allocates %.0f/req, budget %.0f", hit, rt.hitBudget)
 			}
 			if miss > rt.missBudget {
 				t.Errorf("cache miss allocates %.0f/req, budget %.0f", miss, rt.missBudget)
+			}
+			if plain > rt.uncachedBudget {
+				t.Errorf("uncached render allocates %.0f/req, budget %.0f", plain, rt.uncachedBudget)
 			}
 		})
 	}
