@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-diff lint-sarif test bench-test race race-all soak-smoke trace-smoke persist-smoke chaos-smoke bench bench-persist bench-smoke bench-load load-smoke fuzz fuzz-smoke clean tools report
+.PHONY: all build vet fmt-check lint lint-sarif test bench-test race race-all soak-smoke trace-smoke persist-smoke chaos-smoke bench bench-persist bench-smoke bench-load load-smoke fuzz fuzz-smoke clean tools report
 
 all: build vet lint test race
 
@@ -26,14 +26,6 @@ fmt-check:
 lint:
 	$(GO) build -o bin/enslint ./cmd/enslint
 	./bin/enslint ./...
-
-# Incremental lint for PR branches: analyzes only the packages changed
-# since LINT_BASE (default origin/main) plus their reverse-dependency
-# cone — everything a change can possibly break, and nothing else.
-LINT_BASE ?= origin/main
-lint-diff:
-	$(GO) build -o bin/enslint ./cmd/enslint
-	./bin/enslint -diff $(LINT_BASE) ./...
 
 # Full-suite run that also archives the findings as SARIF for code
 # scanning UIs.
@@ -89,9 +81,10 @@ persist-smoke:
 # Chaos-campaign drill under the race detector: the built-in
 # blackout-recovery campaign run twice through the full pipeline
 # (enschaos), asserting per-phase SLOs, identical phase reports across
-# runs, byte-identical convergence with a fault-free crawl, and no
-# goroutine leaks; plus the fault×route matrix through the assembled
-# serve stack and the retry-budget outage-damping property.
+# runs, byte-identical convergence with the fault-free dataset built
+# in-process, and no goroutine leaks; plus the fault×route matrix
+# through the assembled serve stack and the retry-budget
+# outage-damping property.
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaosSmoke|TestRetryBudgetDampsOutageE2E' -v ./cmd/enschaos/
 	$(GO) test -race -count=1 -run 'TestChaosFaultRouteMatrix' -v ./internal/serve/
@@ -143,35 +136,33 @@ load-smoke:
 	$(GO) build -o bin/ensload ./cmd/ensload
 	./bin/ensload -selfhost -domains 5000 -rps 200 -duration 30s -clients 8 -seed 8 -assert-p99 250ms -assert-no-5xx
 
-fuzz:
-	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=30s ./internal/subgraph/
-	$(GO) test -run '^$$' -fuzz=FuzzStreamingEqualsOneShot -fuzztime=30s ./internal/keccak/
-	$(GO) test -run '^$$' -fuzz=FuzzParseTraceparent -fuzztime=30s ./internal/trace/
-	$(GO) test -run '^$$' -fuzz=FuzzDecodeTxList -fuzztime=30s ./internal/etherscan/
-	$(GO) test -run '^$$' -fuzz=FuzzLoadSnapshot -fuzztime=30s ./internal/dataset/
-	$(GO) test -run '^$$' -fuzz=FuzzReplaySpool -fuzztime=30s ./internal/dataset/
-	$(GO) test -run '^$$' -fuzz=FuzzTxListQuery -fuzztime=30s ./internal/etherscan/
-	$(GO) test -run '^$$' -fuzz=FuzzAPIKey -fuzztime=30s ./internal/etherscan/
-	$(GO) test -run '^$$' -fuzz=FuzzParsePlan -fuzztime=30s ./internal/chaos/plan/
-	$(GO) test -run '^$$' -fuzz=FuzzRPCRequest -fuzztime=30s ./internal/ethrpc/
-	$(GO) test -run '^$$' -fuzz=FuzzOpenSeaQuery -fuzztime=30s ./internal/opensea/
-	$(GO) test -run '^$$' -fuzz=FuzzParseWei -fuzztime=30s ./internal/ethtypes/
+# Every fuzz target, as Name@package; fuzz runs each for FUZZTIME.
+FUZZTIME ?= 30s
+FUZZ_TARGETS := \
+	FuzzParse@./internal/subgraph/ \
+	FuzzStreamingEqualsOneShot@./internal/keccak/ \
+	FuzzParseTraceparent@./internal/trace/ \
+	FuzzDecodeTxList@./internal/etherscan/ \
+	FuzzLoadSnapshot@./internal/dataset/ \
+	FuzzReplaySpool@./internal/dataset/ \
+	FuzzTxListQuery@./internal/etherscan/ \
+	FuzzAPIKey@./internal/etherscan/ \
+	FuzzParsePlan@./internal/chaos/plan/ \
+	FuzzRPCRequest@./internal/ethrpc/ \
+	FuzzOpenSeaQuery@./internal/opensea/ \
+	FuzzParseWei@./internal/ethtypes/
 
-# Short fuzz pass for CI: 10s per target is enough to catch shallow
-# regressions in the parsers without stalling the pipeline.
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz: $${t%@*} in $${t#*@} for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz=$${t%@*} -fuzztime=$(FUZZTIME) $${t#*@}; \
+	done
+
+# Short fuzz pass for CI: the same targets at 10s each is enough to
+# catch shallow regressions in the parsers without stalling the
+# pipeline.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/subgraph/
-	$(GO) test -run '^$$' -fuzz=FuzzStreamingEqualsOneShot -fuzztime=10s ./internal/keccak/
-	$(GO) test -run '^$$' -fuzz=FuzzParseTraceparent -fuzztime=10s ./internal/trace/
-	$(GO) test -run '^$$' -fuzz=FuzzDecodeTxList -fuzztime=10s ./internal/etherscan/
-	$(GO) test -run '^$$' -fuzz=FuzzLoadSnapshot -fuzztime=10s ./internal/dataset/
-	$(GO) test -run '^$$' -fuzz=FuzzReplaySpool -fuzztime=10s ./internal/dataset/
-	$(GO) test -run '^$$' -fuzz=FuzzTxListQuery -fuzztime=10s ./internal/etherscan/
-	$(GO) test -run '^$$' -fuzz=FuzzAPIKey -fuzztime=10s ./internal/etherscan/
-	$(GO) test -run '^$$' -fuzz=FuzzParsePlan -fuzztime=10s ./internal/chaos/plan/
-	$(GO) test -run '^$$' -fuzz=FuzzRPCRequest -fuzztime=10s ./internal/ethrpc/
-	$(GO) test -run '^$$' -fuzz=FuzzOpenSeaQuery -fuzztime=10s ./internal/opensea/
-	$(GO) test -run '^$$' -fuzz=FuzzParseWei -fuzztime=10s ./internal/ethtypes/
+	$(MAKE) fuzz FUZZTIME=10s
 
 tools:
 	$(GO) build -o bin/ ./cmd/...

@@ -1,10 +1,10 @@
 // Command enschaos runs a deterministic chaos campaign against the full
 // crawl pipeline and proves the robustness contract end to end: it
-// generates a seeded world, serves it in-process through the real stack
-// (internal/serve: gate, quotas, cache), injures the client's traffic
-// through a phased chaos.Campaign on the request clock, and crawls the
-// three sources into a dataset with the resilient clients — retry
-// budgets, the resumable crawl's spool, optional breakers.
+// generates a seeded world, serves it in-process through the stack
+// ensworld serves (internal/serve: quotas, gate, chaos, cache), with a
+// phased chaos.Campaign on the request clock as the stack's chaos layer,
+// and crawls the three sources into a dataset with the resilient
+// clients — retry budgets and the resumable crawl's spool.
 // A build attempt that dies mid-campaign (a dry retry budget failing
 // fast is the designed outcome of a blackout) is restarted and resumes
 // from its spool, exactly like the operator runbook says.
@@ -14,13 +14,12 @@
 //   - asserts every per-phase SLO the scenario declares,
 //
 //   - with -runs N > 1, re-runs the whole drill and requires the phase
-//     reports to be identical — the determinism contract: under
-//     plan.UnitRequests the fault schedule is a pure function of
-//     (scenario, seed, request sequence),
+//     reports to be identical — the determinism contract: the fault
+//     schedule is a pure function of (scenario, seed, request sequence),
 //
-//   - with -verify-clean, crawls the same world fault-free and requires
-//     the persisted datasets (dataset.bin) to be byte-identical — faults may cost
-//     time and restarts, never rows,
+//   - builds the same world's dataset in-process with dataset.FromWorld
+//     and requires the persisted datasets (dataset.bin) to be
+//     byte-identical — faults may cost time and restarts, never rows,
 //
 //   - emits CHAOS_REPORT as go-bench lines cmd/benchjson can archive:
 //
@@ -28,11 +27,10 @@
 //     enschaos -scenario drills/my-campaign.json -budget-burst 0
 //     enschaos -list
 //
-// Determinism needs a serial request stream, so -tx-workers defaults to
-// 1 and breakers default off (cooldown expiry consults wall time, which
-// would let timing reorder the request sequence). Turning them on is
-// still a valid — just non-reproducible — drill of the full client
-// stack.
+// Determinism needs a serial request stream, so the drill crawls with
+// one transaction worker and no circuit breakers (cooldown expiry
+// consults wall time, which would let timing reorder the request
+// sequence).
 package main
 
 import (
@@ -44,7 +42,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -73,21 +70,27 @@ func main() {
 	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// The drill's fixed settings.
+const (
+	worldSeed    = 1  // world generation seed
+	campaignSeed = 42 // fault-schedule seed
+	// txWorkers is the transaction-crawl concurrency; 1 keeps the
+	// request clock deterministic.
+	txWorkers   = 1
+	retries     = 12 // client retry attempts per call
+	maxRestarts = 25 // build restarts before the drill is declared failed
+	// restartPause separates build restarts, as an operator's would;
+	// it is where a budget's fail-fast damping shows.
+	restartPause = 50 * time.Millisecond
+)
+
 type options struct {
-	campaign     string
-	scenario     string
-	list         bool
-	domains      int
-	worldSeed    int64
-	seed         int64
-	txWorkers    int
-	retries      int
-	budgetBurst  float64
-	breaker      bool
-	maxRestarts  int
-	restartPause time.Duration
-	runs         int
-	verifyClean  bool
+	campaign    string
+	scenario    string
+	list        bool
+	domains     int
+	budgetBurst float64
+	runs        int
 }
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
@@ -98,16 +101,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.scenario, "scenario", "", "path to a scenario JSON file (overrides -campaign)")
 	fs.BoolVar(&o.list, "list", false, "list built-in campaigns and exit")
 	fs.IntVar(&o.domains, "domains", 250, "world size")
-	fs.Int64Var(&o.worldSeed, "world-seed", 1, "world generation seed")
-	fs.Int64Var(&o.seed, "seed", 42, "campaign fault-schedule seed")
-	fs.IntVar(&o.txWorkers, "tx-workers", 1, "transaction-crawl concurrency (1 keeps the request clock deterministic)")
-	fs.IntVar(&o.retries, "retries", 12, "client retry attempts per call")
 	fs.Float64Var(&o.budgetBurst, "budget-burst", 10, "retry-budget burst per source (0 disables the budget: unbounded retry amplification)")
-	fs.BoolVar(&o.breaker, "breaker", false, "enable circuit breakers (wall-time cooldowns; breaks request-clock determinism)")
-	fs.IntVar(&o.maxRestarts, "max-restarts", 25, "build restarts before the drill is declared failed")
-	fs.DurationVar(&o.restartPause, "restart-pause", 50*time.Millisecond, "pause between build restarts (where fail-fast damping shows)")
 	fs.IntVar(&o.runs, "runs", 1, "drill repetitions; > 1 asserts identical phase reports across runs")
-	fs.BoolVar(&o.verifyClean, "verify-clean", true, "crawl fault-free too and require byte-identical datasets")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -132,20 +127,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "enschaos: %v\n", err)
 		return 2
 	}
-	if p.Unit == plan.UnitMillis && o.runs > 1 {
-		fmt.Fprintf(stderr, "enschaos: warning: %s uses the wall clock; -runs determinism checks will likely fail\n", p.Name)
-	}
 
-	fmt.Fprintf(stderr, "enschaos: generating %d-domain world (seed %d)\n", o.domains, o.worldSeed)
+	fmt.Fprintf(stderr, "enschaos: generating %d-domain world (seed %d)\n", o.domains, worldSeed)
 	cfg := world.DefaultConfig(o.domains)
-	cfg.Seed = o.worldSeed
+	cfg.Seed = worldSeed
 	res, err := world.Generate(cfg)
 	if err != nil {
 		fmt.Fprintf(stderr, "enschaos: generate world: %v\n", err)
 		return 1
 	}
 	store := subgraph.BuildIndex(res.Chain)
-	opts := dataset.BuildOptions{Start: cfg.Start, End: cfg.End, TxWorkers: o.txWorkers, MarketWorkers: 1}
+	opts := dataset.BuildOptions{Start: cfg.Start, End: cfg.End, TxWorkers: txWorkers, MarketWorkers: 1}
 
 	work, err := os.MkdirTemp("", "enschaos-*")
 	if err != nil {
@@ -159,7 +151,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var camp *chaos.Campaign
 	chaosDir := filepath.Join(work, "chaos")
 	for i := 0; i < o.runs; i++ {
-		c, ds, n, err := drill(ctx, res, store, p, o, opts, filepath.Join(work, fmt.Sprintf("run%d", i)), stderr)
+		c, ds, n, err := drill(ctx, res, store, p, o.budgetBurst, opts, filepath.Join(work, fmt.Sprintf("run%d", i)), stderr)
 		if err != nil {
 			fmt.Fprintf(stderr, "enschaos: drill run %d: %v\n", i+1, err)
 			return 1
@@ -193,27 +185,22 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		code = 1
 	}
 
-	if o.verifyClean {
-		fmt.Fprintln(stderr, "enschaos: running fault-free reference crawl")
-		csg, ces, cos := cleanClients(res, store)
-		cleanOpts := opts
-		cleanOpts.ResumeDir = ""
-		cleanDS, err := dataset.Build(ctx, csg, ces, cos, cleanOpts)
-		if err != nil {
-			fmt.Fprintf(stderr, "enschaos: clean reference crawl: %v\n", err)
-			return 1
-		}
-		cleanDir := filepath.Join(work, "clean")
-		if err := cleanDS.Save(cleanDir); err != nil {
-			fmt.Fprintf(stderr, "enschaos: save clean dataset: %v\n", err)
-			return 1
-		}
-		if err := compareDirs(cleanDir, chaosDir); err != nil {
-			fmt.Fprintf(stderr, "enschaos: CONVERGENCE FAILED: %v\n", err)
-			code = 1
-		} else {
-			fmt.Fprintln(stderr, "enschaos: convergence OK: chaos dataset byte-identical to clean run")
-		}
+	fmt.Fprintln(stderr, "enschaos: building the fault-free reference in-process")
+	cleanDS, err := dataset.FromWorld(ctx, res, opts)
+	if err != nil {
+		fmt.Fprintf(stderr, "enschaos: reference dataset: %v\n", err)
+		return 1
+	}
+	cleanDir := filepath.Join(work, "clean")
+	if err := cleanDS.Save(cleanDir); err != nil {
+		fmt.Fprintf(stderr, "enschaos: save reference dataset: %v\n", err)
+		return 1
+	}
+	if err := compareDirs(cleanDir, chaosDir); err != nil {
+		fmt.Fprintf(stderr, "enschaos: CONVERGENCE FAILED: %v\n", err)
+		code = 1
+	} else {
+		fmt.Fprintln(stderr, "enschaos: convergence OK: chaos dataset byte-identical to the fault-free reference")
 	}
 
 	writeChaosBench(stdout, p.Name, reports[0], restarts[0])
@@ -223,41 +210,44 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
-// drill runs one full campaign: a fresh server stack, a fresh campaign
-// bound to the scenario, and a build-until-converged loop. The campaign
-// and its virtual clock persist across restarts — a restart is the same
-// outage, observed by a process that came back.
+// drill runs one full campaign: a fresh campaign bound to the scenario,
+// a fresh server stack with the campaign as its chaos layer, and a
+// build-until-converged loop. The campaign and its request clock
+// persist across restarts — a restart is the same outage, observed by a
+// process that came back.
 func drill(ctx context.Context, res *world.Result, store *subgraph.Store, p *plan.Plan,
-	o options, opts dataset.BuildOptions, dir string, stderr io.Writer) (*chaos.Campaign, *dataset.Dataset, int, error) {
+	budgetBurst float64, opts dataset.BuildOptions, dir string, stderr io.Writer) (*chaos.Campaign, *dataset.Dataset, int, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	camp := chaos.NewCampaign(p, chaos.Config{
+		Seed:       campaignSeed,
+		RetryAfter: 5 * time.Millisecond,
+		Delay:      2 * time.Millisecond,
+		StormDelay: 10 * time.Millisecond,
+	})
 	// The server's own etherscan rate limit is set out of the way: the
 	// only faults in a drill must be the campaign's, not self-inflicted
-	// 429s from an unpaced client.
-	stack := serve.New(res, store, serve.Config{Registry: obs.NewRegistry(), Seed: o.worldSeed, EtherscanRate: 1 << 20})
+	// refusals of an unpaced client.
+	stack := serve.New(res, store, serve.Config{
+		Registry: obs.NewRegistry(), Seed: worldSeed, EtherscanRate: 1 << 20, Chaos: camp.Wrap,
+	})
 	srv := &http.Server{Handler: stack.Handler, ReadHeaderTimeout: 10 * time.Second}
 	go srv.Serve(ln)
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()
 
-	camp := chaos.NewCampaign(p, chaos.Config{
-		Seed:       o.seed,
-		RetryAfter: 5 * time.Millisecond,
-		Delay:      2 * time.Millisecond,
-		StormDelay: 10 * time.Millisecond,
-	})
 	transport := &http.Transport{MaxIdleConns: 64, MaxIdleConnsPerHost: 64}
 	defer transport.CloseIdleConnections()
-	hc := &http.Client{Timeout: 10 * time.Second, Transport: camp.RoundTripper(transport)}
+	hc := &http.Client{Timeout: 10 * time.Second, Transport: transport}
 
 	opts.ResumeDir = filepath.Join(dir, "resume")
 	restarts := 0
 	for {
 		// Fresh clients (and fresh retry budgets) per attempt: a restarted
 		// process starts with a full budget, like the real crawler would.
-		sg, es, osc := hostileClients(base, hc, o)
+		sg, es, osc := hostileClients(base, hc, budgetBurst)
 		ds, err := dataset.Build(ctx, sg, es, osc, opts)
 		if err == nil {
 			return camp, ds, restarts, nil
@@ -266,26 +256,24 @@ func drill(ctx context.Context, res *world.Result, store *subgraph.Store, p *pla
 			return camp, nil, restarts, err
 		}
 		restarts++
-		if restarts > o.maxRestarts {
+		if restarts > maxRestarts {
 			return camp, nil, restarts, fmt.Errorf("gave up after %d restarts: %w", restarts, err)
 		}
 		fmt.Fprintf(stderr, "enschaos: build attempt %d died (%v); resuming\n", restarts, err)
-		if o.restartPause > 0 {
-			t := time.NewTimer(o.restartPause)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return camp, nil, restarts, ctx.Err()
-			}
+		t := time.NewTimer(restartPause)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return camp, nil, restarts, ctx.Err()
 		}
 	}
 }
 
 // hostileClients builds the three source clients with the resilience
-// stack under test: capped backoff, retry budgets, and (opted in)
-// breakers, all sharing the campaign-injured HTTP client.
-func hostileClients(base string, hc *http.Client, o options) (*subgraph.Client, *etherscan.Client, *opensea.Client) {
+// stack under test, capped backoff and retry budgets, all sharing one
+// plain HTTP client.
+func hostileClients(base string, hc *http.Client, budgetBurst float64) (*subgraph.Client, *etherscan.Client, *opensea.Client) {
 	sleep := cappedSleep(2 * time.Millisecond)
 
 	sg := subgraph.NewClient(base + "/subgraph")
@@ -297,41 +285,12 @@ func hostileClients(base string, hc *http.Client, o options) (*subgraph.Client, 
 		name, clientID string
 		src            *crawler.Source
 	}{{"subgraph-chaos", "enschaos", &sg.Source}, {"etherscan-chaos", "", &es.Source}, {"opensea-chaos", "enschaos", &osc.Source}} {
-		s.src.HTTPClient, s.src.Sleep, s.src.MaxRetries, s.src.ClientID = hc, sleep, o.retries, s.clientID
-		if o.budgetBurst > 0 {
-			s.src.Budget = crawler.NewRetryBudget(s.name, o.budgetBurst)
-		}
-		if o.breaker {
-			s.src.Breaker = crawler.NewBreaker(s.name, 10, 50*time.Millisecond)
+		s.src.HTTPClient, s.src.Sleep, s.src.MaxRetries, s.src.ClientID = hc, sleep, retries, s.clientID
+		if budgetBurst > 0 {
+			s.src.Budget = crawler.NewRetryBudget(s.name, budgetBurst)
 		}
 	}
 	return sg, es, osc
-}
-
-// cleanClients serves the same world fault-free for the convergence
-// reference, through an in-process handler transport — the clean run
-// needs no chaos layer and no real listener.
-func cleanClients(res *world.Result, store *subgraph.Store) (*subgraph.Client, *etherscan.Client, *opensea.Client) {
-	stack := serve.New(res, store, serve.Config{Registry: obs.NewRegistry(), EtherscanRate: 1 << 20})
-	hc := &http.Client{Timeout: 30 * time.Second, Transport: handlerTransport{stack.Handler}}
-	sg := subgraph.NewClient("http://clean.internal/subgraph")
-	es := etherscan.NewClient("http://clean.internal/etherscan", "enschaos")
-	osc := opensea.NewClient("http://clean.internal/opensea")
-	sg.HTTPClient, es.HTTPClient, osc.HTTPClient = hc, hc, hc
-	es.MinInterval = 0
-	return sg, es, osc
-}
-
-// handlerTransport serves requests straight into an http.Handler,
-// avoiding a second listener for the clean reference crawl.
-type handlerTransport struct{ h http.Handler }
-
-func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	rec := httptest.NewRecorder()
-	t.h.ServeHTTP(rec, req)
-	resp := rec.Result()
-	resp.Request = req
-	return resp, nil
 }
 
 // sameReports compares two phase-report slices structurally.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"io/fs"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -112,34 +113,19 @@ func TestChaosSmoke(t *testing.T) {
 	}
 }
 
-// okTransport answers every request 200 without touching the network,
-// so the outage drill below measures only the campaign's decisions.
-type okTransport struct{}
-
-func (okTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	return &http.Response{
-		StatusCode: http.StatusOK,
-		Proto:      "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-		Header:  make(http.Header),
-		Body:    io.NopCloser(strings.NewReader("ok")),
-		Request: req,
-	}, nil
-}
-
-// The acceptance property, end to end: during a wall-clock blackout a
-// budgeted client issues measurably fewer upstream requests than an
-// unbudgeted one. Fail-fast only damps load when the caller pauses
-// before restarting (as drill() does); the pause here models that.
+// The acceptance property, end to end: during a blackout a budgeted
+// client issues far fewer upstream requests than an unbudgeted one. The
+// campaign runs on the request clock behind a real server, so the
+// counts are exact: 20 calls of up to 30 attempts each reach the server
+// 600 times unbudgeted, and with a burst-10 budget the first call's 10
+// funded retries plus one first attempt per call, 30 times.
 func TestRetryBudgetDampsOutageE2E(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock outage drill")
-	}
 	noSleep := func(context.Context, time.Duration) error { return nil }
-	outage := func(budget *crawler.RetryBudget) int64 {
+	outage := func(budget *crawler.RetryBudget) chaos.PhaseReport {
 		p := &plan.Plan{
-			Name: "outage", Unit: plan.UnitMillis,
+			Name: "outage",
 			Phases: []plan.Phase{{
-				Name: "blackout", Offset: 0, Duration: 300,
+				Name: "blackout", Offset: 0, Duration: 1000,
 				Rules: []plan.Rule{{Mode: plan.ModeBlackout}},
 			}},
 		}
@@ -147,11 +133,15 @@ func TestRetryBudgetDampsOutageE2E(t *testing.T) {
 			t.Fatal(err)
 		}
 		camp := chaos.NewCampaign(p, chaos.Config{Seed: 1})
-		hc := &http.Client{Transport: camp.RoundTripper(okTransport{})}
+		srv := httptest.NewServer(camp.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, "ok")
+		})))
+		defer srv.Close()
+		hc := srv.Client()
 		cfg := crawler.RetryConfig{Attempts: 30, BaseDelay: time.Millisecond, Sleep: noSleep, Budget: budget}
-		for !camp.Done() {
-			_ = crawler.Retry(context.Background(), cfg, func(ctx context.Context) error {
-				req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://chaos.invalid/x", nil)
+		for i := 0; i < 20; i++ {
+			err := crawler.Retry(context.Background(), cfg, func(ctx context.Context) error {
+				req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/x", nil)
 				if err != nil {
 					return err
 				}
@@ -162,18 +152,24 @@ func TestRetryBudgetDampsOutageE2E(t *testing.T) {
 				resp.Body.Close()
 				return nil
 			})
-			time.Sleep(10 * time.Millisecond) // the restart pause
+			if err == nil {
+				t.Fatalf("call %d succeeded through a blackout", i)
+			}
 		}
-		var tot int64
-		for _, r := range camp.Report() {
-			tot += r.Requests
+		return camp.Report()[0]
+	}
+	for _, tc := range []struct {
+		name   string
+		budget *crawler.RetryBudget
+		want   int64
+	}{
+		{"budgeted", crawler.NewRetryBudget("outage-e2e", 10), 30},
+		{"unbudgeted", nil, 600},
+	} {
+		rep := outage(tc.budget)
+		if rep.Requests != tc.want || rep.Injected["blackout"] != tc.want {
+			t.Errorf("%s outage: %d upstream requests, %d blacked out; want %d of each",
+				tc.name, rep.Requests, rep.Injected["blackout"], tc.want)
 		}
-		return tot
 	}
-	with := outage(crawler.NewRetryBudget("outage-e2e", 10))
-	without := outage(nil)
-	if with >= without {
-		t.Fatalf("budgeted outage issued %d upstream requests, unbudgeted %d — no damping", with, without)
-	}
-	t.Logf("outage volume: %d budgeted vs %d unbudgeted", with, without)
 }

@@ -15,9 +15,6 @@
 //
 // Driver flags:
 //
-//	-diff <ref>          analyze only packages changed since the git ref,
-//	                     plus every package that (transitively) depends on
-//	                     one — the dependency cone a change can break
 //	-enable a,b          run only the named analyzers
 //	-disable a,b         run all but the named analyzers
 //	-json                emit go vet's JSON diagnostic stream
@@ -50,7 +47,6 @@ func main() {
 
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("enslint", flag.ExitOnError)
-	diffRef := fs.String("diff", "", "analyze only packages changed since this git ref, plus their reverse-dependency cone")
 	enable := fs.String("enable", "", "comma-separated analyzer names to run (default: all)")
 	disable := fs.String("disable", "", "comma-separated analyzer names to skip")
 	jsonOut := fs.Bool("json", false, "emit the go vet JSON diagnostic stream")
@@ -79,20 +75,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	if len(pkgs) == 0 {
 		fs.Usage()
 		return 2
-	}
-
-	if *diffRef != "" {
-		affected, err := affectedPackages(*diffRef, pkgs)
-		if err != nil {
-			fmt.Fprintln(stderr, "enslint:", err)
-			return 2
-		}
-		if len(affected) == 0 {
-			fmt.Fprintf(stderr, "enslint: no Go packages affected since %s\n", *diffRef)
-			return 0
-		}
-		fmt.Fprintf(stderr, "enslint: %d package(s) in the change cone of %s\n", len(affected), *diffRef)
-		pkgs = affected
 	}
 
 	exe, err := os.Executable()

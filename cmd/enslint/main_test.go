@@ -113,71 +113,6 @@ func TestSuppressionBaseline(t *testing.T) {
 	}
 }
 
-// TestDiffCone verifies -diff's package selection: a change to one
-// package selects that package and its reverse dependencies, and
-// nothing else.
-func TestDiffCone(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping git/go-tool round-trips in -short mode")
-	}
-	scratch := t.TempDir()
-	write := func(rel, src string) {
-		t.Helper()
-		path := filepath.Join(scratch, rel)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module scratch\n\ngo 1.23\n")
-	write("a/a.go", "package a\n\nfunc A() int { return 1 }\n")
-	write("b/b.go", "package b\n\nfunc B() int { return 2 }\n")
-	write("c/c.go", "package c\n\nimport \"scratch/a\"\n\nfunc C() int { return a.A() }\n")
-
-	git := func(args ...string) {
-		t.Helper()
-		cmd := exec.Command("git", append([]string{"-c", "user.email=t@t", "-c", "user.name=t"}, args...)...)
-		cmd.Dir = scratch
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("git %v: %v\n%s", args, err, out)
-		}
-	}
-	git("init", "-q")
-	git("add", ".")
-	git("commit", "-q", "-m", "seed")
-
-	// Touch package a only.
-	write("a/a.go", "package a\n\nfunc A() int { return 3 }\n")
-
-	t.Chdir(scratch)
-	affected, err := affectedPackages("HEAD", []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"scratch/a", "scratch/c"}
-	if len(affected) != len(want) {
-		t.Fatalf("affected = %v, want %v", affected, want)
-	}
-	for i := range want {
-		if affected[i] != want[i] {
-			t.Fatalf("affected = %v, want %v", affected, want)
-		}
-	}
-
-	// Nothing changed relative to the working tree state once committed.
-	git("add", ".")
-	git("commit", "-q", "-m", "change a")
-	affected, err = affectedPackages("HEAD", []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(affected) != 0 {
-		t.Fatalf("affected after commit = %v, want none", affected)
-	}
-}
-
 // TestEndToEnd builds enslint and exercises the driver end to end: the
 // real tree's deterministic packages pass, a scratch module seeded with
 // a violation fails, analyzer selection flags change the outcome, and

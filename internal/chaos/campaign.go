@@ -11,27 +11,20 @@ import (
 	"ensdropcatch/internal/trace"
 )
 
-// Campaign executes a plan.Plan: it binds the pure phase schedule to a
-// virtual clock and a seeded generator, and injures traffic with the
-// package's fault executors. It wraps either side of the wire — Wrap
-// for a server, RoundTripper for a client — and both draw ticks and
-// uniforms from one guarded source, so a campaign over a serial request
-// stream is fully reproducible.
-//
-// The clock unit comes from the plan: UnitRequests advances one tick
-// per observed request (deterministic — the schedule is a pure function
-// of the request sequence), UnitMillis binds ticks to wall milliseconds
-// since the first request (live drills).
+// Campaign executes a plan.Plan against a server: Wrap binds the pure
+// phase schedule to a request clock (one tick per request it sees) and
+// a seeded generator, and injures traffic with the package's fault
+// executor. Ticks and uniforms come from one guarded source, so the
+// schedule is a pure function of the request sequence and a campaign
+// over a serial request stream is fully reproducible.
 type Campaign struct {
 	cfg  Config
 	plan *plan.Plan
 
-	mu      sync.Mutex
-	rng     *rand.Rand           // guarded by mu
-	reqs    int64                // request-clock ticks consumed; guarded by mu
-	started bool                 // wall clock bound; guarded by mu
-	start   time.Time            // wall-clock zero for UnitMillis; guarded by mu
-	stats   map[string]*phaseAcc // per-phase tallies; guarded by mu
+	mu    sync.Mutex
+	rng   *rand.Rand           // guarded by mu
+	reqs  int64                // request-clock ticks consumed; guarded by mu
+	stats map[string]*phaseAcc // per-phase tallies; guarded by mu
 }
 
 // phaseAcc accumulates one phase's request outcomes.
@@ -43,8 +36,8 @@ type phaseAcc struct {
 
 // PhaseReport is one phase's deterministic tally: how many requests the
 // phase saw, how many passed clean, and the injected-fault breakdown.
-// Under plan.UnitRequests and a serial request stream these numbers are
-// a pure function of (plan, seed, request sequence).
+// Over a serial request stream these numbers are a pure function of
+// (plan, seed, request sequence).
 type PhaseReport struct {
 	Phase    string           `json:"phase"`
 	Requests int64            `json:"requests"`
@@ -76,19 +69,10 @@ func NewCampaign(p *plan.Plan, cfg Config) *Campaign {
 	}
 }
 
-// Plan returns the campaign's plan.
-func (c *Campaign) Plan() *plan.Plan { return c.plan }
-
 // Tick returns the current virtual time without consuming a tick.
 func (c *Campaign) Tick() plan.Ticks {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.plan.Unit == plan.UnitMillis {
-		if !c.started {
-			return 0
-		}
-		return plan.Ticks(time.Since(c.start).Milliseconds())
-	}
 	return plan.Ticks(c.reqs)
 }
 
@@ -100,17 +84,8 @@ func (c *Campaign) Done() bool { return c.Tick() >= c.plan.End() }
 func (c *Campaign) decide(route string) plan.Decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var tick plan.Ticks
-	if c.plan.Unit == plan.UnitMillis {
-		if !c.started {
-			c.started = true
-			c.start = time.Now()
-		}
-		tick = plan.Ticks(time.Since(c.start).Milliseconds())
-	} else {
-		tick = plan.Ticks(c.reqs)
-		c.reqs++
-	}
+	tick := plan.Ticks(c.reqs)
+	c.reqs++
 	d := c.plan.Decide(tick, route, c.rng.Float64(), c.rng.Float64())
 	name := d.Phase
 	if name == "" {
@@ -245,21 +220,5 @@ func (c *Campaign) Wrap(inner http.Handler) http.Handler {
 		}
 		fault, delay := c.executable(d)
 		serveFault(w, r, inner, fault, retryAfterSeconds(c.cfg.RetryAfter), delay)
-	})
-}
-
-// RoundTripper returns a transport that runs the campaign client-side.
-// next == nil uses http.DefaultTransport.
-func (c *Campaign) RoundTripper(next http.RoundTripper) http.RoundTripper {
-	if next == nil {
-		next = http.DefaultTransport
-	}
-	return roundTripFunc(func(req *http.Request) (*http.Response, error) {
-		d := c.decide(req.URL.Path)
-		if d.Clean() {
-			return next.RoundTrip(req)
-		}
-		fault, delay := c.executable(d)
-		return tripFault(req, next, fault, retryAfterSeconds(c.cfg.RetryAfter), delay)
 	})
 }

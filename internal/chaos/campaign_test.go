@@ -115,40 +115,6 @@ func TestCampaignWrapPhases(t *testing.T) {
 	}
 }
 
-// TestCampaignRoundTripperMatchesWrap runs the same plan client-side and
-// expects the same decision sequence (same seed, same request order).
-func TestCampaignRoundTripperMatchesWrap(t *testing.T) {
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	})
-	srv := httptest.NewServer(inner)
-	defer srv.Close()
-
-	c := NewCampaign(campaignPlan(), Config{Seed: 7})
-	hc := &http.Client{Transport: c.RoundTripper(nil)}
-	outcomes := make([]int, 0, 16)
-	for i := 0; i < 16; i++ {
-		resp, err := hc.Get(srv.URL + "/a")
-		switch {
-		case err != nil:
-			outcomes = append(outcomes, 0) // injected connection failure
-		default:
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			outcomes = append(outcomes, resp.StatusCode)
-		}
-	}
-	want := []int{
-		200, 200, 200, 200, 200, // warmup
-		0, 0, 0, 0, 0, // blackout of /a
-		500, 500, 500, 500, 500, // burst
-		200, // idle
-	}
-	if !reflect.DeepEqual(outcomes, want) {
-		t.Fatalf("outcome sequence:\n got %v\nwant %v", outcomes, want)
-	}
-}
-
 // TestCampaignReportDeterministic: two campaigns with the same seed over
 // the same serial request sequence yield identical reports.
 func TestCampaignReportDeterministic(t *testing.T) {

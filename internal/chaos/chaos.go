@@ -1,26 +1,22 @@
 // Package chaos is a deterministic fault-injection harness for the mock
-// data-source servers (subgraph, Etherscan, OpenSea) and their clients.
-// The paper's crawl ran for weeks against live APIs where 429s, 5xxs,
-// dropped connections, and truncated payloads are routine; this package
-// reproduces those conditions on demand so the pipeline's retry, breaker,
-// and resume machinery can be exercised end-to-end under a seeded,
-// repeatable fault schedule.
+// data-source servers (subgraph, Etherscan, OpenSea). The paper's crawl
+// ran for weeks against live APIs where 429s, 5xxs, dropped
+// connections, and truncated payloads are routine; this package
+// reproduces those conditions on demand so the pipeline's retry,
+// breaker, and resume machinery can be exercised end-to-end under a
+// seeded, repeatable fault schedule.
 //
 // A Campaign runs a plan.Plan, the package's one fault engine: phases
-// on a virtual clock, each with per-route rules. A bare fault rate is
-// the one-phase plan plan.Steady builds. A campaign wraps either side of
-// the wire: Wrap produces an http.Handler that injects faults before (or
-// into) the inner handler's response, and RoundTripper produces an
-// http.RoundTripper that injects the equivalent failures client-side
-// without a server. Both draw from the same seeded source, so a given
-// (plan, Seed) pair yields a reproducible fault sequence over a serial
-// request stream.
+// on a request clock, each with per-route rules. A bare fault rate is
+// the one-phase plan plan.Steady builds. Campaign.Wrap produces the
+// http.Handler that injects faults before (or into) the inner handler's
+// response; serve.Config.Chaos places it between the overload gate and
+// the page cache. A given (plan, Seed) pair yields a reproducible fault
+// sequence over a serial request stream.
 package chaos
 
 import (
 	"bytes"
-	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -66,9 +62,11 @@ type Config struct {
 }
 
 // retryAfterSeconds renders the Retry-After hint; fractional values keep
-// chaos tests fast while integer values match real servers.
+// chaos tests fast while integer values match real servers. The 'f'
+// format never takes exponent form, which crawler.ParseRetryAfter
+// refuses.
 func retryAfterSeconds(d time.Duration) string {
-	return strconv.FormatFloat(d.Seconds(), 'g', -1, 64)
+	return strconv.FormatFloat(d.Seconds(), 'f', -1, 64)
 }
 
 // serveFault executes one server-side fault around inner.
@@ -145,64 +143,3 @@ func (r *recorder) Write(p []byte) (int, error) {
 	}
 	return r.body.Write(p)
 }
-
-// ErrInjected marks transport-level failures synthesized by
-// Campaign.RoundTripper, so tests can tell injected resets from real
-// ones.
-var ErrInjected = fmt.Errorf("chaos: injected connection failure")
-
-// tripFault executes one client-side fault.
-func tripFault(req *http.Request, next http.RoundTripper, fault Fault, retryAfter string, delay time.Duration) (*http.Response, error) {
-	switch fault {
-	case FaultRateLimit:
-		resp := synthesize(req, http.StatusTooManyRequests, "chaos: rate limited\n")
-		resp.Header.Set("Retry-After", retryAfter)
-		return resp, nil
-	case FaultServerError:
-		return synthesize(req, http.StatusInternalServerError, "chaos: internal error\n"), nil
-	case FaultReset:
-		return nil, ErrInjected
-	case FaultSlowBody:
-		sleep(req, delay)
-	case FaultStall:
-		sleep(req, delay)
-		return nil, ErrInjected
-	}
-	resp, err := next.RoundTrip(req)
-	if err != nil || fault != FaultTruncate {
-		return resp, err
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	resp.Body = io.NopCloser(io.MultiReader(
-		bytes.NewReader(body[:len(body)/2]),
-		errReader{io.ErrUnexpectedEOF},
-	))
-	return resp, nil
-}
-
-// synthesize builds a minimal fault response without touching the network.
-func synthesize(req *http.Request, status int, body string) *http.Response {
-	return &http.Response{
-		Status:        http.StatusText(status),
-		StatusCode:    status,
-		Proto:         "HTTP/1.1",
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Header:        make(http.Header),
-		Body:          io.NopCloser(bytes.NewReader([]byte(body))),
-		ContentLength: int64(len(body)),
-		Request:       req,
-	}
-}
-
-type roundTripFunc func(*http.Request) (*http.Response, error)
-
-func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
-
-type errReader struct{ err error }
-
-func (r errReader) Read([]byte) (int, error) { return 0, r.err }

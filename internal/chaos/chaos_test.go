@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ensdropcatch/internal/chaos/plan"
+	"ensdropcatch/internal/crawler"
 )
 
 // drawSequence collects the fault schedule a campaign produces for n
@@ -110,6 +111,18 @@ func TestHandlerRateLimitFault(t *testing.T) {
 	}
 }
 
+// An injected hint stays in delay-seconds' decimal grammar at every
+// scale (no exponent form), so the crawler reads each injected 429 as a
+// shed with its hint.
+func TestRetryAfterHintParses(t *testing.T) {
+	for _, d := range []time.Duration{10 * time.Microsecond, 5 * time.Millisecond, 250 * time.Millisecond, time.Second, 90 * time.Second} {
+		hint := retryAfterSeconds(d)
+		if got, ok := crawler.ParseRetryAfter(hint); !ok || got != d {
+			t.Errorf("hint %q for %v parses as (%v, %v)", hint, d, got, ok)
+		}
+	}
+}
+
 func TestHandlerServerErrorFault(t *testing.T) {
 	srv := chaosServer(t, FaultServerError, Config{})
 	resp, err := http.Get(srv.URL)
@@ -182,50 +195,5 @@ func TestHandlerPassthroughAtZeroRate(t *testing.T) {
 		if string(body) != "clean" {
 			t.Fatalf("request %d: body %q", i, body)
 		}
-	}
-}
-
-func TestRoundTripperFaults(t *testing.T) {
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, `{"ok": true, "payload": "0123456789abcdef"}`)
-	})
-	srv := httptest.NewServer(inner)
-	defer srv.Close()
-
-	tryWith := func(fault Fault) (*http.Response, error) {
-		c := steady(Config{Seed: 1, RetryAfter: 500 * time.Millisecond, Delay: time.Millisecond}, 1, fault)
-		client := &http.Client{Transport: c.RoundTripper(nil)}
-		return client.Get(srv.URL)
-	}
-
-	resp, err := tryWith(FaultRateLimit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "0.5" {
-		t.Errorf("ratelimit: status %d Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
-
-	resp, err = tryWith(FaultServerError)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Errorf("servererror: status %d", resp.StatusCode)
-	}
-
-	if _, err = tryWith(FaultReset); err == nil {
-		t.Error("reset: no error")
-	}
-
-	resp, err = tryWith(FaultTruncate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if _, err := io.ReadAll(resp.Body); err == nil {
-		t.Error("truncate: body read completed cleanly")
 	}
 }

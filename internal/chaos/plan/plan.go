@@ -3,15 +3,14 @@
 // rules. A Plan is pure data — it owns no clock, no RNG, and no I/O —
 // so the same plan resolved against the same tick sequence and the same
 // uniform draws always yields the same fault decisions. The chaos
-// package binds a Plan to a clock source and a seeded generator to make
-// it executable; this package only answers "what should happen to a
+// package binds a Plan to a request counter and a seeded generator to
+// make it executable; this package only answers "what should happen to a
 // request on route R at tick T given draws (u1, u2)?".
 //
-// The virtual clock is deliberately unit-agnostic: a tick may be a
-// millisecond of wall time (live drills) or one observed request
-// (byte-reproducible drills — the unit cmd/enschaos uses for its
-// determinism contract). Plans themselves never touch wall time; the
-// detrand analyzer enforces that.
+// One tick is one observed request, so a campaign's fault schedule is a
+// pure function of the request sequence — the determinism contract
+// cmd/enschaos checks. Plans never touch wall time; the detrand
+// analyzer enforces that.
 //
 // A bare per-request fault rate is the one-phase, one-rule plan Steady
 // builds. Beyond that stateless mix, phases model the correlated
@@ -29,22 +28,17 @@ import (
 	"strings"
 )
 
-// Ticks is a duration or instant on the virtual campaign clock. Its
-// unit is declared by Plan.Unit and interpreted by the runner.
+// Ticks is a duration or instant on the virtual campaign clock, in
+// observed requests.
 type Ticks int64
 
 // Unit names what one tick means to the campaign runner.
 type Unit string
 
-const (
-	// UnitRequests advances the clock by one per observed request —
-	// the fully deterministic unit: the fault schedule becomes a pure
-	// function of the request sequence.
-	UnitRequests Unit = "requests"
-	// UnitMillis maps ticks to wall milliseconds since campaign start.
-	// Live drills use it; determinism contracts cannot.
-	UnitMillis Unit = "millis"
-)
+// UnitRequests, the only unit, advances the clock by one per observed
+// request. Plans declare it so a scenario written for another clock
+// fails validation instead of silently changing meaning.
+const UnitRequests Unit = "requests"
 
 // Mode selects how a rule injures the requests it matches.
 type Mode string
@@ -145,7 +139,7 @@ func (p *Phase) End() Ticks { return p.Offset + p.Duration }
 type Plan struct {
 	// Name identifies the campaign in reports.
 	Name string `json:"name"`
-	// Unit declares what one tick means; defaults to UnitRequests.
+	// Unit declares what one tick means: empty or UnitRequests.
 	Unit Unit `json:"unit,omitempty"`
 	// Phases are the campaign windows, sorted by Offset.
 	Phases []Phase `json:"phases"`
@@ -186,10 +180,8 @@ func (p *Plan) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("plan: name is required")
 	}
-	switch p.Unit {
-	case "", UnitRequests, UnitMillis:
-	default:
-		return fmt.Errorf("plan %s: unknown unit %q (want %q or %q)", p.Name, p.Unit, UnitRequests, UnitMillis)
+	if p.Unit != "" && p.Unit != UnitRequests {
+		return fmt.Errorf("plan %s: unknown unit %q (want %q)", p.Name, p.Unit, UnitRequests)
 	}
 	if len(p.Phases) == 0 {
 		return fmt.Errorf("plan %s: at least one phase is required", p.Name)

@@ -192,6 +192,11 @@ func TestParseRejectsInvalid(t *testing.T) {
 	if _, err := Parse([]byte(`{not json`)); err == nil {
 		t.Fatal("malformed JSON accepted")
 	}
+	// A plan written for a wall clock must fail, not run on the request
+	// clock with its ticks silently reinterpreted.
+	if _, err := Parse([]byte(millisPlan)); err == nil || !strings.Contains(err.Error(), "unknown unit") {
+		t.Fatalf("millis plan: err = %v, want an unknown-unit error", err)
+	}
 }
 
 func TestSteady(t *testing.T) {
@@ -232,6 +237,12 @@ const overflowPlan = `{"name": "overflow", "phases": [
 	{"name": "b", "offset": 10, "duration": 1}
 ]}`
 
+// millisPlan is a well-formed plan on a wall-clock unit, which Parse
+// must reject. FuzzParsePlan seeds it.
+const millisPlan = `{"name": "wall", "unit": "millis", "phases": [
+	{"name": "blackout", "offset": 0, "duration": 300, "rules": [{"mode": "blackout"}]}
+]}`
+
 // FuzzParsePlan holds Parse to its contract on arbitrary documents: an
 // error, or phases that are sorted, non-overlapping and non-empty on
 // the clock, which Decide resolves without panicking at every phase
@@ -249,6 +260,7 @@ func FuzzParsePlan(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(overflowPlan))
+	f.Add([]byte(millisPlan))
 	almostOne := math.Nextafter(1, 0)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Parse(data)

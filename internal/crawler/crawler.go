@@ -171,16 +171,17 @@ func ParseRetryAfter(v string) (time.Duration, bool) {
 
 // ParseRetryAfterAt interprets a Retry-After header value as a delay
 // relative to now. Both RFC 9110 forms are accepted: delay-seconds
-// (integer per the RFC, fractional tolerated for test servers) and the
-// HTTP-date form (per http.ParseTime). A date in the past means "retry
-// now" (0, true); a date beyond the 24h sanity cap is clamped to it,
-// while delay-seconds beyond the cap are rejected as nonsense.
+// (decimal digits per the RFC, a fraction tolerated for test servers)
+// and the HTTP-date form (per http.ParseTime). A date in the past means
+// "retry now" (0, true); a date beyond the 24h sanity cap is clamped to
+// it, while delay-seconds beyond the cap are rejected as nonsense.
 func ParseRetryAfterAt(v string, now time.Time) (time.Duration, bool) {
 	if v == "" {
 		return 0, false
 	}
-	if secs, err := strconv.ParseFloat(v, 64); err == nil {
-		if secs < 0 || secs > maxRetryAfter.Seconds() {
+	if delaySeconds(v) {
+		secs, err := strconv.ParseFloat(v, 64)
+		if err != nil || secs > maxRetryAfter.Seconds() {
 			return 0, false
 		}
 		return time.Duration(secs * float64(time.Second)), true
@@ -197,6 +198,23 @@ func ParseRetryAfterAt(v string, now time.Time) (time.Duration, bool) {
 		d = maxRetryAfter
 	}
 	return d, true
+}
+
+// delaySeconds reports whether v is decimal digits with an optional
+// fraction ("2", "0.25"). strconv.ParseFloat alone would also take a
+// sign, an exponent, hex floats, "Inf" and "NaN" — and a NaN passes
+// every range check.
+func delaySeconds(v string) bool {
+	dot := -1
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; {
+		case c == '.' && dot < 0:
+			dot = i
+		case c < '0' || c > '9':
+			return false
+		}
+	}
+	return dot != 0 && dot != len(v)-1 // "" ends at -1 too
 }
 
 // sharedRand is the jitter source, seeded once at startup and guarded

@@ -60,6 +60,25 @@ func TestParseRetryAfter(t *testing.T) {
 		{"-1", 0, false},
 		{"Wed, 21 Oct 2015 07:28:00 GMT", 0, true}, // long past: retry immediately
 		{"999999999", 0, false},                    // nonsense horizon
+		{"86400", 24 * time.Hour, true},            // the cap itself
+		{"1.5", 1500 * time.Millisecond, true},
+		// Only decimal digits with an optional fraction are
+		// delay-seconds; everything else ParseFloat would take is not.
+		{"NaN", 0, false},
+		{"nan", 0, false},
+		{"Inf", 0, false},
+		{"+Inf", 0, false},
+		{"0x1p-2", 0, false},
+		{"1e3", 0, false},
+		{"1E3", 0, false},
+		{"+2", 0, false},
+		{"-0", 0, false},
+		{".5", 0, false},
+		{"1.", 0, false},
+		{".", 0, false},
+		{"1.2.3", 0, false},
+		{"1_000", 0, false},
+		{" 2", 0, false},
 	}
 	for _, c := range cases {
 		got, ok := ParseRetryAfter(c.in)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -445,6 +446,13 @@ func integer(row subgraph.Entity, key string) (int64, error) {
 	case int64:
 		return v, nil
 	case float64: // JSON round trip turns numbers into float64
+		// A fraction is no integer, and from 2^53 on the decoder has
+		// already rounded the value; int64(v) would turn either (or
+		// NaN, or ±Inf) into a plausible wrong number.
+		if v != math.Trunc(v) || math.Abs(v) >= 1<<53 {
+			pm().parseErrors.Inc()
+			return 0, fmt.Errorf("bad %s %v: not an integer of magnitude below 2^53", key, v)
+		}
 		return int64(v), nil
 	case string:
 		if v == "" {

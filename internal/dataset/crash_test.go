@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -283,15 +284,34 @@ func TestIntegerRejectsMalformedValues(t *testing.T) {
 		{"12345", 12345, false},
 		{int64(7), 7, false},
 		{float64(9), 9, false},
+		{float64(1<<53 - 1), 1<<53 - 1, false},
+		{float64(-(1<<53 - 1)), -(1<<53 - 1), false},
+		{1.5, 0, true},
+		{1e19, 0, true},
+		{-1e300, 0, true},
+		{float64(1<<53 + 2), 0, true},
+		{float64(1 << 53), 0, true},
+		{math.NaN(), 0, true},
+		{math.Inf(1), 0, true},
 		{"not-a-number", 0, true},
 		{"12x", 0, true},
 		{[]string{"1"}, 0, true},
 	}
 	for _, c := range cases {
 		row := subgraph.Entity{"expiryDate": c.val}
+		before := pm().parseErrors.Value()
 		got, err := integer(row, "expiryDate")
 		if (err != nil) != c.wantErr || got != c.want {
 			t.Errorf("integer(%#v) = (%d, %v), want (%d, err=%v)", c.val, got, err, c.want, c.wantErr)
+		}
+		// Each rejection, and nothing else, counts in
+		// dataset_parse_errors_total.
+		var want uint64
+		if c.wantErr {
+			want = 1
+		}
+		if counted := pm().parseErrors.Value() - before; counted != want {
+			t.Errorf("integer(%#v) counted %d parse errors, want %d", c.val, counted, want)
 		}
 	}
 

@@ -274,10 +274,11 @@ func (g *Gate) Wrap(route string, next http.Handler) http.Handler {
 
 // writeRetryAfter renders the hint in fractional seconds: real servers
 // send integers, but fractional hints keep the chaos/soak harnesses
-// fast and crawler.ParseRetryAfter accepts both.
+// fast and crawler.ParseRetryAfter accepts both. The 'f' format never
+// takes exponent form, which that parser refuses.
 func writeRetryAfter(w http.ResponseWriter, d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	w.Header().Set("Retry-After", strconv.FormatFloat(d.Seconds(), 'g', -1, 64))
+	w.Header().Set("Retry-After", strconv.FormatFloat(d.Seconds(), 'f', -1, 64))
 }

@@ -11,6 +11,27 @@ import (
 	"ensdropcatch/internal/obs"
 )
 
+// The hint stays in delay-seconds' decimal grammar (no exponent form,
+// which crawler.ParseRetryAfter refuses), even far below a millisecond.
+func TestRetryAfterHintIsDecimal(t *testing.T) {
+	for _, c := range []struct {
+		d    time.Duration
+		want string
+	}{
+		{10 * time.Microsecond, "0.00001"},
+		{10 * time.Millisecond, "0.01"},
+		{1500 * time.Millisecond, "1.5"},
+		{2 * time.Second, "2"},
+		{-time.Second, "0"},
+	} {
+		rec := httptest.NewRecorder()
+		writeRetryAfter(rec, c.d)
+		if got := rec.Header().Get("Retry-After"); got != c.want {
+			t.Errorf("writeRetryAfter(%v) = %q, want %q", c.d, got, c.want)
+		}
+	}
+}
+
 // withTestMetrics points the package metrics at a private registry for
 // the duration of the test and returns it.
 func withTestMetrics(t *testing.T) *obs.Registry {
