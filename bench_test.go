@@ -89,7 +89,7 @@ func benchWorld(b *testing.B) (*world.Result, *dataset.Dataset, *core.Analyzer) 
 		b.Fatalf("bench world mutated: fingerprint %x, was %x at build", fp, benchState.fp)
 	}
 	// Stamp every result with the world size so archived runs at different
-	// ENSBENCH_DOMAINS stay distinguishable in BENCH_PR3.json. Via Cleanup
+	// ENSBENCH_DOMAINS stay distinguishable in bench_output.txt. Via Cleanup
 	// because it runs after the benchmark body: callers invoke b.ResetTimer
 	// to exclude the world build, and since Go 1.24 that clears metrics
 	// reported before it.
@@ -637,10 +637,9 @@ func BenchmarkResolutionLogAuthoritative(b *testing.B) {
 // BenchmarkDatasetPersist times saving and loading the bench world as
 // dataset.bin; the dirsize_bytes metric records its footprint.
 // Sub-benchmark names carry the world size (save_binary_20k, ...) so the
-// 20k and 100k passes of `make bench-persist` land as separate entries
-// in BENCH_PR7.json instead of the second overwriting the first. That
-// archive also keeps save_json/load_json rows, measured for a JSONL
-// directory format the dataset no longer has.
+// 20k and 100k passes of `make bench-persist` stay separate rows in
+// bench_persist.txt. That file also keeps save_json/load_json rows,
+// measured for a JSONL directory format the dataset no longer has.
 func BenchmarkDatasetPersist(b *testing.B) {
 	_, ds, _ := benchWorld(b)
 	sizeTag := fmt.Sprintf("%dk", benchDomains()/1000)

@@ -21,9 +21,9 @@
 //     and requires the persisted datasets (dataset.bin) to be
 //     byte-identical — faults may cost time and restarts, never rows,
 //
-//   - emits CHAOS_REPORT as go-bench lines cmd/benchjson can archive:
+//   - emits CHAOS_REPORT on stdout as go-bench lines:
 //
-//     enschaos -campaign blackout-recovery -domains 250 -runs 2 | benchjson -o CHAOS_REPORT.json
+//     enschaos -campaign blackout-recovery -domains 250 -runs 2 > chaos_report.txt
 //     enschaos -scenario drills/my-campaign.json -budget-burst 0
 //     enschaos -list
 //
@@ -383,9 +383,9 @@ func compareDirs(want, got string) error {
 }
 
 // writeChaosBench emits CHAOS_REPORT: one go-bench line per phase plus
-// a total, parseable by cmd/benchjson (`enschaos ... | benchjson -o
-// CHAOS_REPORT.json`). The iteration count is the phase's requests;
-// clean_frac regresses downward like a throughput metric would.
+// a total, in the shape `go test -bench` prints. The iteration count is
+// the phase's requests; clean_frac regresses downward like a throughput
+// metric would.
 func writeChaosBench(w io.Writer, name string, reps []chaos.PhaseReport, restarts int) {
 	var totReq, totClean int64
 	for _, r := range reps {

@@ -86,8 +86,8 @@ func TestChaosSmoke(t *testing.T) {
 			t.Errorf("stderr missing %q:\n%s", want, stderr)
 		}
 	}
-	// CHAOS_REPORT must be go-bench lines the way cmd/benchjson parses
-	// them: name, iterations, then (value, unit) pairs.
+	// CHAOS_REPORT must be go-bench lines: name, iterations, then
+	// (value, unit) pairs.
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 	if len(lines) < 4 {
 		t.Fatalf("CHAOS_REPORT has %d lines, want at least warmup/blackout/recovery/total:\n%s", len(lines), out.String())

@@ -160,8 +160,8 @@ func main() {
 		"quota_rate", *quotaRate, "route_timeout", *routeTimeout)
 	// The full middleware stack — metrics, deadlines, quotas, the
 	// admission gate, chaos, the page cache, tracing — is assembled in
-	// internal/serve so the binary, the load generator's self-hosted
-	// mode, and the tests all run identical wiring.
+	// internal/serve so the binary, the benchmark, the load gate and
+	// the other tests all run identical wiring.
 	stack := serve.New(res, store, serve.Config{
 		Logger:        logger,
 		Seed:          *seed,

@@ -69,16 +69,6 @@ func NewCampaign(p *plan.Plan, cfg Config) *Campaign {
 	}
 }
 
-// Tick returns the current virtual time without consuming a tick.
-func (c *Campaign) Tick() plan.Ticks {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return plan.Ticks(c.reqs)
-}
-
-// Done reports whether the virtual clock has passed the last phase.
-func (c *Campaign) Done() bool { return c.Tick() >= c.plan.End() }
-
 // decide consumes one tick and two uniform draws and resolves the
 // request's fate, tallying it into the phase stats.
 func (c *Campaign) decide(route string) plan.Decision {

@@ -145,14 +145,6 @@ type Plan struct {
 	Phases []Phase `json:"phases"`
 }
 
-// End returns the first tick after the final phase.
-func (p *Plan) End() Ticks {
-	if len(p.Phases) == 0 {
-		return 0
-	}
-	return p.Phases[len(p.Phases)-1].End()
-}
-
 // Steady returns the always-on plan: one phase from tick 0 to the end
 // of the clock, with one mix rule over every route that injures each
 // request with probability rate, drawing the fault from faults (empty

@@ -177,7 +177,7 @@ func TestParseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Name != "doc" || len(p.Phases) != 2 || p.End() != 150 {
+	if p.Name != "doc" || len(p.Phases) != 2 || p.Phases[1].End() != 150 {
 		t.Fatalf("parsed plan mangled: %+v", p)
 	}
 	if d := p.Decide(60, "/subgraph", 0, 0); d.Mode != ModeLatencyStorm {
@@ -204,8 +204,8 @@ func TestSteady(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("steady plan rejected: %v", err)
 	}
-	if p.End() != math.MaxInt64 {
-		t.Fatalf("steady plan ends at %d, want the end of the clock", p.End())
+	if end := p.Phases[len(p.Phases)-1].End(); end != math.MaxInt64 {
+		t.Fatalf("steady plan ends at %d, want the end of the clock", end)
 	}
 	// Every route, at both ends of the clock, is in the one phase and
 	// drawn by the one mix rule.

@@ -39,14 +39,9 @@ var clientPkgs = []string{
 	// trace ships in every client's request path (Inject, Middleware);
 	// raw outbound HTTP from it would bypass the call pipeline.
 	"internal/trace",
-	// The load harness speaks raw HTTP *by design* (an open-loop
-	// generator must not retry or back off), so its transport calls are
-	// in scope precisely to force each one to carry a //lint:allow
-	// explaining that intent.
-	"cmd/ensload",
-	// The chaos runner builds hostile *and* clean client stacks; any
-	// raw HTTP it issued itself would be traffic the campaign clock
-	// never ticks for, silently skewing the fault schedule.
+	// The chaos drill measures how crawler.Call's retries and retry
+	// budget ride out the faults; raw HTTP from the drill would bypass
+	// exactly what it measures.
 	"cmd/enschaos",
 }
 

@@ -14,7 +14,11 @@
 // this module (ensdropcatch/...) type-check the actual repository
 // source, so a fixture can exercise crawler.Retry or par.Map against
 // the real signatures; everything else goes through the stdlib source
-// importer. Both work offline.
+// importer. Both work offline. One FileSet and one importer serve every
+// fixture of a test binary, so each imported package, net/http and the
+// repository packages alike, is type-checked once per binary, not once
+// per fixture. Fixtures therefore run one at a time: the importer is
+// not safe for concurrent use.
 package linttest
 
 import (
@@ -29,6 +33,7 @@ import (
 	"reflect"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"golang.org/x/tools/go/analysis"
@@ -66,14 +71,17 @@ func DiagnosticsPos(t *testing.T, a *analysis.Analyzer, pkgPath string) ([]analy
 
 func analyze(t *testing.T, a *analysis.Analyzer, pkgPath string) ([]analysis.Diagnostic, *token.FileSet, []*ast.File) {
 	t.Helper()
+	imp, err := sharedImporter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := imp.fset
 	dir := filepath.Join("testdata", "src", filepath.FromSlash(pkgPath))
-	fset := token.NewFileSet()
 	files := parseDir(t, fset, dir)
 	if len(files) == 0 {
 		t.Fatalf("no fixture files in %s", dir)
 	}
 
-	imp := newImporter(t, fset)
 	conf := types.Config{Importer: imp, Error: func(err error) { t.Errorf("fixture type error: %v", err) }}
 	info := newInfo()
 	pkg, err := conf.Check(pkgPath, fset, files, info)
@@ -240,7 +248,6 @@ func newInfo() *types.Info {
 // repository source tree and everything else against the stdlib source
 // importer. Both paths work without network or pre-built export data.
 type moduleImporter struct {
-	t       *testing.T
 	fset    *token.FileSet
 	std     types.Importer
 	modPath string
@@ -248,11 +255,15 @@ type moduleImporter struct {
 	cache   map[string]*types.Package
 }
 
-func newImporter(t *testing.T, fset *token.FileSet) *moduleImporter {
-	t.Helper()
+// sharedImporter is the test binary's one importer, over its one FileSet.
+var sharedImporter = sync.OnceValues(func() (*moduleImporter, error) {
+	return newImporter(token.NewFileSet())
+})
+
+func newImporter(fset *token.FileSet) (*moduleImporter, error) {
 	dir, err := os.Getwd()
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	for {
 		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
@@ -260,13 +271,13 @@ func newImporter(t *testing.T, fset *token.FileSet) *moduleImporter {
 		}
 		parent := filepath.Dir(dir)
 		if parent == dir {
-			t.Fatal("linttest: no go.mod above the test directory")
+			return nil, fmt.Errorf("linttest: no go.mod above the test directory")
 		}
 		dir = parent
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	modPath := ""
 	for _, line := range strings.Split(string(data), "\n") {
@@ -276,16 +287,15 @@ func newImporter(t *testing.T, fset *token.FileSet) *moduleImporter {
 		}
 	}
 	if modPath == "" {
-		t.Fatal("linttest: no module line in go.mod")
+		return nil, fmt.Errorf("linttest: no module line in go.mod")
 	}
 	return &moduleImporter{
-		t:       t,
 		fset:    fset,
 		std:     importer.ForCompiler(fset, "source", nil),
 		modPath: modPath,
 		modDir:  dir,
 		cache:   map[string]*types.Package{},
-	}
+	}, nil
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {

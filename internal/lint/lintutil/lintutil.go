@@ -37,12 +37,11 @@ var DeterministicPkgs = []string{
 	"internal/ens",
 	"internal/auction",
 	// PR 9: pure transform and serving-support packages added since —
-	// hashing, JSON encoding, response caching, and the bench-archive
-	// tool must all be reproducible byte for byte.
+	// hashing, JSON encoding and response caching must all be
+	// reproducible byte for byte.
 	"internal/keccak",
 	"internal/httpjson",
 	"internal/pagecache",
-	"cmd/benchjson",
 	// PR 10: the campaign planner is the contract that a fault schedule
 	// is a pure function of (plan, seed, tick) — any clock or RNG read
 	// inside it would break cross-run drill determinism.

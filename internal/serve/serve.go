@@ -1,9 +1,9 @@
 // Package serve assembles the ensworld HTTP stack — routes, metrics,
 // overload protection, chaos injection, response caching, tracing —
 // from a generated world. Extracting the wiring from the binary lets
-// the load generator's self-hosted mode, the e2e tests, and the server
-// itself run the exact same stack, so a latency number measured in one
-// place means the same thing everywhere.
+// the server, the benchmark, the load gate and the e2e tests run the
+// exact same stack, so a latency number measured in one place means
+// the same thing everywhere.
 //
 // Middleware order, outermost first:
 //

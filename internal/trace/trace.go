@@ -22,8 +22,9 @@
 // nil-safe, so instrumented code never branches on "is tracing on";
 // hot paths that would compute attribute strings guard with a nil
 // check first. The zero-allocation claim is enforced by
-// TestDisabledTracingAllocates in this package and the request-path
-// benchmarks against BENCH_PR3.json.
+// TestDisabledTracingAllocates in this package and by the serve
+// allocation budgets (TestRouteAllocBudgets in internal/serve,
+// TestServeHandlerAllocBudgets at the module root).
 //
 // # Determinism
 //

@@ -2,10 +2,8 @@ package ensdropcatch
 
 // Serve-path benchmarks: per-request cost of each data-route handler on
 // an in-process world, without network or multiplexer overhead.
-// allocs/op here is allocs/request on the serve path:
-// TestServeHandlerAllocBudgets bounds it, and cmd/benchjson folds the
-// benchmarks into BENCH_LOAD.json next to the ensload latency report
-// (make bench-load).
+// allocs/op here is allocs/request on the serve path, and
+// TestServeHandlerAllocBudgets bounds it.
 
 import (
 	"bytes"
