@@ -2,7 +2,10 @@ package subgraph
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -81,6 +84,41 @@ func TestBuildIndexCounts(t *testing.T) {
 	if store.Len(ColDomains) == 0 {
 		t.Error("no domains indexed")
 	}
+
+	// Every entity of every collection, pinned: no crawl reads the
+	// registrations or domains collections, so nothing else would see
+	// BuildIndex change them.
+	want := map[string]struct {
+		n      int
+		digest string
+	}{
+		ColRegistrations: {400, "608049e0de1779a3a777482572a422792869b292fcd004b19d70b6c5e80a9909"},
+		ColEvents:        {640, "5df5251313b41e2fa24dd57c93abec3a683f9b4edf7673a0d216d355ab5363dd"},
+		ColDomains:       {494, "9c3535028f23c0e6d1b9a0ee31c18a9b7fe5110aef3d83a71509bfe4f359b83b"},
+		ColSubdomains:    {94, "a75cf8d26888ed169c0868739a3799c083a155346af31b831b8008ee487065ab"},
+	}
+	for col, w := range want {
+		n, digest := collectionDigest(store, col)
+		if n != w.n || digest != w.digest {
+			t.Errorf("%s: %d entities, digest %s; want %d, %s", col, n, digest, w.n, w.digest)
+		}
+	}
+}
+
+// collectionDigest hashes a collection in store order, one line per
+// entity, each entity rendered with all its fields in name order.
+func collectionDigest(s *Store, col string) (int, string) {
+	h := sha256.New()
+	list := s.collections[col]
+	for _, e := range list {
+		keys := make([]string, 0, len(e))
+		for k := range e {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		h.Write(append(appendRow(nil, project(e, keys)), '\n'))
+	}
+	return len(list), hex.EncodeToString(h.Sum(nil))
 }
 
 func countUniqueLabels(res *world.Result) int {
