@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -128,7 +129,7 @@ func loadDataset(dir, snapshot string, domains int, seed int64, workers int, log
 		if err != nil {
 			return nil, nil, err
 		}
-		ds, err := dataset.FromWorld(contextTODO(), res, dataset.BuildOptions{Logger: logger})
+		ds, err := dataset.FromWorld(context.Background(), res, dataset.BuildOptions{Logger: logger})
 		if err != nil {
 			return nil, nil, err
 		}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 
 	"ensdropcatch/internal/core"
@@ -9,9 +8,6 @@ import (
 	"ensdropcatch/internal/walletsim"
 	"ensdropcatch/internal/world"
 )
-
-// contextTODO centralizes the tool's background context.
-func contextTODO() context.Context { return context.Background() }
 
 // walletSurvey reproduces Appendix B against up to 25 expired,
 // still-resolving names from the generated world, then appends the

@@ -23,7 +23,6 @@ const BlockInterval = 12
 var (
 	ErrInsufficientBalance = errors.New("chain: insufficient balance")
 	ErrTimeRegression      = errors.New("chain: timestamp before chain head")
-	ErrUnknownTx           = errors.New("chain: unknown transaction")
 )
 
 // Transaction is a recorded on-chain transaction. Fields mirror what the
@@ -76,15 +75,6 @@ type balanceDelta struct {
 	add  bool
 }
 
-// Timestamp returns the block timestamp of the executing transaction.
-func (ctx *TxContext) Timestamp() int64 { return ctx.tx.Timestamp }
-
-// From returns the transaction sender.
-func (ctx *TxContext) From() ethtypes.Address { return ctx.tx.From }
-
-// Value returns the wei attached to the call.
-func (ctx *TxContext) Value() ethtypes.Wei { return ctx.tx.Value }
-
 // Emit records a contract event.
 func (ctx *TxContext) Emit(event string, topics []ethtypes.Hash, data map[string]string) {
 	ctx.logs = append(ctx.logs, &Log{
@@ -121,7 +111,6 @@ type Chain struct {
 	genesis    int64
 	headTime   int64
 	txs        []*Transaction
-	txByHash   map[ethtypes.Hash]*Transaction
 	txsByAddr  map[ethtypes.Address][]*Transaction
 	logs       []*Log
 	logsByAddr map[ethtypes.Address][]*Log
@@ -134,31 +123,11 @@ func New(genesisTime int64) *Chain {
 	return &Chain{
 		genesis:    genesisTime,
 		headTime:   genesisTime,
-		txByHash:   make(map[ethtypes.Hash]*Transaction),
 		txsByAddr:  make(map[ethtypes.Address][]*Transaction),
 		logsByAddr: make(map[ethtypes.Address][]*Log),
 		balances:   make(map[ethtypes.Address]ethtypes.Wei),
 		nonces:     make(map[ethtypes.Address]uint64),
 	}
-}
-
-// Genesis returns the genesis timestamp.
-func (c *Chain) Genesis() int64 { return c.genesis }
-
-// HeadTime returns the timestamp of the most recent transaction (or genesis
-// if the chain is empty).
-func (c *Chain) HeadTime() int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.headTime
-}
-
-// BlockNumberAt converts a timestamp to the containing block number.
-func (c *Chain) BlockNumberAt(ts int64) uint64 {
-	if ts < c.genesis {
-		return 0
-	}
-	return uint64((ts-c.genesis)/BlockInterval) + 1
 }
 
 // Mint credits amount to addr out of thin air (the simulation faucet;
@@ -174,13 +143,6 @@ func (c *Chain) BalanceOf(addr ethtypes.Address) ethtypes.Wei {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.balances[addr]
-}
-
-// Nonce returns addr's next nonce.
-func (c *Chain) Nonce(addr ethtypes.Address) uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.nonces[addr]
 }
 
 // Transfer applies a plain value transfer at timestamp ts.
@@ -245,7 +207,6 @@ func (c *Chain) Apply(ts int64, from, to ethtypes.Address, value ethtypes.Wei, i
 	}
 
 	c.txs = append(c.txs, tx)
-	c.txByHash[tx.Hash] = tx
 	c.txsByAddr[from] = append(c.txsByAddr[from], tx)
 	if to != from {
 		c.txsByAddr[to] = append(c.txsByAddr[to], tx)
@@ -274,17 +235,6 @@ func txHash(from ethtypes.Address, nonce uint64) ethtypes.Hash {
 	return ethtypes.HashData(buf)
 }
 
-// TxByHash looks up a transaction.
-func (c *Chain) TxByHash(h ethtypes.Hash) (*Transaction, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	tx, ok := c.txByHash[h]
-	if !ok {
-		return nil, ErrUnknownTx
-	}
-	return tx, nil
-}
-
 // TxCount returns the total number of recorded transactions.
 func (c *Chain) TxCount() int {
 	c.mu.RLock()
@@ -305,33 +255,6 @@ func (c *Chain) Transactions() []*Transaction {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return append([]*Transaction(nil), c.txs...)
-}
-
-// Logs returns every emitted log in chain order (copy).
-func (c *Chain) Logs() []*Log {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return append([]*Log(nil), c.logs...)
-}
-
-// LogsByAddress returns logs emitted by the given contract (copy).
-func (c *Chain) LogsByAddress(addr ethtypes.Address) []*Log {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return append([]*Log(nil), c.logsByAddr[addr]...)
-}
-
-// LogsByEvent returns logs with the given decoded event name (copy).
-func (c *Chain) LogsByEvent(event string) []*Log {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []*Log
-	for _, l := range c.logs {
-		if l.Event == event {
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 // AddressesWithActivity returns every address that has sent or received at

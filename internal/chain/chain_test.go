@@ -64,18 +64,22 @@ func TestTimeMustNotRegress(t *testing.T) {
 }
 
 func TestBlockNumbering(t *testing.T) {
-	c := New(genesis)
-	if bn := c.BlockNumberAt(genesis); bn != 1 {
-		t.Errorf("genesis block = %d, want 1", bn)
-	}
-	if bn := c.BlockNumberAt(genesis + 11); bn != 1 {
-		t.Errorf("t+11 block = %d, want 1", bn)
-	}
-	if bn := c.BlockNumberAt(genesis + 12); bn != 2 {
-		t.Errorf("t+12 block = %d, want 2", bn)
-	}
-	if bn := c.BlockNumberAt(genesis - 1); bn != 0 {
-		t.Errorf("pre-genesis block = %d, want 0", bn)
+	c, a := newFunded(t, "alice", "bob")
+	for _, tc := range []struct {
+		ts   int64
+		want uint64
+	}{
+		{genesis, 1},
+		{genesis + 11, 1},
+		{genesis + 12, 2},
+	} {
+		rcpt, err := c.Transfer(tc.ts, a[0], a[1], ethtypes.NewWei(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bn := rcpt.Tx.BlockNumber; bn != tc.want {
+			t.Errorf("block at genesis%+d = %d, want %d", tc.ts-genesis, bn, tc.want)
+		}
 	}
 }
 
@@ -96,11 +100,11 @@ func TestContractCallEmitsLogs(t *testing.T) {
 	if rcpt.Logs[0].Data["name"] != "gold" {
 		t.Error("log data lost")
 	}
-	if got := c.LogsByEvent("NameRegistered"); len(got) != 1 {
-		t.Errorf("LogsByEvent returned %d", len(got))
+	if got := c.FilterLogs(LogFilter{Events: []string{"NameRegistered"}}); len(got) != 1 {
+		t.Errorf("FilterLogs by event returned %d", len(got))
 	}
-	if got := c.LogsByAddress(contract); len(got) != 1 {
-		t.Errorf("LogsByAddress returned %d", len(got))
+	if got := c.FilterLogs(LogFilter{Address: contract}); len(got) != 1 {
+		t.Errorf("FilterLogs by address returned %d", len(got))
 	}
 	if bal := c.BalanceOf(contract); bal.Cmp(ethtypes.Ether(1)) != 0 {
 		t.Errorf("contract balance %s", bal)
@@ -149,7 +153,7 @@ func TestRefundFromContract(t *testing.T) {
 	_, err := c.Apply(genesis+24, a[0], contract, ethtypes.Ether(10), nil, "register",
 		func(ctx *TxContext) error {
 			// Keep 3 ETH, refund 7.
-			return ctx.TransferFromContract(ctx.From(), ethtypes.Ether(7))
+			return ctx.TransferFromContract(a[0], ethtypes.Ether(7))
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -179,14 +183,6 @@ func TestTxIndexes(t *testing.T) {
 	}
 	if got := c.TxCount(); got != 3 {
 		t.Errorf("TxCount = %d", got)
-	}
-	tx := c.TxsByAddress(a[0])[0]
-	byHash, err := c.TxByHash(tx.Hash)
-	if err != nil || byHash != tx {
-		t.Errorf("TxByHash mismatch: %v %v", byHash, err)
-	}
-	if _, err := c.TxByHash(ethtypes.Hash{0xde, 0xad}); !errors.Is(err, ErrUnknownTx) {
-		t.Errorf("unknown hash err = %v", err)
 	}
 }
 

@@ -46,7 +46,7 @@ func (f *LogFilter) matches(l *Log) bool {
 
 // FilterLogs returns the logs matching the filter in chain order (copy).
 // Indexers use it to fold specific event streams without walking unrelated
-// logs, and incremental indexers pass a FromBlock watermark.
+// logs.
 func (c *Chain) FilterLogs(f LogFilter) []*Log {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -70,7 +70,7 @@ func TestFilterLogsByBlockRange(t *testing.T) {
 	if len(upper)+len(lower) != len(all) {
 		t.Errorf("range split %d + %d != %d", len(upper), len(lower), len(all))
 	}
-	// Incremental-indexer pattern: watermark walk sees each log once.
+	// The paged eth_getLogs pattern: consecutive windows see each log once.
 	seen := 0
 	from := uint64(0)
 	for {
@@ -82,7 +82,7 @@ func TestFilterLogsByBlockRange(t *testing.T) {
 		from += 21
 	}
 	if seen != len(all) {
-		t.Errorf("watermark walk saw %d logs, want %d", seen, len(all))
+		t.Errorf("windowed walk saw %d logs, want %d", seen, len(all))
 	}
 }
 

@@ -200,9 +200,9 @@ func (c *Campaign) Wrap(inner http.Handler) http.Handler {
 			inner.ServeHTTP(w, r)
 			return
 		}
-		// Annotate before acting: connection-aborting faults never reach
-		// the status-recording middleware, so the span annotation is the
-		// only attribution the stored trace gets.
+		// Annotate before acting: connection-aborting faults never write
+		// a status for the serve observer to record, so the span
+		// annotation is the only attribution the stored trace gets.
 		if sp := trace.FromContext(r.Context()); sp != nil {
 			sp.Error("chaos.fault",
 				trace.A("kind", kindOf(d)),

@@ -193,10 +193,6 @@ func Classify(ds *dataset.Dataset) *Population {
 	return pop
 }
 
-// ReleaseOf returns when tenure i's name became publicly available
-// (expiry + grace period).
-func (h *History) ReleaseOf(i int) int64 { return ens.ReleaseTime(h.Tenures[i].Expiry) }
-
 // PremiumEndOf returns when tenure i's post-expiry auction premium reached
 // zero.
 func (h *History) PremiumEndOf(i int) int64 { return ens.PremiumEndTime(h.Tenures[i].Expiry) }

@@ -222,30 +222,7 @@ func Build(ctx context.Context, regs RegistrationSource, txs TxSource, market Ma
 	onAddressDone := func() { bm.txDone.Set(float64(done.Add(1))) }
 	stopProgress := startProgressLoop(ctx, opts, &done, len(addrs), stageStart)
 
-	var mu sync.Mutex
-	if opts.ResumeDir != "" {
-		err = crawlTxsResumable(ctx, opts.ResumeDir, txs, addrs, opts.TxWorkers, ds, onAddressDone, opts.FsyncCheckpoint, opts.FS)
-	} else {
-		set := newTxSet(ds, 0)
-		err = crawler.ForEach(ctx, opts.TxWorkers, addrs, func(ctx context.Context, addr ethtypes.Address) error {
-			// One span per crawled address groups the etherscan call and
-			// its retries into a single trace keyed to the address.
-			ctx, sp := trace.Start(ctx, "crawl.address")
-			if sp != nil {
-				sp.Annotate("address", addr.Hex())
-			}
-			records, err := txs.TxList(ctx, addr)
-			sp.EndErr(err)
-			if err != nil {
-				return fmt.Errorf("txlist %s: %w", addr, err)
-			}
-			defer onAddressDone()
-			mu.Lock()
-			defer mu.Unlock()
-			set.add(records)
-			return nil
-		})
-	}
+	err = crawlTxs(ctx, txs, addrs, ds, opts, onAddressDone)
 	stopProgress()
 	if err != nil {
 		return nil, fmt.Errorf("dataset: crawl transactions: %w", err)
@@ -262,6 +239,7 @@ func Build(ctx context.Context, regs RegistrationSource, txs TxSource, market Ma
 		}
 	}
 	sort.Slice(tokens, func(i, j int) bool { return lessHash(tokens[i], tokens[j]) })
+	var mu sync.Mutex
 	err = crawler.ForEach(ctx, opts.MarketWorkers, tokens, func(ctx context.Context, token ethtypes.Hash) error {
 		events, err := market.EventsForToken(ctx, token)
 		if err != nil {
@@ -294,6 +272,69 @@ func Build(ctx context.Context, regs RegistrationSource, txs TxSource, market Ma
 	ds.Reindex()
 	ds.inferWindow()
 	return ds, nil
+}
+
+// crawlTxs fetches the transaction list of every address in addrs into
+// ds, calling onAddressDone once per address covered. With
+// opts.ResumeDir set, addresses that the spool there holds are recovered
+// from it, and every other address counts as crawled only once its
+// record is appended.
+func crawlTxs(ctx context.Context, txs TxSource, addrs []ethtypes.Address, ds *Dataset, opts BuildOptions, onAddressDone func()) (err error) {
+	var (
+		set   *txSet
+		spool *txSpool
+	)
+	if opts.ResumeDir == "" {
+		set = newTxSet(ds, 0)
+	} else {
+		var done map[ethtypes.Address]bool
+		if spool, set, done, err = openSpool(opts.ResumeDir, ds, opts.FsyncCheckpoint, opts.FS); err != nil {
+			return err
+		}
+		defer func() {
+			if cerr := spool.f.Close(); err == nil && cerr != nil {
+				err = fmt.Errorf("dataset: close spool: %w", cerr)
+			}
+		}()
+		todo := make([]ethtypes.Address, 0, len(addrs))
+		for _, a := range addrs {
+			if done[a] {
+				onAddressDone() // recovered, so progress sees the full total
+			} else {
+				todo = append(todo, a)
+			}
+		}
+		addrs = todo
+	}
+
+	var mu sync.Mutex
+	return crawler.ForEach(ctx, opts.TxWorkers, addrs, func(ctx context.Context, addr ethtypes.Address) error {
+		// One span per crawled address groups the etherscan call and its
+		// retries into a single trace keyed to the address.
+		ctx, sp := trace.Start(ctx, "crawl.address")
+		if sp != nil {
+			sp.Annotate("address", addr.Hex())
+		}
+		records, err := txs.TxList(ctx, addr)
+		sp.EndErr(err)
+		if err != nil {
+			return fmt.Errorf("txlist %s: %w", addr, err)
+		}
+		var rows []*Tx
+		if spool != nil {
+			rows = spoolRows(records) // copied and sorted outside the lock
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if spool != nil {
+			if err := spool.append(addr, rows); err != nil {
+				return err
+			}
+		}
+		set.add(records)
+		onAddressDone()
+		return nil
+	})
 }
 
 // startProgressLoop emits periodic done/total/ETA summaries through the

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,13 +10,10 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
-	"sync"
 
-	"ensdropcatch/internal/crawler"
 	"ensdropcatch/internal/dataset/codec"
+	"ensdropcatch/internal/etherscan"
 	"ensdropcatch/internal/ethtypes"
-	"ensdropcatch/internal/trace"
 	"ensdropcatch/internal/vfs"
 )
 
@@ -89,35 +85,41 @@ func refuseLegacyResume(dir string) error {
 	return nil
 }
 
-// crawlTxsResumable crawls transaction lists for addrs with concurrency
-// workers, spooling one record per finished address under dir. Addresses
-// with a record in the spool are skipped and their transactions
-// recovered from it. onAddressDone is invoked once per covered address —
-// including recovered ones — so progress reporting sees the full total.
-// fsync additionally syncs the spool at every finished address.
-func crawlTxsResumable(ctx context.Context, dir string, txs TxSource, addrs []ethtypes.Address, workers int, ds *Dataset, onAddressDone func(), fsync bool, fsys vfs.FS) error {
-	if onAddressDone == nil {
-		onAddressDone = func() {}
-	}
+// txSpool is a resume spool open for appending, one record per
+// finished address. It is not safe for concurrent use.
+type txSpool struct {
+	f     vfs.File
+	fsys  vfs.FS
+	fsync bool
+	// needHeader is set for a fresh (or reset) spool, which gets its
+	// header in the same Write as its first record.
+	needHeader bool
+	enc        *spoolEncoder
+}
+
+// openSpool replays the spool under dir into ds and opens it for
+// appending. It returns the set of transactions ds now holds and the
+// addresses that have a record. With fsync, every append is synced too.
+func openSpool(dir string, ds *Dataset, fsync bool, fsys vfs.FS) (*txSpool, *txSet, map[ethtypes.Address]bool, error) {
 	fsys = vfs.OrOS(fsys)
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("dataset: resume dir: %w", err)
+		return nil, nil, nil, fmt.Errorf("dataset: resume dir: %w", err)
 	}
 
 	path := filepath.Join(dir, spoolFile)
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("dataset: read spool: %w", err)
+		return nil, nil, nil, fmt.Errorf("dataset: read spool: %w", err)
 	}
 	recs, end, err := replaySpool(data)
 	if err != nil {
-		return fmt.Errorf("dataset: %s: %w", path, err)
+		return nil, nil, nil, fmt.Errorf("dataset: %s: %w", path, err)
 	}
 	if end < len(data) {
 		// Drop the torn tail (or a header cut short) so the next append
 		// starts on a record boundary.
 		if err := os.Truncate(path, int64(end)); err != nil {
-			return fmt.Errorf("dataset: truncate torn spool tail: %w", err)
+			return nil, nil, nil, fmt.Errorf("dataset: truncate torn spool tail: %w", err)
 		}
 		pm().spoolRecoveries.Inc()
 	}
@@ -126,7 +128,6 @@ func crawlTxsResumable(ctx context.Context, dir string, txs TxSource, addrs []et
 		recovered += len(rec.txs)
 	}
 	set := newTxSet(ds, recovered)
-	var mu sync.Mutex
 	ds.Txs = slices.Grow(ds.Txs, recovered)
 	done := make(map[ethtypes.Address]bool, len(recs))
 	for _, rec := range recs {
@@ -136,85 +137,58 @@ func crawlTxsResumable(ctx context.Context, dir string, txs TxSource, addrs []et
 		}
 	}
 
-	spool, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("dataset: append spool: %w", err)
+		return nil, nil, nil, fmt.Errorf("dataset: append spool: %w", err)
 	}
-	defer spool.Close()
 	if fsync {
 		// The spool may have just been created: fsync the containing
 		// directory so its *name* survives power loss too — fsyncing file
 		// contents alone does not make a fresh directory entry durable.
 		if err := fsys.SyncDir(dir); err != nil {
-			return fmt.Errorf("dataset: sync resume dir: %w", err)
+			_ = f.Close() // the sync failure is the error to report
+			return nil, nil, nil, fmt.Errorf("dataset: sync resume dir: %w", err)
 		}
 	}
-	// A fresh (or reset) spool gets its header in the same Write as its
-	// first record.
-	needHeader := end == 0
-	enc := newSpoolEncoder()
+	return &txSpool{f: f, fsys: fsys, fsync: fsync, needHeader: end == 0, enc: newSpoolEncoder()}, set, done, nil
+}
 
-	// Only crawl addresses without a record; recovered ones count as done
-	// immediately.
-	var todo []ethtypes.Address
-	for _, a := range addrs {
-		if !done[a] {
-			todo = append(todo, a)
-		} else {
-			onAddressDone()
-		}
+// spoolRows copies an address's list into rows in the order
+// encodeTxColumns requires.
+func spoolRows(records []etherscan.TxRecord) []*Tx {
+	all := make([]Tx, len(records))
+	rows := make([]*Tx, len(records))
+	for i := range records {
+		all[i] = fromRecord(&records[i])
+		rows[i] = &all[i]
 	}
-	sort.Slice(todo, func(i, j int) bool { return lessAddr(todo[i], todo[j]) })
+	sortTxs(rows)
+	return rows
+}
 
-	err = crawler.ForEach(ctx, workers, todo, func(ctx context.Context, addr ethtypes.Address) error {
-		// One span per crawled address, as in the non-resumable path.
-		ctx, sp := trace.Start(ctx, "crawl.address")
-		if sp != nil {
-			sp.Annotate("address", addr.Hex())
-		}
-		records, err := txs.TxList(ctx, addr)
-		sp.EndErr(err)
-		if err != nil {
-			return fmt.Errorf("txlist %s: %w", addr, err)
-		}
-		// The record holds the address's whole list, in the order
-		// encodeTxColumns requires.
-		all := make([]Tx, len(records))
-		rows := make([]*Tx, len(records))
-		for i := range records {
-			all[i] = fromRecord(&records[i])
-			rows[i] = &all[i]
-		}
-		sortTxs(rows)
-		mu.Lock()
-		defer mu.Unlock()
-		rec, err := enc.record(needHeader, addr, rows)
-		if err != nil {
-			return fmt.Errorf("spool %s: %w", addr, err)
-		}
-		if _, err := spool.Write(rec); err != nil {
-			return fmt.Errorf("spool %s: %w", addr, err)
-		}
-		needHeader = false
-		if fsync {
-			if err := spool.Sync(); err != nil {
-				return fmt.Errorf("sync spool %s: %w", addr, err)
-			}
-		}
-		// The record is whole on disk: from here on a crash must not
-		// re-crawl the address. Chaos tests park a crash point on this
-		// seam to prove it.
-		if err := vfs.Hit(fsys, "dataset.spool.post-append"); err != nil {
-			return fmt.Errorf("spool %s: %w", addr, err)
-		}
-		set.add(records)
-		onAddressDone()
-		return nil
-	})
-	if cerr := spool.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("dataset: close spool: %w", cerr)
+// append writes addr's record, its whole list in rows, and syncs it when
+// the spool was opened with fsync.
+func (s *txSpool) append(addr ethtypes.Address, rows []*Tx) error {
+	rec, err := s.enc.record(s.needHeader, addr, rows)
+	if err != nil {
+		return fmt.Errorf("spool %s: %w", addr, err)
 	}
-	return err
+	if _, err := s.f.Write(rec); err != nil {
+		return fmt.Errorf("spool %s: %w", addr, err)
+	}
+	s.needHeader = false
+	if s.fsync {
+		if err := s.f.Sync(); err != nil {
+			return fmt.Errorf("sync spool %s: %w", addr, err)
+		}
+	}
+	// The record is whole on disk: from here on a crash must not
+	// re-crawl the address. Chaos tests park a crash point on this seam
+	// to prove it.
+	if err := vfs.Hit(s.fsys, "dataset.spool.post-append"); err != nil {
+		return fmt.Errorf("spool %s: %w", addr, err)
+	}
+	return nil
 }
 
 // spoolEncoder frames spool records into one reused buffer, so it is not

@@ -59,12 +59,10 @@ type Service struct {
 	ControllerAddr ethtypes.Address
 	ResolverAddr   ethtypes.Address
 
-	regs        map[ethtypes.Hash]*Registration // by labelhash
-	byLabel     map[string]ethtypes.Hash
-	addrRec     map[ethtypes.Hash]ethtypes.Address // resolver records by node (persist after expiry)
-	commitments map[ethtypes.Hash]int64            // commitment hash -> commit time
-	subnodes    map[ethtypes.Hash]*Subdomain       // registry records by node
-	reverse     map[ethtypes.Address]string        // reverse-registrar claims
+	regs     map[ethtypes.Hash]*Registration // by labelhash
+	byLabel  map[string]ethtypes.Hash
+	addrRec  map[ethtypes.Hash]ethtypes.Address // resolver records by node (persist after expiry)
+	subnodes map[ethtypes.Hash]*Subdomain       // registry records by node
 }
 
 // Deploy installs the ENS contract suite on the chain.
@@ -79,9 +77,7 @@ func Deploy(c *chain.Chain, oracle *pricing.Oracle) *Service {
 		regs:           make(map[ethtypes.Hash]*Registration),
 		byLabel:        make(map[string]ethtypes.Hash),
 		addrRec:        make(map[ethtypes.Hash]ethtypes.Address),
-		commitments:    make(map[ethtypes.Hash]int64),
 		subnodes:       make(map[ethtypes.Hash]*Subdomain),
-		reverse:        make(map[ethtypes.Address]string),
 	}
 }
 

@@ -13,11 +13,10 @@ import (
 )
 
 // Client is a minimal JSON-RPC client for the subset Server implements.
+// It is safe for concurrent use.
 type Client struct {
 	Endpoint   string
 	HTTPClient *http.Client
-
-	nextID int64
 }
 
 // NewClient returns a client for the endpoint.
@@ -27,7 +26,6 @@ func NewClient(endpoint string) *Client {
 
 // Call performs one RPC and decodes the result into out.
 func (c *Client) Call(ctx context.Context, method string, out any, params ...any) error {
-	c.nextID++
 	rawParams := make([]json.RawMessage, 0, len(params))
 	for _, p := range params {
 		b, err := json.Marshal(p)
@@ -36,8 +34,9 @@ func (c *Client) Call(ctx context.Context, method string, out any, params ...any
 		}
 		rawParams = append(rawParams, b)
 	}
-	id, _ := json.Marshal(c.nextID)
-	body, err := json.Marshal(request{JSONRPC: "2.0", ID: id, Method: method, Params: rawParams})
+	// Each POST carries one call, so no answer needs its echoed id to
+	// find its call: every request sends id 1.
+	body, err := json.Marshal(request{JSONRPC: "2.0", ID: json.RawMessage("1"), Method: method, Params: rawParams})
 	if err != nil {
 		return fmt.Errorf("ethrpc: marshal request: %w", err)
 	}
@@ -55,6 +54,11 @@ func (c *Client) Call(ctx context.Context, method string, out any, params ...any
 		return fmt.Errorf("ethrpc: %w", err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		// A shed (503) or a quota's 429 answers in plain text, not JSON.
+		head, _ := io.ReadAll(io.LimitReader(resp.Body, 200))
+		return fmt.Errorf("ethrpc: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(head))
+	}
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
 	if err != nil {
 		return fmt.Errorf("ethrpc: read: %w", err)

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -47,31 +48,6 @@ func TestBlockNumberAndBalance(t *testing.T) {
 	}
 	if bal.Cmp(ethtypes.Ether(100)) != 0 {
 		t.Errorf("balance = %s", bal)
-	}
-}
-
-func TestGetTransactionByHash(t *testing.T) {
-	c, _, client := newRPCPair(t)
-	alice := ethtypes.DeriveAddress("rpc-a2")
-	c.Mint(alice, ethtypes.Ether(5))
-	rcpt, err := c.Transfer(genesis+12, alice, alice, ethtypes.NewWei(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tx RPCTransaction
-	if err := client.Call(context.Background(), "eth_getTransactionByHash", &tx, rcpt.Tx.Hash.Hex()); err != nil {
-		t.Fatal(err)
-	}
-	if tx.Hash != rcpt.Tx.Hash.Hex() || tx.Value != "0x7" {
-		t.Errorf("tx = %+v", tx)
-	}
-	// Unknown hash -> null result.
-	var null *RPCTransaction
-	if err := client.Call(context.Background(), "eth_getTransactionByHash", &null, ethtypes.Hash{0x01}.Hex()); err != nil {
-		t.Fatal(err)
-	}
-	if null != nil {
-		t.Errorf("unknown hash returned %+v", null)
 	}
 }
 
@@ -183,6 +159,41 @@ func TestBalanceRejectsHostileAnswers(t *testing.T) {
 		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
 			t.Errorf("answer %s: balance %s, error %v; want %q", c.answer, bal, err, c.want)
 		}
+	}
+}
+
+// TestConcurrentCalls: one client may be used from several goroutines
+// at once; it keeps no per-call state. Run it with -race.
+func TestConcurrentCalls(t *testing.T) {
+	c, _, client := newRPCPair(t)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				if bn, err := client.BlockNumber(context.Background()); err != nil || bn != c.HeadBlock() {
+					t.Errorf("BlockNumber = %d, %v; want %d", bn, err, c.HeadBlock())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestCallReportsHTTPStatus: an answer that is not 200, such as the
+// overload gate's 503 shed or a quota's 429, is reported with its status
+// and the start of its body, not as a JSON decode error.
+func TestCallReportsHTTPStatus(t *testing.T) {
+	body := "overloaded: queue_full " + strings.Repeat("x", 300)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, body, http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+	_, err := NewClient(srv.URL).BlockNumber(context.Background())
+	if want := "ethrpc: HTTP 503: " + body[:200]; err == nil || err.Error() != want {
+		t.Errorf("err = %v\nwant %s", err, want)
 	}
 }
 

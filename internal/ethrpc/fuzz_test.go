@@ -35,8 +35,8 @@ func FuzzRPCRequest(f *testing.F) {
 	for _, body := range []string{
 		`{"jsonrpc":"2.0","id":1,"method":"eth_blockNumber","params":[]}`,
 		`{"jsonrpc":"2.0","id":"a","method":"eth_getBalance","params":["` + alice.Hex() + `"]}`,
-		`{"jsonrpc":"2.0","id":[1, 2],"method":"eth_getTransactionByHash","params":["` + rcpt.Tx.Hash.Hex() + `"]}`,
-		`{"jsonrpc":"2.0","id":{"k":"<&>"},"method":"eth_getTransactionByHash","params":["` + ethtypes.Hash{1}.Hex() + `"]}`,
+		`{"jsonrpc":"2.0","id":[1, 2],"method":"eth_getBalance","params":["` + alice.Hex() + `"]}`,
+		`{"jsonrpc":"2.0","id":{"k":"<&>"},"method":"eth_getBalance","params":["` + ethtypes.Address{1}.Hex() + `"]}`,
 		`{"jsonrpc":"2.0","id":3,"method":"eth_getLogs","params":[{"fromBlock":"0x0","toBlock":"latest","events":["NameRegistered"]}]}`,
 		`{"id":4,"method":"eth_getLogs","params":[{"fromBlock":"0x","address":"nothex"}]}`,
 		`{"id":5,"method":"eth_getBalance"}`,

@@ -1,5 +1,5 @@
 // Package ethrpc exposes the simulated chain over a JSON-RPC 2.0 subset
-// (eth_blockNumber, eth_getBalance, eth_getTransactionByHash, eth_getLogs),
+// (eth_blockNumber, eth_getBalance, eth_getLogs),
 // the interface a researcher doing *direct* chain extraction would use —
 // the approach the paper contrasts with its subgraph crawl (§3.1): raw
 // logs carry only keccak-256 label hashes, so recovering the plaintext
@@ -52,16 +52,6 @@ type RPCLog struct {
 	Timestamp   string   `json:"timestamp"`
 }
 
-// RPCTransaction is the wire form of a transaction.
-type RPCTransaction struct {
-	Hash        string `json:"hash"`
-	BlockNumber string `json:"blockNumber"`
-	From        string `json:"from"`
-	To          string `json:"to"`
-	Value       string `json:"value"`
-	Timestamp   string `json:"timestamp"`
-}
-
 // LogQuery is the eth_getLogs parameter object.
 type LogQuery struct {
 	FromBlock string   `json:"fromBlock,omitempty"`
@@ -94,19 +84,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := response{JSONRPC: "2.0", ID: req.ID}
 	result, err := s.dispatch(r.Context(), &req)
-	switch {
-	case err != nil:
+	if err != nil {
 		resp.Error = &rpcError{-32000, err.Error()}
-	case result == nil:
-		// JSON-RPC 2.0 requires "result" on success, even when it is null.
-		resp.Result = jsonNull
-	default:
+	} else {
 		resp.Result = result
 	}
 	writeRPC(w, http.StatusOK, resp)
 }
-
-var jsonNull = json.RawMessage("null")
 
 func writeRPC(w http.ResponseWriter, status int, resp response) {
 	// A failed response write means the client is gone; nothing to repair.
@@ -127,20 +111,6 @@ func (s *Server) dispatch(ctx context.Context, req *request) (any, error) {
 			return nil, err
 		}
 		return s.chain.BalanceOf(addr).Hex(), nil
-	case "eth_getTransactionByHash":
-		var hashStr string
-		if err := param(req, 0, &hashStr); err != nil {
-			return nil, err
-		}
-		h, err := ethtypes.ParseHash(hashStr)
-		if err != nil {
-			return nil, err
-		}
-		tx, err := s.chain.TxByHash(h)
-		if err != nil {
-			return nil, nil // JSON-RPC convention: null for unknown tx
-		}
-		return toRPCTx(tx), nil
 	case "eth_getLogs":
 		var q LogQuery
 		if err := param(req, 0, &q); err != nil {
@@ -197,17 +167,6 @@ func toRPCLog(l *chain.Log) RPCLog {
 		BlockNumber: hexUint(l.BlockNumber),
 		TxHash:      l.TxHash.Hex(),
 		Timestamp:   hexUint(uint64(l.Timestamp)),
-	}
-}
-
-func toRPCTx(tx *chain.Transaction) RPCTransaction {
-	return RPCTransaction{
-		Hash:        tx.Hash.Hex(),
-		BlockNumber: hexUint(tx.BlockNumber),
-		From:        strings.ToLower(tx.From.Hex()),
-		To:          strings.ToLower(tx.To.Hex()),
-		Value:       tx.Value.Hex(),
-		Timestamp:   hexUint(uint64(tx.Timestamp)),
 	}
 }
 

@@ -41,17 +41,6 @@ func BytesToAddress(b []byte) Address {
 	return a
 }
 
-// BytesToHash returns the hash formed by the last 32 bytes of b,
-// left-padding with zeros when b is shorter.
-func BytesToHash(b []byte) Hash {
-	var h Hash
-	if len(b) > HashLength {
-		b = b[len(b)-HashLength:]
-	}
-	copy(h[HashLength-len(b):], b)
-	return h
-}
-
 // HashData returns the Keccak-256 digest of data as a Hash.
 func HashData(data []byte) Hash {
 	return Hash(keccak.Sum256(data))
@@ -67,8 +56,7 @@ func DeriveAddress(label string) Address {
 }
 
 // ParseAddress parses a 0x-prefixed (or bare) 40-digit hex address.
-// Mixed-case inputs are accepted without checksum verification; use
-// VerifyChecksum for strict EIP-55 validation.
+// Mixed-case inputs are accepted without checksum verification.
 func ParseAddress(s string) (Address, error) {
 	var a Address
 	if err := decodeHex(a[:], s); err != nil {
@@ -149,36 +137,6 @@ func (a Address) Hex() string {
 		out[2+i] = c
 	}
 	return string(out)
-}
-
-// VerifyChecksum reports whether s is a correctly EIP-55 checksummed
-// representation of some address. All-lowercase and all-uppercase inputs are
-// accepted per the EIP.
-func VerifyChecksum(s string) bool {
-	a, err := ParseAddress(s)
-	if err != nil {
-		return false
-	}
-	if len(s) >= 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X') {
-		s = s[2:]
-	}
-	if isUniformCase(s) {
-		return true
-	}
-	return "0x"+s == a.Hex()
-}
-
-func isUniformCase(s string) bool {
-	lower, upper := false, false
-	for _, c := range s {
-		switch {
-		case c >= 'a' && c <= 'f':
-			lower = true
-		case c >= 'A' && c <= 'F':
-			upper = true
-		}
-	}
-	return !(lower && upper)
 }
 
 // String returns the checksummed hex form.

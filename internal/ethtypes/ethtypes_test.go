@@ -41,21 +41,6 @@ func TestEIP55Checksum(t *testing.T) {
 		if got := a.Hex(); got != v {
 			t.Errorf("Hex() = %s, want %s", got, v)
 		}
-		if !VerifyChecksum(v) {
-			t.Errorf("VerifyChecksum(%q) = false", v)
-		}
-	}
-}
-
-func TestVerifyChecksumRejectsBadCase(t *testing.T) {
-	// Flip the case of one letter in a valid checksummed address.
-	bad := "0x5aAeb6053F3E94C9b9A09f33669435E7Ef1BeAeD"
-	if VerifyChecksum(bad) {
-		t.Error("VerifyChecksum accepted a corrupted checksum")
-	}
-	// All-lowercase is always accepted.
-	if !VerifyChecksum(strings.ToLower(bad)) {
-		t.Error("VerifyChecksum rejected all-lowercase form")
 	}
 }
 
@@ -200,7 +185,9 @@ func TestQuickAddressTextRoundTrip(t *testing.T) {
 
 func TestQuickChecksumSelfConsistent(t *testing.T) {
 	f := func(raw [20]byte) bool {
-		return VerifyChecksum(Address(raw).Hex())
+		h := Address(raw).Hex()
+		back, err := ParseAddress(h)
+		return err == nil && back == Address(raw) && back.Hex() == h
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -42,26 +42,6 @@ var pool = sync.Pool{New: func() any {
 	return eb
 }}
 
-// bufPool holds plain scratch buffers for handlers that serialize
-// responses manually (the subgraph page encoder).
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// GetBuffer returns a reset scratch buffer from the pool. Pair with
-// PutBuffer when done.
-func GetBuffer() *bytes.Buffer {
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	return buf
-}
-
-// PutBuffer returns a buffer obtained from GetBuffer to the pool.
-// Oversized buffers are dropped so the pool stays small.
-func PutBuffer(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooledBuf {
-		bufPool.Put(buf)
-	}
-}
-
 // slicePool holds append-style scratch slices for handlers that build
 // JSON bodies by hand.
 var slicePool = sync.Pool{New: func() any {

@@ -122,17 +122,6 @@ func TestAppendStringQuick(t *testing.T) {
 	}
 }
 
-func TestBufferPoolRoundTrip(t *testing.T) {
-	buf := GetBuffer()
-	buf.WriteString("scratch")
-	PutBuffer(buf)
-	again := GetBuffer()
-	if again.Len() != 0 {
-		t.Errorf("pooled buffer not reset: %q", again.String())
-	}
-	PutBuffer(again)
-}
-
 func BenchmarkWritePooled(b *testing.B) {
 	type row struct {
 		ID string `json:"id"`

@@ -36,8 +36,9 @@ var clientPkgs = []string{
 	"internal/etherscan",
 	"internal/subgraph",
 	"internal/opensea",
-	// trace ships in every client's request path (Inject, Middleware);
-	// raw outbound HTTP from it would bypass the call pipeline.
+	// trace ships in every client's request path (Inject, and Extract on
+	// the serving side); raw outbound HTTP from it would bypass the call
+	// pipeline.
 	"internal/trace",
 	// The chaos drill measures how crawler.Call's retries and retry
 	// budget ride out the faults; raw HTTP from the drill would bypass

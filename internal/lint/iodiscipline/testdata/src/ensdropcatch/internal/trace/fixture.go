@@ -1,6 +1,6 @@
 // Positive fixture: the package path ends in internal/trace, so the
 // I/O discipline applies. trace ships inside every crawl client's
-// request path (Inject sets headers, Middleware serves them) — if it
+// request path (Inject sets headers, Extract reads them) — if it
 // ever grew an outbound exporter, that HTTP must go through the same
 // call pipeline as the clients it instruments.
 package trace

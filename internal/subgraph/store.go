@@ -95,67 +95,26 @@ const (
 	ColSubdomains = "subdomains"
 )
 
-// NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{collections: map[string][]Entity{
+// indexedEvents are the event names the ENS subgraph consumes.
+var indexedEvents = []string{"NameRegistered", "NameRenewed", "NameTransferred", "AddrChanged", "NewOwner"}
+
+// BuildIndex folds the chain's full event history into a Store, the way
+// the ENS subgraph indexes mainnet.
+func BuildIndex(c *chain.Chain) *Store {
+	s := &Store{collections: map[string][]Entity{
 		ColRegistrations: nil,
 		ColEvents:        nil,
 		ColDomains:       nil,
 		ColSubdomains:    nil,
 	}}
-}
-
-// BuildIndex folds the chain's full event history into a Store, the way
-// the ENS subgraph indexes mainnet.
-func BuildIndex(c *chain.Chain) *Store {
-	ix := NewIndexer()
-	ix.Sync(c)
-	return ix.Store()
-}
-
-// Indexer folds chain events into a Store incrementally: each Sync indexes
-// only blocks past the previous watermark, the way The Graph tails the
-// chain head.
-type Indexer struct {
-	store     *Store
-	regs      map[string]Entity // labelhash -> registration entity
-	domains   map[string]Entity // node -> domain entity
-	watermark uint64            // highest fully indexed block
-}
-
-// NewIndexer returns an empty incremental indexer.
-func NewIndexer() *Indexer {
-	return &Indexer{
-		store:   NewStore(),
-		regs:    map[string]Entity{},
-		domains: map[string]Entity{},
-	}
-}
-
-// Store returns the indexed store (shared; updated by future Syncs).
-func (ix *Indexer) Store() *Store { return ix.store }
-
-// Watermark returns the highest fully indexed block.
-func (ix *Indexer) Watermark() uint64 { return ix.watermark }
-
-// indexedEvents are the event names the ENS subgraph consumes.
-var indexedEvents = []string{"NameRegistered", "NameRenewed", "NameTransferred", "AddrChanged", "NewOwner"}
-
-// Sync indexes all new logs since the previous call and returns how many
-// were processed.
-func (ix *Indexer) Sync(c *chain.Chain) int {
-	head := c.HeadBlock()
-	if head <= ix.watermark {
-		return 0
-	}
-	logs := c.FilterLogs(chain.LogFilter{FromBlock: ix.watermark + 1, ToBlock: head, Events: indexedEvents})
-	s := ix.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	regs := ix.regs
-	domains := ix.domains
+	// Registrations and domains are appended once, when first seen, and
+	// later events update the same entity in place.
+	regs := map[string]Entity{}    // labelhash -> registration entity
+	domains := map[string]Entity{} // node -> domain entity
 
-	for _, l := range logs {
+	for _, l := range c.FilterLogs(chain.LogFilter{Events: indexedEvents}) {
 		switch l.Event {
 		case "NameRegistered":
 			lh := l.Topics[0]
@@ -165,6 +124,7 @@ func (ix *Indexer) Sync(c *chain.Chain) int {
 			if !ok {
 				reg = Entity{"id": id, "domain": node}
 				regs[id] = reg
+				s.append(ColRegistrations, reg)
 			}
 			if name, ok := l.Data["name"]; ok {
 				reg["labelName"] = name
@@ -177,6 +137,7 @@ func (ix *Indexer) Sync(c *chain.Chain) int {
 			if !ok {
 				d = Entity{"id": node, "createdAt": l.Timestamp, "labelhash": id}
 				domains[node] = d
+				s.append(ColDomains, d)
 			}
 			if name, ok := l.Data["name"]; ok {
 				d["labelName"] = name
@@ -235,6 +196,7 @@ func (ix *Indexer) Sync(c *chain.Chain) int {
 			if !ok {
 				d = Entity{"id": node, "createdAt": l.Timestamp}
 				domains[node] = d
+				s.append(ColDomains, d)
 			}
 			d["resolvedAddress"] = l.Data["addr"]
 		case "NewOwner":
@@ -252,31 +214,8 @@ func (ix *Indexer) Sync(c *chain.Chain) int {
 			s.append(ColSubdomains, e)
 		}
 	}
-
-	// Registrations and domains are mutated in place; new ones are
-	// appended to the collections (entities are shared maps, so updates
-	// to existing ones are already visible).
-	inRegs := map[string]bool{}
-	for _, e := range s.collections[ColRegistrations] {
-		inRegs[e.ID()] = true
-	}
-	for id, reg := range regs {
-		if !inRegs[id] {
-			s.append(ColRegistrations, reg)
-		}
-	}
-	inDomains := map[string]bool{}
-	for _, e := range s.collections[ColDomains] {
-		inDomains[e.ID()] = true
-	}
-	for id, d := range domains {
-		if !inDomains[id] {
-			s.append(ColDomains, d)
-		}
-	}
 	s.sortAll()
-	ix.watermark = head
-	return len(logs)
+	return s
 }
 
 func eventID(l *chain.Log) string {

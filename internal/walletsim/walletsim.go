@@ -120,52 +120,6 @@ func (w *GuardedWallet) Resolve(label string, now int64) Resolution {
 	return res
 }
 
-// CachingWallet models a wallet (or dApp frontend) that caches ENS
-// resolutions for TTL seconds. Caching interacts with dropcatching in both
-// directions: a cache populated before a re-registration keeps paying the
-// OLD owner after the catch (accidentally protective for the sender,
-// income the new owner never sees), while a cache populated after it pins
-// the NEW owner even if the original owner later recovers the name.
-type CachingWallet struct {
-	svc *ens.Service
-	// TTL is how long a cached resolution is reused; zero defaults to
-	// 24 hours.
-	TTL time.Duration
-
-	cache map[string]cachedEntry
-}
-
-type cachedEntry struct {
-	addr ethtypes.Address
-	at   int64
-}
-
-// NewCaching returns a caching wallet over the ENS deployment.
-func NewCaching(svc *ens.Service, ttl time.Duration) *CachingWallet {
-	if ttl == 0 {
-		ttl = 24 * time.Hour
-	}
-	return &CachingWallet{svc: svc, TTL: ttl, cache: make(map[string]cachedEntry)}
-}
-
-// Name implements Wallet.
-func (w *CachingWallet) Name() string { return "Caching Wallet" }
-
-// Version implements Wallet.
-func (w *CachingWallet) Version() string { return "1.0" }
-
-// Resolve implements Wallet, serving from cache within the TTL.
-func (w *CachingWallet) Resolve(label string, now int64) Resolution {
-	if e, ok := w.cache[label]; ok && now-e.at < int64(w.TTL/time.Second) {
-		return Resolution{Address: e.addr, Resolved: true}
-	}
-	addr, ok := w.svc.Resolve(label)
-	if ok {
-		w.cache[label] = cachedEntry{addr: addr, at: now}
-	}
-	return Resolution{Address: addr, Resolved: ok}
-}
-
 // SurveyRow is one line of Table 2.
 type SurveyRow struct {
 	Wallet          string

@@ -115,46 +115,6 @@ func TestGuardedWalletUnregisteredName(t *testing.T) {
 	}
 }
 
-func TestCachingWalletServesStaleEntries(t *testing.T) {
-	svc, alice, reg := fixture(t)
-	attacker := ethtypes.DeriveAddress("ws-cache-attacker")
-	svc.Chain().Mint(attacker, ethtypes.Ether(1000))
-
-	w := NewCaching(svc, 48*time.Hour)
-	// Prime the cache while alice owns the name.
-	if res := w.Resolve("victim", start+200); res.Address != alice {
-		t.Fatal("prime failed")
-	}
-
-	// Mallory catches the name; a second wallet primes its cache after
-	// the registration but before the resolver repoint lands.
-	at := ens.PremiumEndTime(reg.Expiry) + 10
-	rcpt, err := svc.Register(at, attacker, attacker, "victim", ens.Year, svc.PriceWei("victim", ens.Year, at))
-	if err != nil || rcpt.Err != nil {
-		t.Fatalf("re-register: %v %v", err, rcpt)
-	}
-	w2 := NewCaching(svc, 48*time.Hour)
-	if res := w2.Resolve("victim", at+30); res.Address != alice {
-		t.Fatalf("pre-repoint resolution = %s, want stale alice record", res.Address)
-	}
-
-	svc.SetAddr(at+60, attacker, "victim", attacker)
-
-	// Fresh/expired caches see the attacker immediately.
-	if res := w.Resolve("victim", at+120); res.Address != attacker {
-		t.Errorf("expired cache did not refresh: %s", res.Address)
-	}
-	// The primed cache keeps paying alice within the TTL — income the
-	// dropcatcher never intercepts.
-	if res := w2.Resolve("victim", at+3600); res.Address != alice {
-		t.Errorf("cached wallet refreshed before TTL: %s", res.Address)
-	}
-	// After the TTL it refreshes to the attacker.
-	if res := w2.Resolve("victim", at+30+int64(49*3600)); res.Address != attacker {
-		t.Errorf("post-TTL resolution = %s, want attacker", res.Address)
-	}
-}
-
 func TestSurveyReproducesTable2(t *testing.T) {
 	svc, _, reg := fixture(t)
 	after := ens.PremiumEndTime(reg.Expiry) + 86400

@@ -2,6 +2,9 @@ package world
 
 import (
 	"testing"
+
+	"ensdropcatch/internal/chain"
+	"ensdropcatch/internal/ethtypes"
 )
 
 func TestResolutionLogIntegrity(t *testing.T) {
@@ -9,13 +12,17 @@ func TestResolutionLogIntegrity(t *testing.T) {
 	if len(res.ResolutionLog) == 0 {
 		t.Fatal("empty resolution log")
 	}
+	byHash := map[ethtypes.Hash]*chain.Transaction{}
+	for _, tx := range res.Chain.Transactions() {
+		byHash[tx.Hash] = tx
+	}
 	for i, rec := range res.ResolutionLog {
 		if rec.Name == "" {
 			t.Fatalf("entry %d has no name", i)
 		}
-		tx, err := res.Chain.TxByHash(rec.TxHash)
-		if err != nil {
-			t.Fatalf("entry %d: tx not on chain: %v", i, err)
+		tx, ok := byHash[rec.TxHash]
+		if !ok {
+			t.Fatalf("entry %d: tx %s not on chain", i, rec.TxHash)
 		}
 		if tx.From != rec.Sender || tx.To != rec.Resolved || tx.Timestamp != rec.At {
 			t.Fatalf("entry %d inconsistent with chain tx", i)
