@@ -136,7 +136,8 @@ FUZZ_TARGETS := \
 	FuzzParsePlan@./internal/chaos/plan/ \
 	FuzzRPCRequest@./internal/ethrpc/ \
 	FuzzOpenSeaQuery@./internal/opensea/ \
-	FuzzParseWei@./internal/ethtypes/
+	FuzzParseWei@./internal/ethtypes/ \
+	FuzzPageCache@./internal/pagecache/
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -82,6 +82,44 @@ func TestGetLogsExposesHashesNotNames(t *testing.T) {
 	}
 }
 
+// TestGetLogsToBlockZero: blocks start at 1, so a toBlock of "0x0", or
+// one below fromBlock, selects no log, while "latest" and an omitted
+// toBlock leave the range open.
+func TestGetLogsToBlockZero(t *testing.T) {
+	c, svc, client := newRPCPair(t)
+	alice := ethtypes.DeriveAddress("rpc-a5")
+	c.Mint(alice, ethtypes.Ether(1000))
+	rcpt, err := svc.Register(genesis+86400, alice, alice, "blockzero", ens.Year, svc.PriceWei("blockzero", ens.Year, genesis+86400))
+	if err != nil || rcpt.Err != nil {
+		t.Fatalf("register: %v %v", err, rcpt)
+	}
+	ctx := context.Background()
+	all, err := client.GetLogs(ctx, LogQuery{Events: []string{"NameRegistered"}})
+	if err != nil || len(all) != 1 || all[0].BlockNumber != "0x1c21" {
+		t.Fatalf("open range: %v %+v, want one log at block 7201", err, all)
+	}
+	for _, tc := range []struct {
+		from, to string
+		want     int
+	}{
+		{"0x0", "0x0", 0},
+		{"", "0x0", 0},
+		{"0x1c22", "0x1c21", 0},
+		{"0x1c21", "0x1c20", 0},
+		{"0x0", "latest", 1},
+		{"0x0", "", 1},
+		{"0x1c21", "0x1c21", 1},
+	} {
+		logs, err := client.GetLogs(ctx, LogQuery{FromBlock: tc.from, ToBlock: tc.to, Events: []string{"NameRegistered"}})
+		if err != nil {
+			t.Fatalf("from %q to %q: %v", tc.from, tc.to, err)
+		}
+		if len(logs) != tc.want {
+			t.Errorf("from %q to %q: %d logs, want %d", tc.from, tc.to, len(logs), tc.want)
+		}
+	}
+}
+
 func TestGetLogsPaged(t *testing.T) {
 	c, svc, client := newRPCPair(t)
 	alice := ethtypes.DeriveAddress("rpc-a4")

@@ -124,6 +124,12 @@ func (s *Server) dispatch(ctx context.Context, req *request) (any, error) {
 		if filter.ToBlock, err = parseHexBlock(q.ToBlock); err != nil {
 			return nil, err
 		}
+		// LogFilter reads ToBlock 0 as "no bound", but blocks start at
+		// 1: an explicit toBlock of 0, or one below fromBlock, selects
+		// nothing.
+		if !isLatest(q.ToBlock) && filter.ToBlock < max(filter.FromBlock, 1) {
+			return []RPCLog{}, nil
+		}
 		if q.Address != "" {
 			if filter.Address, err = ethtypes.ParseAddress(q.Address); err != nil {
 				return nil, err
@@ -172,8 +178,11 @@ func toRPCLog(l *chain.Log) RPCLog {
 
 func hexUint(v uint64) string { return "0x" + strconv.FormatUint(v, 16) }
 
+// isLatest reports whether a block tag leaves its end of the range open.
+func isLatest(s string) bool { return s == "" || s == "latest" }
+
 func parseHexBlock(s string) (uint64, error) {
-	if s == "" || s == "latest" {
+	if isLatest(s) {
 		return 0, nil
 	}
 	s = strings.TrimPrefix(s, "0x")

@@ -10,6 +10,7 @@ import (
 type metricSet struct {
 	hits      *obs.CounterVec
 	misses    *obs.CounterVec
+	admitted  *obs.CounterVec
 	bypass    *obs.CounterVec
 	evictions *obs.Counter
 	entries   *obs.Gauge
@@ -30,6 +31,8 @@ func InitMetrics(reg *obs.Registry) {
 			"Responses served from the page cache, by route.", "route"),
 		misses: reg.CounterVec("pagecache_misses_total",
 			"Requests that fell through to the handler, by route.", "route"),
+		admitted: reg.CounterVec("pagecache_admitted_total",
+			"Misses that stored their page (a second miss within the window of one-off misses), by route.", "route"),
 		bypass: reg.CounterVec("pagecache_bypass_total",
 			"Requests the cache refused to key (method, oversized body), by route.", "route"),
 		evictions: reg.Counter("pagecache_evictions_total",

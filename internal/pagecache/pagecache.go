@@ -5,9 +5,18 @@
 // repeated crawler queries (the same subgraph page, the same txlist
 // window) into a map lookup plus one write.
 //
+// A page is stored on its second miss. The cache remembers the keys of
+// its last 4096 one-off misses (the ghost queue of 2Q, sized to the
+// cache); a miss on a key it does not remember goes straight to the
+// handler, is neither copied nor stored, and its key is remembered. A
+// crawl asks for each txlist page once, so its pages pass through
+// without displacing the pages several crawlers share. A miss on a
+// remembered key is recorded and stored.
+//
 // A stored page carries X-Cache: MISS when just rendered and HIT when
-// replayed. Only complete 200 answers up to 1 MiB are stored; handlers
-// opt out per-response with Cache-Control: no-store.
+// replayed; a one-off miss is stamped MISS before its handler runs,
+// whatever it answers. Only complete 200 answers up to 1 MiB are
+// stored; handlers opt out per-response with Cache-Control: no-store.
 //
 // Placement matters: the cache wraps the innermost handler, inside the
 // quotas and the admission gate (so a hit is still charged to its
@@ -19,7 +28,7 @@ package pagecache
 import (
 	"bytes"
 	"container/list"
-	"hash/fnv"
+	"crypto/sha256"
 	"io"
 	"net/http"
 	"strconv"
@@ -32,13 +41,13 @@ import (
 // Bounds.
 const (
 	// maxEntries bounds the entry count; the least recently used entry
-	// is evicted past it.
+	// is evicted past it. It also bounds the one-off misses remembered.
 	maxEntries = 4096
 	// maxBody is the largest response body stored. Larger responses
 	// stream through uncached.
 	maxBody = 1 << 20
 	// maxKeyBody is the largest request body embedded verbatim in the
-	// cache key; longer bodies key on their FNV-64a hash instead.
+	// cache key; longer bodies key on their SHA-256 digest instead.
 	maxKeyBody = 1 << 10
 	// maxReqBody bounds how much request body the cache will buffer to
 	// key on; beyond it the request bypasses the cache entirely. It is
@@ -46,7 +55,8 @@ const (
 	maxReqBody = httpjson.MaxRequestBody
 )
 
-// Cache is a concurrency-safe LRU of rendered responses.
+// Cache is a concurrency-safe LRU of rendered responses that stores a
+// page on its second miss.
 type Cache struct {
 	// The package bounds, as fields so in-package tests can lower them.
 	maxEntries int
@@ -55,6 +65,11 @@ type Cache struct {
 	mu  sync.Mutex
 	lru *list.List               // front = most recently used; element values are *entry; guarded by mu
 	m   map[string]*list.Element // guarded by mu
+	// ring holds the keys of the last maxEntries one-off misses, the
+	// oldest at index next; seen is its key set.
+	ring []string            // guarded by mu
+	next int                 // guarded by mu
+	seen map[string]struct{} // guarded by mu
 }
 
 type entry struct {
@@ -71,6 +86,7 @@ func New() *Cache {
 		maxBody:    maxBody,
 		lru:        list.New(),
 		m:          make(map[string]*list.Element),
+		seen:       make(map[string]struct{}),
 	}
 }
 
@@ -81,24 +97,42 @@ func (c *Cache) Len() int {
 	return len(c.m)
 }
 
-// Purge drops every entry.
+// Purge drops every entry and forgets every one-off miss.
 func (c *Cache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lru.Init()
 	clear(c.m)
+	clear(c.ring) // so the backing array holds no old key alive
+	c.ring, c.next = c.ring[:0], 0
+	clear(c.seen)
 	m().entries.Set(0)
 }
 
-func (c *Cache) get(key string) *entry {
+// lookup returns the entry stored under key. On a miss it reports
+// whether the page is to be stored: yes when key is among the keys of
+// the last maxEntries one-off misses; otherwise the miss is a one-off
+// and key joins them, pushing out the oldest once there are
+// maxEntries.
+func (c *Cache) lookup(key string) (e *entry, admit bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		return nil
+	if el, ok := c.m[key]; ok {
+		c.lru.MoveToFront(el)
+		return el.Value.(*entry), false
 	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*entry)
+	if _, ok := c.seen[key]; ok {
+		return nil, true
+	}
+	if len(c.ring) < c.maxEntries {
+		c.ring = append(c.ring, key)
+	} else {
+		delete(c.seen, c.ring[c.next])
+		c.ring[c.next] = key
+		c.next = (c.next + 1) % len(c.ring)
+	}
+	c.seen[key] = struct{}{}
+	return nil, false
 }
 
 func (c *Cache) put(e *entry) {
@@ -121,23 +155,26 @@ func (c *Cache) put(e *entry) {
 
 // key builds the cache key. Small request bodies are embedded verbatim
 // (no hash-collision exposure on the common subgraph/RPC queries);
-// larger ones key on their FNV-64a digest.
+// larger ones key on their SHA-256 digest, which no client can collide
+// to be answered with another body's page. The byte after the URI
+// tells the two forms apart, so no small body can pose as a digest.
 func key(method, uri string, body []byte) string {
 	if len(body) <= maxKeyBody {
 		return method + "\x00" + uri + "\x00" + string(body)
 	}
-	h := fnv.New64a()
-	h.Write(body)
-	return method + "\x00" + uri + "\x00#" + strconv.FormatUint(h.Sum64(), 16)
+	sum := sha256.Sum256(body)
+	return method + "\x00" + uri + "\x01" + string(sum[:])
 }
 
 // Wrap returns next with response caching under the given route label.
 // Only GET and POST requests participate; everything else passes
-// through untouched. Only complete 200 responses without
-// Cache-Control: no-store and within the body bound are stored.
+// through untouched. A one-off miss passes through too; on a second
+// miss, only complete 200 responses without Cache-Control: no-store
+// and within the body bound are stored.
 func (c *Cache) Wrap(route string, next http.Handler) http.Handler {
 	hits := m().hits.With(route)
 	misses := m().misses.With(route)
+	admitted := m().admitted.With(route)
 	bypass := m().bypass.With(route)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodPost {
@@ -167,12 +204,18 @@ func (c *Cache) Wrap(route string, next http.Handler) http.Handler {
 			r.Body = readCloser{bytes.NewReader(reqBody), r.Body}
 		}
 		k := key(r.Method, r.URL.RequestURI(), reqBody)
-		if e := c.get(k); e != nil {
+		e, admit := c.lookup(k)
+		if e != nil {
 			hits.Inc()
 			serve(w, e, "HIT")
 			return
 		}
 		misses.Inc()
+		if !admit {
+			w.Header().Set("X-Cache", "MISS")
+			next.ServeHTTP(w, r)
+			return
+		}
 		rec := &recorder{w: w, status: http.StatusOK, maxBody: c.maxBody}
 		next.ServeHTTP(rec, r)
 		if rec.overflowed || rec.status != http.StatusOK ||
@@ -182,12 +225,13 @@ func (c *Cache) Wrap(route string, next http.Handler) http.Handler {
 			rec.finish()
 			return
 		}
-		e := &entry{
+		e = &entry{
 			key:         k,
 			contentType: rec.w.Header().Get("Content-Type"),
 			body:        rec.buf,
 		}
 		c.put(e)
+		admitted.Inc()
 		serve(w, e, "MISS")
 	})
 }

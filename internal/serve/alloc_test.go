@@ -27,11 +27,13 @@ func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (d *discardWriter) WriteHeader(code int)        { d.code = code }
 
 // allocRoute is one representative request on a data route with its
-// allocation budgets: a cache hit, a cache miss (the page rendered and
-// stored) and a render on a stack with the cache disabled.
+// allocation budgets: a cache hit, a one-off miss (the page rendered
+// straight through the cache), an admitted miss (the page rendered,
+// recorded and stored) and a render on a stack with the cache
+// disabled.
 type allocRoute struct {
-	name, method, path, body              string
-	hitBudget, missBudget, uncachedBudget float64
+	name, method, path, body                            string
+	hitBudget, oneOffBudget, missBudget, uncachedBudget float64
 }
 
 // allocRoutes are one representative request per data route. The
@@ -59,15 +61,15 @@ func allocRoutes(t *testing.T, res *world.Result) []allocRoute {
 	return []allocRoute{
 		{name: "subgraph", method: http.MethodPost, path: "/subgraph",
 			body:      `{"query": "{ registrationEvents(first: 100) { id type label labelName registrant expiryDate costWei timestamp blockNumber txHash } }"}`,
-			hitBudget: 64, missBudget: 380, uncachedBudget: 350}, // measured: 32 hit, 189 miss, 176 uncached (2562 uncached before pooling)
+			hitBudget: 64, oneOffBudget: 364, missBudget: 380, uncachedBudget: 350}, // measured: 32 hit, 182 one-off, 189 miss, 176 uncached (2562 uncached before pooling)
 		{name: "etherscan", method: http.MethodGet,
 			path:      "/etherscan/api?module=account&action=txlist&address=" + strings.ToLower(busiest.Hex()) + "&page=1&offset=100&apikey=t",
-			hitBudget: 64, missBudget: 96, uncachedBudget: 76}, // measured: 30 hit, 48 miss, 38 uncached (1,258 uncached when rows were reflect-encoded)
+			hitBudget: 64, oneOffBudget: 82, missBudget: 96, uncachedBudget: 76}, // measured: 30 hit, 41 one-off, 48 miss, 38 uncached (1,258 uncached when rows were reflect-encoded)
 		{name: "opensea", method: http.MethodGet, path: "/opensea/events?limit=50",
-			hitBudget: 64, missBudget: 82, uncachedBudget: 80}, // measured: 29 hit, 41 miss, 32 uncached
+			hitBudget: 64, oneOffBudget: 70, missBudget: 82, uncachedBudget: 80}, // measured: 29 hit, 35 one-off, 41 miss, 32 uncached
 		{name: "rpc", method: http.MethodPost, path: "/rpc",
 			body:      `{"jsonrpc":"2.0","id":1,"method":"eth_blockNumber","params":[]}`,
-			hitBudget: 64, missBudget: 112, uncachedBudget: 100}, // measured: 31 hit, 56 miss, 44 uncached
+			hitBudget: 64, oneOffBudget: 100, missBudget: 112, uncachedBudget: 100}, // measured: 31 hit, 50 one-off, 56 miss, 44 uncached
 	}
 }
 
@@ -87,10 +89,13 @@ func fireOnce(h http.Handler, method, path, body string) int {
 
 // TestRouteAllocBudgets pins the per-request allocation cost of every
 // data route on both sides of the page cache. The hit numbers come
-// from a warmed cached stack (every request serves stored bytes), the
-// miss numbers from the same stack purged before each request (every
-// request renders through the cache: key, recorder buffer, entry and
-// LRU insert), and the uncached numbers from a cache-disabled stack
+// from a warmed cached stack (every request serves stored bytes). The
+// one-off numbers come from the same stack purged before each request,
+// so every request is a key's first miss and renders straight through
+// the cache (key and ring slot). The admitted-miss numbers are a purge
+// and two requests, less a one-off: the second request renders through
+// the cache's recorder and stores the page (recorder buffer, entry and
+// LRU insert). The uncached numbers come from a cache-disabled stack
 // (every request renders, nothing is stored).
 func TestRouteAllocBudgets(t *testing.T) {
 	if testing.Short() {
@@ -115,20 +120,28 @@ func TestRouteAllocBudgets(t *testing.T) {
 			hit := testing.AllocsPerRun(50, func() {
 				fireOnce(cached.Handler, rt.method, rt.path, rt.body)
 			})
-			miss := testing.AllocsPerRun(50, func() {
+			oneOff := testing.AllocsPerRun(50, func() {
 				cached.Cache.Purge()
 				fireOnce(cached.Handler, rt.method, rt.path, rt.body)
 			})
+			miss := testing.AllocsPerRun(50, func() {
+				cached.Cache.Purge()
+				fireOnce(cached.Handler, rt.method, rt.path, rt.body) // the one-off miss that admits the key
+				fireOnce(cached.Handler, rt.method, rt.path, rt.body)
+			}) - oneOff
 			plain := testing.AllocsPerRun(50, func() {
 				fireOnce(uncached.Handler, rt.method, rt.path, rt.body)
 			})
-			t.Logf("%s: %.0f allocs/req on cache hit (budget %.0f), %.0f on miss (budget %.0f), %.0f uncached (budget %.0f)",
-				rt.name, hit, rt.hitBudget, miss, rt.missBudget, plain, rt.uncachedBudget)
+			t.Logf("%s: %.0f allocs/req on cache hit (budget %.0f), %.0f on one-off miss (budget %.0f), %.0f on admitted miss (budget %.0f), %.0f uncached (budget %.0f)",
+				rt.name, hit, rt.hitBudget, oneOff, rt.oneOffBudget, miss, rt.missBudget, plain, rt.uncachedBudget)
 			if hit > rt.hitBudget {
 				t.Errorf("cache hit allocates %.0f/req, budget %.0f", hit, rt.hitBudget)
 			}
+			if oneOff > rt.oneOffBudget {
+				t.Errorf("one-off cache miss allocates %.0f/req, budget %.0f", oneOff, rt.oneOffBudget)
+			}
 			if miss > rt.missBudget {
-				t.Errorf("cache miss allocates %.0f/req, budget %.0f", miss, rt.missBudget)
+				t.Errorf("admitted cache miss allocates %.0f/req, budget %.0f", miss, rt.missBudget)
 			}
 			if plain > rt.uncachedBudget {
 				t.Errorf("uncached render allocates %.0f/req, budget %.0f", plain, rt.uncachedBudget)

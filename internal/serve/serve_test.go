@@ -81,9 +81,11 @@ func TestStackRoutes(t *testing.T) {
 }
 
 // TestStackCacheServesIdenticalPages: a repeated query must hit the
-// cache and return byte-identical pages.
+// cache and return byte-identical pages. The page is stored on its
+// second miss, so the first request only admits it.
 func TestStackCacheServesIdenticalPages(t *testing.T) {
 	st := newTestStack(t, Config{})
+	post(st.Handler, "/subgraph", subgraphQuery)
 	first := post(st.Handler, "/subgraph", subgraphQuery)
 	second := post(st.Handler, "/subgraph", subgraphQuery)
 	if first.Body.String() != second.Body.String() {
@@ -117,9 +119,13 @@ const balancePath = "/etherscan/api?module=account&action=balance&address=0x0000
 // TestStackEtherscanRateLimitNotCached: the per-key limit is charged
 // before the page cache, so repeating one cached URL still drains the
 // key's bucket. The NOTOK answer rides on HTTP 200 but must never be
-// stored, or one exhausted bucket would poison the URL for good.
+// stored, or one exhausted bucket would poison the URL for good. The
+// page is stored on its second miss, so the test first sends the
+// admitting request and lets the bucket refill.
 func TestStackEtherscanRateLimitNotCached(t *testing.T) {
 	st := newTestStack(t, Config{EtherscanRate: 2})
+	get(st.Handler, balancePath)
+	time.Sleep(600 * time.Millisecond)
 	limited, hits := false, 0
 	for i := 0; i < 10; i++ {
 		rec := get(st.Handler, balancePath)

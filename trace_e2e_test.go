@@ -275,7 +275,9 @@ func errorEvents(tr *trace.Trace) []trace.Event {
 // rides on HTTP 200, which the server observer does not mark errored,
 // so the quota layer's own event must keep the trace and name the key.
 // The refused URL is one the page cache already holds: the key is
-// charged before the cache.
+// charged before the cache. The page is stored on its second miss, so
+// the test first sends the admitting request and lets the bucket
+// refill.
 func TestTraceAttributionEtherscanRateLimit(t *testing.T) {
 	withOverloadMetrics(t)
 	res, _, store, _ := soakWorld(t, 60, 19)
@@ -292,6 +294,10 @@ func TestTraceAttributionEtherscanRateLimit(t *testing.T) {
 	url := srv.URL + "/etherscan/api?module=account&action=txlist&address=" +
 		strings.ToLower(addr.Hex()) + "&apikey=drill-key"
 	ctracer, _ := clientTracer(50)
+	if status, _ := tracedGet(t, ctracer, url, nil); status != http.StatusOK {
+		t.Fatalf("admitting request = %d, want 200", status)
+	}
+	time.Sleep(1100 * time.Millisecond)
 	traceID := ""
 	for i := 0; i < 10 && traceID == ""; i++ {
 		status, id := tracedGet(t, ctracer, url, nil)
